@@ -16,7 +16,7 @@
 //! commutative monoid (see `df_prob::partial`), so any interleaving across
 //! worker threads produces the identical table.
 
-use crate::csv::{parse_record, read_logical_record, CsvOptions};
+use crate::csv::{parse_record, CsvOptions, Records};
 use crate::error::{DataError, Result};
 use crate::frame::DataFrame;
 use df_prob::contingency::Axis;
@@ -208,14 +208,11 @@ impl Tally for LabelChunk {
 /// than a projected index are an error. Header rows are not interpreted —
 /// consume one with [`CsvChunks::skip_line`] if the source has one.
 pub struct CsvChunks<R: BufRead> {
-    reader: R,
+    records: Records<R>,
     opts: CsvOptions,
     chunk_rows: usize,
     projection: Option<Vec<usize>>,
-    line_no: usize,
     done: bool,
-    /// Reused per-record line buffer (one allocation for the whole stream).
-    line_buf: String,
 }
 
 impl<R: BufRead> CsvChunks<R> {
@@ -225,13 +222,11 @@ impl<R: BufRead> CsvChunks<R> {
             return Err(DataError::Invalid("chunk_rows must be positive".into()));
         }
         Ok(Self {
-            reader,
+            records: Records::new(reader),
             opts,
             chunk_rows,
             projection: None,
-            line_no: 0,
             done: false,
-            line_buf: String::new(),
         })
     }
 
@@ -244,55 +239,33 @@ impl<R: BufRead> CsvChunks<R> {
 
     /// Consumes and discards one raw line (e.g. a header).
     pub fn skip_line(&mut self) -> Result<()> {
-        self.line_buf.clear();
-        self.reader.read_line(&mut self.line_buf)?;
-        self.line_no += 1;
-        Ok(())
+        self.records.skip_line()
     }
 
     fn next_record(&mut self) -> Result<Option<Vec<String>>> {
-        loop {
-            let record_line = self.line_no + 1;
-            if !read_logical_record(
-                &mut self.reader,
-                &mut self.line_buf,
-                &self.opts,
-                &mut self.line_no,
-            )? {
-                return Ok(None);
-            }
-            let trimmed = self.line_buf.trim();
-            if self.opts.skip_empty_lines && trimmed.is_empty() {
-                continue;
-            }
-            if let Some(cc) = self.opts.comment_char {
-                if trimmed.starts_with(cc) {
-                    continue;
+        let Some((line, record)) = self.records.next_record(&self.opts)? else {
+            return Ok(None);
+        };
+        let fields = parse_record(record, &self.opts, line)?;
+        let Some(proj) = &self.projection else {
+            return Ok(Some(fields));
+        };
+        let mut out = Vec::with_capacity(proj.len());
+        for &i in proj {
+            match fields.get(i) {
+                Some(f) => out.push(f.clone()),
+                None => {
+                    return Err(DataError::Csv {
+                        line: self.records.line_no(),
+                        message: format!(
+                            "projected field {i} out of range ({} fields)",
+                            fields.len()
+                        ),
+                    })
                 }
             }
-            let fields = parse_record(&self.line_buf, &self.opts, record_line)?;
-            return match &self.projection {
-                None => Ok(Some(fields)),
-                Some(proj) => {
-                    let mut out = Vec::with_capacity(proj.len());
-                    for &i in proj {
-                        match fields.get(i) {
-                            Some(f) => out.push(f.clone()),
-                            None => {
-                                return Err(DataError::Csv {
-                                    line: self.line_no,
-                                    message: format!(
-                                        "projected field {i} out of range ({} fields)",
-                                        fields.len()
-                                    ),
-                                })
-                            }
-                        }
-                    }
-                    Ok(Some(out))
-                }
-            };
         }
+        Ok(Some(out))
     }
 }
 

@@ -48,85 +48,123 @@ impl CsvOptions {
 
 /// Parses one CSV record (no trailing newline). Returns the fields.
 pub fn parse_record(line: &str, opts: &CsvOptions, line_no: usize) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    loop {
-        // Each iteration parses one field.
-        if opts.trim {
-            // Never swallow the delimiter itself (it may be `\t`).
-            while matches!(chars.peek(), Some(c) if c.is_ascii_whitespace() && *c != opts.delimiter)
-            {
-                chars.next();
-            }
-        }
-        if chars.peek() == Some(&'"') {
-            chars.next();
-            // Quoted field: read until the closing quote; "" is an escape.
-            loop {
-                match chars.next() {
-                    Some('"') => {
-                        if chars.peek() == Some(&'"') {
-                            chars.next();
-                            field.push('"');
-                        } else {
-                            break;
-                        }
-                    }
-                    Some(c) => field.push(c),
-                    None => {
-                        return Err(DataError::Csv {
-                            line: line_no,
-                            message: "unterminated quoted field".into(),
-                        })
-                    }
-                }
-            }
-            // Consume whitespace up to the delimiter or end — but never
-            // the delimiter itself, which may be whitespace (`\t`).
-            while matches!(chars.peek(), Some(c) if c.is_ascii_whitespace() && *c != opts.delimiter)
-            {
-                chars.next();
-            }
-            match chars.next() {
-                None => {
-                    fields.push(std::mem::take(&mut field));
-                    break;
-                }
-                Some(c) if c == opts.delimiter => {
-                    fields.push(std::mem::take(&mut field));
-                }
-                Some(c) => {
-                    return Err(DataError::Csv {
-                        line: line_no,
-                        message: format!("unexpected `{c}` after closing quote"),
-                    })
-                }
-            }
-        } else {
-            // Unquoted field: read to the delimiter or end.
-            let mut done = false;
-            loop {
-                match chars.next() {
-                    None => {
-                        done = true;
-                        break;
-                    }
-                    Some(c) if c == opts.delimiter => break,
-                    Some(c) => field.push(c),
-                }
-            }
-            if opts.trim {
-                let trimmed = field.trim_end().len();
-                field.truncate(trimmed);
-            }
-            fields.push(std::mem::take(&mut field));
-            if done {
-                break;
-            }
+    let mut fields = Fields::new(line, opts, line_no);
+    let mut out = Vec::new();
+    while let Some(field) = fields.next_field()? {
+        out.push(field.to_string());
+    }
+    Ok(out)
+}
+
+/// The fields of one CSV record (no trailing newline), read one at a
+/// time and borrowed from the record wherever they need no unescaping:
+/// the field grammar behind [`parse_record`], for callers that consume a
+/// field without keeping it.
+///
+/// With `trim`, ASCII whitespace before a field and Unicode whitespace
+/// after an unquoted one are dropped, but never the delimiter itself
+/// (it may be `\t`). A `"` at field start opens a quoted field, in which
+/// `""` is an escaped quote; only whitespace may follow its closing quote.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    rest: &'a str,
+    opts: &'a CsvOptions,
+    line_no: usize,
+    done: bool,
+    /// Unescaped text of the current quoted field, when it held `""`.
+    scratch: String,
+}
+
+impl<'a> Fields<'a> {
+    /// Fields of `line`; errors are reported at `line_no`.
+    pub fn new(line: &'a str, opts: &'a CsvOptions, line_no: usize) -> Self {
+        Self {
+            rest: line,
+            opts,
+            line_no,
+            done: false,
+            scratch: String::new(),
         }
     }
-    Ok(fields)
+
+    /// The next field, or `None` after the last one. A record always has
+    /// at least one field (an empty line is one empty field).
+    #[inline]
+    pub fn next_field(&mut self) -> Result<Option<&str>> {
+        if self.done {
+            return Ok(None);
+        }
+        let delimiter = self.opts.delimiter;
+        let padding = |c: char| c.is_ascii_whitespace() && c != delimiter;
+        let rest = if self.opts.trim {
+            self.rest.trim_start_matches(padding)
+        } else {
+            self.rest
+        };
+        let Some(quoted) = rest.strip_prefix('"') else {
+            // Unquoted field: read to the delimiter or end.
+            let field = match rest.find(delimiter) {
+                Some(i) => {
+                    self.rest = &rest[i + delimiter.len_utf8()..];
+                    &rest[..i]
+                }
+                None => {
+                    self.done = true;
+                    rest
+                }
+            };
+            return Ok(Some(if self.opts.trim {
+                field.trim_end()
+            } else {
+                field
+            }));
+        };
+        // Quoted field: read to the closing quote; `""` is an escape, and
+        // only an escape forces a copy into `scratch`.
+        let mut body = quoted;
+        let mut escaped = false;
+        let (field_len, after) = loop {
+            let Some(q) = body.find('"') else {
+                return Err(self.error("unterminated quoted field".into()));
+            };
+            let tail = &body[q + 1..];
+            match tail.strip_prefix('"') {
+                Some(next) => {
+                    if !escaped {
+                        self.scratch.clear();
+                        escaped = true;
+                    }
+                    self.scratch.push_str(&body[..=q]);
+                    body = next;
+                }
+                None => {
+                    if escaped {
+                        self.scratch.push_str(&body[..q]);
+                    }
+                    break (q, tail);
+                }
+            }
+        };
+        // Whitespace may pad the closing quote, the delimiter excepted.
+        let mut after = after.trim_start_matches(padding).chars();
+        match after.next() {
+            None => self.done = true,
+            Some(c) if c == delimiter => self.rest = after.as_str(),
+            Some(c) => return Err(self.error(format!("unexpected `{c}` after closing quote"))),
+        }
+        Ok(Some(if escaped {
+            &self.scratch
+        } else {
+            &quoted[..field_len]
+        }))
+    }
+
+    fn error(&self, message: String) -> DataError {
+        DataError::Csv {
+            line: self.line_no,
+            message,
+        }
+    }
 }
 
 /// Incremental quote state while assembling a logical record out of
@@ -198,10 +236,7 @@ fn scan_quote_state(mut state: QuoteScan, text: &str, opts: &CsvOptions) -> Quot
 /// field content and kept verbatim), and the record's own line terminator
 /// (`\n` or `\r\n`) is stripped. Returns `Ok(false)` at end of input with
 /// nothing read; `line_no` advances past every physical line consumed.
-///
-/// Shared by the batch reader ([`read_records`]) and the streaming reader
-/// (`CsvChunks`), so batch and stream see byte-identical records.
-pub(crate) fn read_logical_record<R: BufRead>(
+fn read_logical_record<R: BufRead>(
     reader: &mut R,
     buf: &mut String,
     opts: &CsvOptions,
@@ -213,7 +248,7 @@ pub(crate) fn read_logical_record<R: BufRead>(
         let start = buf.len();
         if reader.read_line(buf)? == 0 {
             // EOF. An open quoted field left content behind; hand it to
-            // parse_record, which reports the unterminated quote.
+            // the field reader, which reports the unterminated quote.
             return Ok(!buf.is_empty());
         }
         *line_no += 1;
@@ -235,28 +270,73 @@ pub(crate) fn read_logical_record<R: BufRead>(
     }
 }
 
+/// Pulls logical CSV records out of a [`BufRead`] through one reused
+/// buffer: quoted fields may span physical lines (RFC 4180), record
+/// terminators (`\n` or `\r\n`) are stripped, and blank and comment lines
+/// are skipped as the options say.
+///
+/// The batch reader ([`read_records`]) and the streaming reader
+/// (`CsvChunks`) both read through it, so batch and stream see
+/// byte-identical records; pair it with [`Fields`] to consume records
+/// without allocating per field.
+#[derive(Debug)]
+pub struct Records<R: BufRead> {
+    reader: R,
+    buf: String,
+    line_no: usize,
+}
+
+impl<R: BufRead> Records<R> {
+    /// A record reader positioned at the start of `reader`.
+    pub fn new(reader: R) -> Self {
+        Self {
+            reader,
+            buf: String::new(),
+            line_no: 0,
+        }
+    }
+
+    /// Physical lines consumed so far.
+    pub fn line_no(&self) -> usize {
+        self.line_no
+    }
+
+    /// Consumes and discards one raw line (e.g. a header).
+    pub fn skip_line(&mut self) -> Result<()> {
+        self.buf.clear();
+        self.reader.read_line(&mut self.buf)?;
+        self.line_no += 1;
+        Ok(())
+    }
+
+    /// The next record the options do not skip, with the 1-based line it
+    /// starts on; `None` at end of input.
+    pub fn next_record(&mut self, opts: &CsvOptions) -> Result<Option<(usize, &str)>> {
+        loop {
+            let record_line = self.line_no + 1;
+            if !read_logical_record(&mut self.reader, &mut self.buf, opts, &mut self.line_no)? {
+                return Ok(None);
+            }
+            let trimmed = self.buf.trim();
+            if opts.skip_empty_lines && trimmed.is_empty() {
+                continue;
+            }
+            if opts.comment_char.is_some_and(|cc| trimmed.starts_with(cc)) {
+                continue;
+            }
+            return Ok(Some((record_line, &self.buf)));
+        }
+    }
+}
+
 /// Reads all records from a buffered reader. Quoted fields may span lines
 /// (RFC 4180), and CRLF record terminators are fully stripped — batch
 /// parsing is byte-equivalent to the streaming `CsvChunks` path.
-pub fn read_records<R: BufRead>(mut reader: R, opts: &CsvOptions) -> Result<Vec<Vec<String>>> {
+pub fn read_records<R: BufRead>(reader: R, opts: &CsvOptions) -> Result<Vec<Vec<String>>> {
+    let mut records = Records::new(reader);
     let mut out = Vec::new();
-    let mut buf = String::new();
-    let mut line_no = 0usize;
-    loop {
-        let record_line = line_no + 1;
-        if !read_logical_record(&mut reader, &mut buf, opts, &mut line_no)? {
-            break;
-        }
-        let trimmed = buf.trim();
-        if opts.skip_empty_lines && trimmed.is_empty() {
-            continue;
-        }
-        if let Some(cc) = opts.comment_char {
-            if trimmed.starts_with(cc) {
-                continue;
-            }
-        }
-        out.push(parse_record(&buf, opts, record_line)?);
+    while let Some((line, record)) = records.next_record(opts)? {
+        out.push(parse_record(record, opts, line)?);
     }
     Ok(out)
 }

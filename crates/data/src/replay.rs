@@ -776,6 +776,18 @@ pub struct CodeSchema {
 }
 
 impl CodeSchema {
+    /// The schema whose columns are `axes`, in order: each column named
+    /// after its axis, with the axis labels as its vocabulary. Chunks
+    /// built against it tally into shards over exactly these axes.
+    pub fn from_axes(axes: &[Axis]) -> Self {
+        Self {
+            columns: axes
+                .iter()
+                .map(|a| (a.name().to_string(), a.labels().to_vec()))
+                .collect(),
+        }
+    }
+
     /// `(name, vocabulary)` per projected column, in projection order.
     pub fn columns(&self) -> &[(String, Vec<String>)] {
         &self.columns
@@ -803,6 +815,42 @@ pub struct CodeChunk {
 }
 
 impl CodeChunk {
+    /// A chunk of column-major codes, one column per schema column, each
+    /// code indexing its column's vocabulary. Errors on a column count
+    /// other than the schema's, unequal column lengths, or an out-of-range
+    /// code: the checks that license the trusted tally.
+    pub fn new(schema: Arc<CodeSchema>, columns: Vec<Vec<u32>>) -> Result<Self> {
+        if columns.len() != schema.columns.len() {
+            return Err(DataError::Invalid(format!(
+                "{} code columns for a schema of {}",
+                columns.len(),
+                schema.columns.len()
+            )));
+        }
+        let n_rows = columns.first().map_or(0, Vec::len);
+        for (codes, (name, vocab)) in columns.iter().zip(&schema.columns) {
+            if codes.len() != n_rows {
+                return Err(DataError::Invalid(format!(
+                    "column `{name}` has {} codes; the chunk has {n_rows} rows",
+                    codes.len()
+                )));
+            }
+            if let Some(&max) = codes.iter().max() {
+                if usize::try_from(max).map_or(true, |m| m >= vocab.len()) {
+                    return Err(DataError::Invalid(format!(
+                        "code {max} out of range for column `{name}` ({} labels)",
+                        vocab.len()
+                    )));
+                }
+            }
+        }
+        Ok(Self {
+            schema,
+            columns,
+            n_rows,
+        })
+    }
+
     /// Number of rows in this chunk.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -1297,6 +1345,34 @@ mod tests {
         ])
         .unwrap();
         assert!(chunk.tally_into(&mut wrong_labels).is_err());
+    }
+
+    #[test]
+    fn chunks_built_from_axes_are_range_checked_and_tally_exactly() {
+        let axes = vec![
+            Axis::from_strs("y", &["no", "yes"]).unwrap(),
+            Axis::from_strs("g", &["a", "b", "c"]).unwrap(),
+        ];
+        let schema = Arc::new(CodeSchema::from_axes(&axes));
+        assert_eq!(schema.axes().unwrap(), axes);
+
+        let chunk =
+            CodeChunk::new(Arc::clone(&schema), vec![vec![1, 0, 1], vec![2, 2, 0]]).unwrap();
+        assert_eq!(chunk.n_rows(), 3);
+        let mut shard = PartialCounts::zeros(axes.clone()).unwrap();
+        chunk.tally_into(&mut shard).unwrap();
+        let table = shard.into_table();
+        assert_eq!(table.get(&[1, 2]), 1.0);
+        assert_eq!(table.get(&[0, 2]), 1.0);
+        assert_eq!(table.get(&[1, 0]), 1.0);
+        assert_eq!(table.total(), 3.0);
+
+        // Wrong column count, ragged columns, out-of-range codes.
+        assert!(CodeChunk::new(Arc::clone(&schema), vec![vec![0]]).is_err());
+        assert!(CodeChunk::new(Arc::clone(&schema), vec![vec![0, 1], vec![0]]).is_err());
+        assert!(CodeChunk::new(Arc::clone(&schema), vec![vec![2], vec![0]]).is_err());
+        assert!(CodeChunk::new(Arc::clone(&schema), vec![vec![0], vec![3]]).is_err());
+        assert!(CodeChunk::new(schema, vec![vec![0], vec![u32::MAX]]).is_err());
     }
 
     #[test]

@@ -118,8 +118,12 @@ fn monoid_exempt(path: &str) -> bool {
     path == "crates/prob/src/partial.rs" || path == "crates/prob/src/contingency.rs"
 }
 
+/// bounded-alloc-decode scope: the binary decoders plus the server's
+/// request parser and ingest body decoder.
 fn in_alloc_scope(path: &str) -> bool {
-    in_decode_path(path) || path == "crates/server/src/http.rs"
+    in_decode_path(path)
+        || path == "crates/server/src/http.rs"
+        || path == "crates/server/src/decode.rs"
 }
 
 // ----------------------------------------------------------------- rules

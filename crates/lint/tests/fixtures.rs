@@ -156,6 +156,28 @@ fn bounded_alloc_decode_fixtures() {
     );
 }
 
+/// The server's ingest body decoder sizes its code columns from the
+/// body, so it is held to the same rule as the binary decoders.
+#[test]
+fn ingest_body_decoder_is_in_alloc_scope() {
+    check_rule(
+        "bounded-alloc-decode",
+        "crates/server/src/decode.rs",
+        fixture_set!("bounded-alloc-decode"),
+    );
+    let r = lint_source(
+        "crates/server/src/handlers.rs",
+        fixture!("bounded-alloc-decode", "violating"),
+        &[],
+    );
+    assert_eq!(
+        count(&r, "bounded-alloc-decode"),
+        0,
+        "got {:?}",
+        r.violations
+    );
+}
+
 // `pragma-hygiene` is the meta-rule: it has no "suppressed" variant
 // because hygiene findings are never pragma-suppressible by design.
 #[test]

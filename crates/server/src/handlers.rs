@@ -16,7 +16,6 @@ use df_core::report::ResponseFormat;
 use df_core::JointCounts;
 use df_core::{DfError, Result};
 use serde_json::Value;
-use std::io::Cursor;
 use std::time::Duration;
 
 /// Dispatches one request to its handler.
@@ -431,9 +430,10 @@ fn ingest_records_inner(
                 .to_ascii_lowercase()
         })
         .unwrap_or_else(|| "application/json".to_string());
-    let (rows, body_at) = match content_type.as_str() {
-        "application/json" | "text/json" | "" => parse_json_rows(&req.body)?,
-        "text/csv" | "application/csv" => (parse_csv_rows(&req.body)?, None),
+    let catalog = state.catalog();
+    let (chunk, body_at) = match content_type.as_str() {
+        "application/json" | "text/json" | "" => catalog.decode_json(&req.body)?,
+        "text/csv" | "application/csv" => (catalog.decode_csv(&req.body)?, None),
         other => {
             return Ok(error_response(
                 415,
@@ -455,85 +455,13 @@ fn ingest_records_inner(
             })?),
             None => None,
         };
-    let (accepted, shard) = state.ingest_rows(rows, at, shard)?;
+    let (accepted, shard) = state.ingest_chunk(chunk, at, shard)?;
     Ok(json_response(&Value::Obj(vec![
         ("accepted".to_string(), int(accepted as u64)),
         ("shard".to_string(), int(shard as u64)),
         ("at".to_string(), Value::Float(at)),
         ("version".to_string(), int(state.version())),
     ])))
-}
-
-/// Decodes a JSON ingest body into label rows plus the optional body
-/// timestamp.
-fn parse_json_rows(body: &[u8]) -> Result<(Vec<Vec<String>>, Option<f64>)> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| DfError::Invalid("JSON body is not valid UTF-8".into()))?;
-    let value =
-        serde_json::parse(text).map_err(|e| DfError::Invalid(format!("bad JSON body: {e}")))?;
-    let (rows_value, at) = match &value {
-        Value::Arr(_) => (&value, None),
-        Value::Obj(_) => {
-            let at = match value.field("at") {
-                Value::Null => None,
-                Value::Float(f) => Some(*f),
-                Value::Int(i) => Some(*i as f64),
-                other => {
-                    return Err(DfError::Invalid(format!(
-                        "`at` must be a number, found {}",
-                        other.kind()
-                    )))
-                }
-            };
-            (value.field("rows"), at)
-        }
-        other => {
-            return Err(DfError::Invalid(format!(
-                "ingest body must be an array of label rows or an object \
-                 with `rows`, found {}",
-                other.kind()
-            )))
-        }
-    };
-    let outer = rows_value
-        .as_arr("rows")
-        .map_err(|e| DfError::Invalid(e.to_string()))?;
-    let mut rows = Vec::with_capacity(outer.len());
-    for (i, row) in outer.iter().enumerate() {
-        let cells = row
-            .as_arr("row")
-            .map_err(|_| DfError::Invalid(format!("row {i} is not an array of labels")))?;
-        let mut labels = Vec::with_capacity(cells.len());
-        for cell in cells {
-            match cell {
-                Value::Str(s) => labels.push(s.clone()),
-                other => {
-                    return Err(DfError::Invalid(format!(
-                        "row {i} holds a {} where a label string was expected",
-                        other.kind()
-                    )))
-                }
-            }
-        }
-        rows.push(labels);
-    }
-    Ok((rows, at))
-}
-
-/// Decodes a CSV ingest body (no header row) into label rows.
-fn parse_csv_rows(body: &[u8]) -> Result<Vec<Vec<String>>> {
-    let chunks = df_data::chunks::CsvChunks::new(
-        Cursor::new(body),
-        df_data::csv::CsvOptions::default(),
-        1 << 20,
-    )
-    .map_err(|e| DfError::Invalid(e.to_string()))?;
-    let mut rows = Vec::new();
-    for chunk in chunks {
-        let chunk = chunk.map_err(|e| DfError::Invalid(format!("bad CSV body: {e}")))?;
-        rows.extend(chunk.rows().iter().cloned());
-    }
-    Ok(rows)
 }
 
 /// `POST /v1/ingest/snapshot`: one binary `DFLT` frame from a remote

@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod decode;
 mod error;
 pub mod http;
 mod negotiate;

@@ -1,7 +1,7 @@
 //! The long-lived server state: one [`FleetIngest`] owning the live
-//! counts, a schema catalog the router validates against, a wire-snapshot
-//! store for remote replicas, and the version-keyed caches behind the
-//! warm read path.
+//! counts, the label → code catalog record bodies are decoded against, a
+//! wire-snapshot store for remote replicas, and the version-keyed caches
+//! behind the warm read path.
 //!
 //! ## Consistency and the warm path
 //!
@@ -19,11 +19,16 @@
 //! [`df_core::fleet::FleetIngest`] deliberately validates chunks on the
 //! worker and poisons the shard on the first error (sticky, like the
 //! streaming engine). A public HTTP endpoint cannot afford an input that
-//! bricks a shard, so the handlers validate *everything* before anything
-//! is enqueued: row arity and labels against the schema catalog, and
-//! timestamps against a conservative lower bound (`max_seen − T + b`)
-//! that provably can never land behind any shard's window horizon.
+//! bricks a shard, so a record body only reaches the fleet as a
+//! [`CodeChunk`] that is valid by construction. Interning is the
+//! validation: the body decoder looks every label up in the catalog built
+//! from the schema, and an unknown label or a row of the wrong arity is a
+//! failed lookup that rejects the whole request. The timestamp is checked
+//! against a conservative lower bound (`max_seen − T + b`) that provably
+//! can never land behind any shard's window horizon. Shards then tally
+//! the codes with the trusted columnar kernel, resolving no label again.
 
+use crate::decode::Catalog;
 use crate::http::Response;
 use crate::obs::{AccessLogFn, ServerObs};
 use df_core::builder::{Audit, EpsilonEstimator, SubsetPolicy};
@@ -31,9 +36,9 @@ use df_core::fleet::{merge_many, FleetIngest, FleetTelemetry, SnapshotDecoder};
 use df_core::metric::Metric;
 use df_core::monitor::{AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot};
 use df_core::{DfError, Result};
-use df_data::chunks::LabelChunk;
+use df_data::replay::CodeChunk;
 use df_prob::contingency::Axis;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -76,14 +81,14 @@ pub(crate) struct StateConfig {
 pub struct ServerState {
     outcome: String,
     axes: Vec<Axis>,
-    vocab: Vec<HashSet<String>>,
+    catalog: Catalog,
     estimator: Box<dyn EpsilonEstimator>,
     metric: Box<dyn Metric>,
     window_seconds: f64,
     bucket_seconds: f64,
     decay: Option<f64>,
     snapshot_timeout: Duration,
-    fleet: FleetIngest<LabelChunk>,
+    fleet: FleetIngest<CodeChunk>,
     /// The zero snapshot of an identically configured monitor; the
     /// compatibility yardstick for posted wire snapshots.
     reference: MonitorSnapshot,
@@ -120,22 +125,17 @@ impl ServerState {
             b
         };
         let reference = builder().build()?.snapshot()?;
-        let fleet = builder().fleet::<LabelChunk>(cfg.shards)?;
+        let fleet = builder().fleet::<CodeChunk>(cfg.shards)?;
         let obs = ServerObs::new(
             fleet.telemetry(),
             cfg.latency_bounds.as_deref(),
             cfg.trace_capacity,
             cfg.access_log,
         )?;
-        let vocab = cfg
-            .axes
-            .iter()
-            .map(|a| a.labels().iter().cloned().collect())
-            .collect();
         Ok(Self {
             outcome: cfg.outcome,
+            catalog: Catalog::new(&cfg.axes),
             axes: cfg.axes,
-            vocab,
             estimator: cfg.estimator,
             metric: cfg.metric,
             window_seconds: cfg.window_seconds,
@@ -222,41 +222,33 @@ impl ServerState {
             .unwrap_or(0.0)
     }
 
-    /// Validates rows + timestamp against the catalog and enqueues them.
-    /// Returns `(rows accepted, shard used)`. Nothing reaches the fleet
-    /// unless every row is valid — an atomic accept/reject per request,
-    /// and the reason shard workers can never be poisoned over HTTP.
+    /// The label → code catalog record bodies are decoded against.
+    pub(crate) fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// Interns rows of label strings against the catalog and enqueues
+    /// them like a decoded record body. Returns `(rows accepted, shard
+    /// used)`. Nothing reaches the fleet unless every row is valid — an
+    /// atomic accept/reject per request, and the reason shard workers can
+    /// never be poisoned over HTTP.
     pub fn ingest_rows(
         &self,
         rows: Vec<Vec<String>>,
         at: f64,
         shard: Option<usize>,
     ) -> Result<(usize, usize)> {
-        if rows.is_empty() {
-            return Err(DfError::Invalid("no records in request body".into()));
-        }
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != self.axes.len() {
-                return Err(DfError::Invalid(format!(
-                    "row {i} has {} fields; the schema has {} axes ({})",
-                    row.len(),
-                    self.axes.len(),
-                    self.axes
-                        .iter()
-                        .map(Axis::name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )));
-            }
-            for (label, (axis, vocab)) in row.iter().zip(self.axes.iter().zip(&self.vocab)) {
-                if !vocab.contains(label) {
-                    return Err(DfError::Invalid(format!(
-                        "row {i}: `{label}` is not a label of axis `{}`",
-                        axis.name()
-                    )));
-                }
-            }
-        }
+        self.ingest_chunk(self.catalog.encode_rows(&rows)?, at, shard)
+    }
+
+    /// Checks the timestamp and shard of a decoded chunk and enqueues it.
+    /// Returns `(rows accepted, shard used)`.
+    pub(crate) fn ingest_chunk(
+        &self,
+        chunk: CodeChunk,
+        at: f64,
+        shard: Option<usize>,
+    ) -> Result<(usize, usize)> {
         self.check_timestamp(at)?;
         let shard = match shard {
             Some(s) if s < self.shards() => s,
@@ -268,10 +260,8 @@ impl ServerState {
             }
             None => self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards(),
         };
-        let accepted = rows.len();
-        self.fleet
-            .producer(shard)?
-            .send(LabelChunk::new(rows), at)?;
+        let accepted = chunk.n_rows();
+        self.fleet.producer(shard)?.send(chunk, at)?;
         self.bump_version();
         Ok((accepted, shard))
     }

@@ -15,12 +15,14 @@
 //!    bad `Content-Length`, unknown routes, wrong methods, oversized
 //!    header blocks, chunked transfer encoding, and corrupt `DFLT`
 //!    frames all map to their typed statuses over a raw socket.
+//! 5. **Hostile bodies.** Megabyte-long labels are refused in linear
+//!    time and leave ingest healthy.
 
 use differential_fairness::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn axes() -> Vec<Axis> {
     vec![
@@ -772,5 +774,58 @@ fn former_panic_sites_answer_4xx_not_closed_connection() {
     let audit = c.get("/v1/audit").unwrap();
     assert_eq!(audit.status, 200, "{}", audit.text());
 
+    server.shutdown();
+}
+
+/// A body the size of the default cap that is one label (JSON) or one
+/// field (CSV) is a 400 `invalid` within 2 s, echoes only a cut of the
+/// label, and leaves the server ingesting: decoding is one linear pass,
+/// and the code columns are sized from the body length alone.
+#[test]
+fn megabyte_labels_are_refused_in_linear_time() {
+    let server = server();
+    let mut c = Http1Client::connect(server.local_addr()).unwrap();
+    let mib = 1 << 20;
+    let json = format!("[[\"{}\"]]", "a".repeat(mib - 6)).into_bytes();
+    let csv = vec![b'a'; mib];
+    for (body, content_type) in [(json, "application/json"), (csv, "text/csv")] {
+        assert_eq!(body.len(), mib);
+        let start = Instant::now();
+        let resp = c
+            .request(
+                "POST",
+                "/v1/ingest/records?at=1000",
+                &[("Content-Type", content_type)],
+                &body,
+            )
+            .unwrap();
+        let took = start.elapsed();
+        assert!(
+            resp.body.len() < 1024,
+            "{content_type}: the label came back whole"
+        );
+        assert_eq!(resp.status, 400, "{content_type}: {}", resp.text());
+        assert!(
+            resp.text().contains("\"kind\":\"invalid\""),
+            "{}",
+            resp.text()
+        );
+        assert!(
+            took < Duration::from_secs(2),
+            "{content_type} took {took:?}"
+        );
+    }
+
+    let ok = c
+        .request(
+            "POST",
+            "/v1/ingest/records?at=1000",
+            &[],
+            &json_chunk(&[row(0), row(1)], 1000.0),
+        )
+        .unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.text());
+    let audit = c.get("/v1/audit").unwrap();
+    assert!(audit.text().contains("\"n_records\":2"), "{}", audit.text());
     server.shutdown();
 }
