@@ -6,6 +6,7 @@
 //! intersections can be enumerated, named, and mapped back to per-attribute
 //! values without hashing.
 
+use crate::builder::SubsetPolicy;
 use crate::error::{DfError, Result};
 use serde::Serialize;
 
@@ -228,6 +229,44 @@ impl ProtectedSpace {
                     .collect()
             })
             .collect()
+    }
+}
+
+impl SubsetPolicy {
+    /// The attribute subsets this policy audits, each listed in `names`
+    /// order: by size, then by bitmask over `names`, so the full
+    /// intersection is always last. Reports, snapshots and DFLT frames
+    /// match subsets by position in this order, so every audit path takes
+    /// its lattice from here. Masks are `u32`, so more than 31 attributes
+    /// is a typed error.
+    pub(crate) fn lattice(self, names: &[&str]) -> Result<Vec<Vec<String>>> {
+        let p = names.len();
+        if p > 31 {
+            return Err(DfError::Invalid(format!(
+                "the subset lattice supports at most 31 protected attributes, got {p}"
+            )));
+        }
+        let limit = match self {
+            SubsetPolicy::All => p,
+            SubsetPolicy::UpTo { size } => size.min(p),
+            SubsetPolicy::None => 0,
+        };
+        let mut masks: Vec<u32> = (1..(1u32 << p))
+            .filter(|m| {
+                let ones = m.count_ones() as usize;
+                ones <= limit || ones == p
+            })
+            .collect();
+        masks.sort_by_key(|m| (m.count_ones(), *m));
+        Ok(masks
+            .into_iter()
+            .map(|mask| {
+                (0..p)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| names[i].to_string())
+                    .collect()
+            })
+            .collect())
     }
 }
 

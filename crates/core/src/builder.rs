@@ -1,8 +1,7 @@
 //! The fluent audit builder: one composable entry point for everything the
 //! paper computes.
 //!
-//! [`Audit`] replaces the rigid `FairnessAudit::run` + free-function
-//! plumbing with a single chain:
+//! [`Audit`] composes every stage of an audit in a single chain:
 //!
 //! ```
 //! use df_core::builder::{Audit, Baselines, Smoothed};
@@ -585,34 +584,10 @@ impl<'a> Audit<'a> {
                 ));
             }
         };
-        let attribute_names: Vec<String> = counts
-            .map(|c| c.attribute_names().iter().map(|s| s.to_string()).collect())
-            .unwrap_or_default();
-        let mut subset_attrs: Vec<Vec<String>> = Vec::new();
-        if counts.is_some() {
-            let p = attribute_names.len();
-            let limit = match policy {
-                SubsetPolicy::All => p,
-                SubsetPolicy::UpTo { size } => size.min(p),
-                SubsetPolicy::None => 0,
-            };
-            let mut masks: Vec<u32> = (1..(1u32 << p))
-                .filter(|m| {
-                    let ones = m.count_ones() as usize;
-                    ones <= limit || ones == p
-                })
-                .collect();
-            masks.sort_by_key(|m| (m.count_ones(), *m));
-            for mask in masks {
-                subset_attrs.push(
-                    (0..p)
-                        .filter(|i| mask & (1 << i) != 0)
-                        .map(|i| attribute_names[i].clone())
-                        .collect(),
-                );
-            }
-            debug_assert!(subset_attrs.last().is_none_or(|s| s.len() == p));
-        }
+        // A flat table has no attribute names, so its lattice is empty.
+        let attribute_names: Vec<&str> =
+            counts.map(JointCounts::attribute_names).unwrap_or_default();
+        let subset_attrs = policy.lattice(&attribute_names)?;
         // Raw tables per subset (marginalized once, shared by every
         // estimator). The last entry is always the full intersection.
         let mut raw_subsets: Vec<GroupOutcomes> = Vec::with_capacity(subset_attrs.len());
@@ -761,7 +736,7 @@ impl<'a> Audit<'a> {
         Ok(AuditReport {
             total_weight,
             n_records,
-            attributes: attribute_names,
+            attributes: attribute_names.iter().map(|s| s.to_string()).collect(),
             outcomes: raw_full.outcome_labels().to_vec(),
             estimators: estimator_reports,
             metric: metric.tag(),
@@ -1133,6 +1108,25 @@ mod tests {
         // Theorem 3.2 check runs even under `UpTo`.
         assert_eq!(subsets, vec![1, 1, 2]);
         assert_eq!(up_to.bound_violations, Some(vec![]));
+    }
+
+    /// Subset masks are `u32`: 32 protected attributes (one-label axes
+    /// are legal) get a typed error from the audit and from the monitor,
+    /// where the mask shift used to wrap to an empty lattice.
+    #[test]
+    fn lattice_refuses_more_than_31_attributes() {
+        let mut axes = vec![Axis::from_strs("y", &["no", "yes"]).unwrap()];
+        axes.extend((0..32).map(|i| Axis::from_strs(&format!("a{i}"), &["x"]).unwrap()));
+        let table = ContingencyTable::from_data(axes.clone(), vec![3.0, 5.0]).unwrap();
+        let counts = JointCounts::from_table(table, "y").unwrap();
+        let audit = Audit::of(&counts).subsets(SubsetPolicy::None).run();
+        let monitor = Audit::monitor("y", axes).build().err();
+        for err in [audit.err(), monitor] {
+            assert!(
+                matches!(&err, Some(DfError::Invalid(m)) if m.contains("got 32")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

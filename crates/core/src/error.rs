@@ -79,6 +79,15 @@ impl From<df_prob::ProbError> for DfError {
     }
 }
 
+/// df-core's one binary format is the DFLT snapshot frame, so a wire
+/// error is a malformed frame: an invalid argument that names the field
+/// and the byte offset where decoding stopped.
+impl From<df_prob::wire::WireError> for DfError {
+    fn from(e: df_prob::wire::WireError) -> Self {
+        DfError::Invalid(format!("corrupt snapshot frame {e}"))
+    }
+}
+
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, DfError>;
 

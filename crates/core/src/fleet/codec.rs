@@ -15,7 +15,8 @@
 //!   counts, ε results, alert and alarm logs, detector statistics.
 //!   Shipped in **delta frames** that reference the schema by hash.
 //!
-//! Wire layout (all integers little-endian; `varint` is unsigned LEB128):
+//! Wire layout (integers little-endian; `varint`, `str` and `f64` are the
+//! [`df_prob::wire`] primitives):
 //!
 //! ```text
 //! frame   := magic "DFLT" | version u8 | kind u8 | schema_hash u64 | body
@@ -40,7 +41,8 @@
 //! version, unknown schema hashes, trailing garbage, invalid UTF-8,
 //! malformed axes, and non-finite or negative cell values all produce
 //! typed [`DfError`]s ([`DfError::CorruptCounts`] for cells) — nothing
-//! panics and no corrupt count ever reaches the ε kernel.
+//! panics and no corrupt count ever reaches the ε kernel. A malformed
+//! field is reported with its name and byte offset.
 
 use crate::epsilon::{EpsilonResult, EpsilonWitness};
 use crate::error::{DfError, Result};
@@ -51,7 +53,8 @@ use crate::monitor::{
 use crate::subsets::SubsetEpsilon;
 use df_prob::contingency::Axis;
 use df_prob::numerics::exactly_zero;
-use std::collections::HashMap;
+use df_prob::wire::{put_f64, put_str, put_varint, Reader};
+use std::collections::{HashMap, HashSet};
 
 /// The frame magic: `DFLT` ("differential-fairness fleet transport").
 pub const MAGIC: [u8; 4] = *b"DFLT";
@@ -76,27 +79,6 @@ const MAX_EXACT: u64 = 1 << 53;
 /// exists to prevent).
 const MAX_ALERT_CONSECUTIVE: u64 = 1 << 20;
 
-// ---------------------------------------------------------------------------
-// Primitive writers.
-// ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        // df-lint: allow(no-lossy-cast) -- masked to 7 bits the line before; the cast cannot lose information
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
 fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
     match v {
         None => out.push(0),
@@ -107,137 +89,13 @@ fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Primitive reader (bounds-checked; every failure is a typed error).
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(DfError::Invalid(format!(
-                "truncated snapshot frame: needed {n} more bytes at offset {}, \
-                 have {}",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| DfError::Invalid("snapshot frame offset overflows usize".into()))?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| {
-            DfError::Invalid(format!(
-                "truncated snapshot frame: range {}..{end} out of bounds",
-                self.pos
-            ))
-        })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or_else(|| DfError::Invalid("empty read where one byte was promised".into()))
-    }
-
-    fn u64_le(&mut self) -> Result<u64> {
-        let bytes = self.take(8)?;
-        let bytes: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| DfError::Invalid("truncated u64 in snapshot frame".into()))?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64_le()?))
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            flag => Err(DfError::Invalid(format!(
-                "invalid optional-value flag {flag} in snapshot frame"
-            ))),
-        }
-    }
-
-    fn varint(&mut self) -> Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(DfError::Invalid(
-                    "varint overflows u64 in snapshot frame".into(),
-                ));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(DfError::Invalid(
-                    "varint longer than 10 bytes in snapshot frame".into(),
-                ));
-            }
-        }
-    }
-
-    /// A varint that must fit `usize` *and* is used as an element count:
-    /// bounded by the bytes still in the buffer (each element costs ≥ 1
-    /// byte), so a hostile length can never trigger a giant allocation.
-    fn count(&mut self) -> Result<usize> {
-        let n = self.varint()?;
-        if n > self.remaining() as u64 {
-            return Err(DfError::Invalid(format!(
-                "snapshot frame claims {n} elements but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        usize::try_from(n).map_err(|_| {
-            DfError::Invalid(format!(
-                "snapshot frame element count {n} does not fit this target's usize"
-            ))
-        })
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.count()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| DfError::Invalid("invalid UTF-8 string in snapshot frame".into()))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(DfError::Invalid(format!(
-                "{} trailing bytes after snapshot frame",
-                self.remaining()
-            )));
-        }
-        Ok(())
+fn get_opt_f64(r: &mut Reader<'_>, what: &str) -> Result<Option<f64>> {
+    match r.u8(what)? {
+        0 => Ok(None),
+        1 => Ok(Some(r.f64(what)?)),
+        flag => Err(r
+            .error(format!("invalid optional-value flag {flag} in {what}"))
+            .into()),
     }
 }
 
@@ -382,26 +240,38 @@ impl SnapshotSchema {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<SnapshotSchema> {
-        let outcome_axis = r.str()?;
-        let estimator = r.str()?;
-        let metric = r.str()?;
-        let window_seconds = r.opt_f64()?;
-        let bucket_seconds = r.opt_f64()?;
-        let decay = r.opt_f64()?;
-        let n_axes = r.count()?;
+        let outcome_axis = r.str("outcome axis")?;
+        let estimator = r.str("estimator")?;
+        let metric = r.str("metric")?;
+        let window_seconds = get_opt_f64(r, "window seconds")?;
+        let bucket_seconds = get_opt_f64(r, "bucket seconds")?;
+        let decay = get_opt_f64(r, "decay")?;
+        let n_axes = r.count("axis count")?;
         let mut axes = Vec::with_capacity(n_axes);
         for _ in 0..n_axes {
-            let name = r.str()?;
-            let n_labels = r.count()?;
+            let name = r.str("axis name")?;
+            let n_labels = r.count("label count")?;
             let mut labels = Vec::with_capacity(n_labels);
             for _ in 0..n_labels {
-                labels.push(r.str()?);
+                labels.push(r.str("axis label")?);
             }
             axes.push((name, labels));
         }
-        // Re-running the Axis/table constructors validates the schema the
-        // way every other entry point does (non-empty axes, unique names
-        // and labels) without trusting the wire.
+        let n_subsets = r.count("subset count")?;
+        let mut subset_attrs = Vec::with_capacity(n_subsets);
+        for _ in 0..n_subsets {
+            let n_attrs = r.count("subset size")?;
+            let mut attrs = Vec::with_capacity(n_attrs);
+            for _ in 0..n_attrs {
+                attrs.push(r.str("subset attribute")?);
+            }
+            subset_attrs.push(attrs);
+        }
+        let n_specs = r.count("detector count")?;
+        let mut specs = Vec::with_capacity(n_specs);
+        for _ in 0..n_specs {
+            specs.push(get_spec(r)?);
+        }
         let schema = SnapshotSchema {
             outcome_axis,
             estimator,
@@ -410,27 +280,8 @@ impl SnapshotSchema {
             bucket_seconds,
             decay,
             axes,
-            subset_attrs: {
-                let n_subsets = r.count()?;
-                let mut subset_attrs = Vec::with_capacity(n_subsets);
-                for _ in 0..n_subsets {
-                    let n_attrs = r.count()?;
-                    let mut attrs = Vec::with_capacity(n_attrs);
-                    for _ in 0..n_attrs {
-                        attrs.push(r.str()?);
-                    }
-                    subset_attrs.push(attrs);
-                }
-                subset_attrs
-            },
-            specs: {
-                let n_specs = r.count()?;
-                let mut specs = Vec::with_capacity(n_specs);
-                for _ in 0..n_specs {
-                    specs.push(get_spec(r)?);
-                }
-                specs
-            },
+            subset_attrs,
+            specs,
         };
         schema.validate()?;
         Ok(schema)
@@ -440,40 +291,43 @@ impl SnapshotSchema {
     /// allocates nothing proportional to the cell count: a hostile schema
     /// can imply terabytes of cells in a few KB of labels, so the cell
     /// product is only checked for overflow here and bounded against the
-    /// remaining frame bytes before [`get_cells`] ever allocates.
+    /// remaining frame bytes before [`get_cells`] ever allocates. Every
+    /// uniqueness and membership check is a hash lookup, so the cost is
+    /// linear in the frame however its bytes are split into axes and
+    /// labels.
     fn validate(&self) -> Result<()> {
-        let axes = self
-            .axes
-            .iter()
-            .map(|(name, labels)| Axis::new(name.clone(), labels.clone()))
-            .collect::<df_prob::Result<Vec<_>>>()?;
-        if axes.is_empty() {
+        // Re-running the Axis constructor validates each axis the way
+        // every other entry point does (non-empty, unique labels) without
+        // trusting the wire.
+        for (name, labels) in &self.axes {
+            Axis::new(name.clone(), labels.clone())?;
+        }
+        if self.axes.is_empty() {
             return Err(DfError::Invalid(
                 "snapshot schema needs at least one axis".into(),
             ));
         }
-        for (i, axis) in axes.iter().enumerate() {
-            if axes.iter().take(i).any(|other| other.name() == axis.name()) {
+        let mut names = HashSet::with_capacity(self.axes.len());
+        for (name, _) in &self.axes {
+            if !names.insert(name.as_str()) {
                 return Err(DfError::Invalid(format!(
-                    "snapshot schema repeats axis name `{}`",
-                    axis.name()
+                    "snapshot schema repeats axis name `{name}`"
                 )));
             }
         }
         self.n_cells()?;
-        if !self.axes.iter().any(|(name, _)| *name == self.outcome_axis) {
+        if !names.remove(self.outcome_axis.as_str()) {
             return Err(DfError::Invalid(format!(
                 "snapshot schema names outcome axis `{}` but has no such axis",
                 self.outcome_axis
             )));
         }
-        for attrs in &self.subset_attrs {
-            for attr in attrs {
-                if *attr == self.outcome_axis || !self.axes.iter().any(|(name, _)| name == attr) {
-                    return Err(DfError::Invalid(format!(
-                        "snapshot subset names `{attr}`, which is not a protected axis"
-                    )));
-                }
+        // `names` now holds exactly the protected axes.
+        for attr in self.subset_attrs.iter().flatten() {
+            if !names.contains(attr.as_str()) {
+                return Err(DfError::Invalid(format!(
+                    "snapshot subset names `{attr}`, which is not a protected axis"
+                )));
             }
         }
         // An unknown metric tag is a typed decode error: the snapshot's
@@ -524,17 +378,18 @@ fn put_spec(out: &mut Vec<u8>, spec: &ChangepointSpec) {
 }
 
 fn get_spec(r: &mut Reader<'_>) -> Result<ChangepointSpec> {
-    let family = r.u8()?;
-    let signal = match r.u8()? {
+    let family = r.u8("detector family")?;
+    let signal = match r.u8("detector signal")? {
         0 => ChangeSignal::Epsilon,
         1 => ChangeSignal::RawLogRatio,
         code => {
-            return Err(DfError::Invalid(format!(
-                "unknown change-point signal code {code} in snapshot frame"
-            )));
+            return Err(r
+                .error(format!("unknown change-point signal code {code}"))
+                .into());
         }
     };
-    let (a, b, c) = (r.f64()?, r.f64()?, r.f64()?);
+    let mut param = || r.f64("detector parameter");
+    let (a, b, c) = (param()?, param()?, param()?);
     match family {
         0 => Ok(ChangepointSpec::Cusum {
             target: a,
@@ -548,9 +403,9 @@ fn get_spec(r: &mut Reader<'_>) -> Result<ChangepointSpec> {
             lambda: c,
             signal,
         }),
-        code => Err(DfError::Invalid(format!(
-            "unknown change-point family code {code} in snapshot frame"
-        ))),
+        code => Err(r
+            .error(format!("unknown change-point family code {code}"))
+            .into()),
     }
 }
 
@@ -591,23 +446,25 @@ fn put_cells(out: &mut Vec<u8>, cells: &[f64]) -> Result<()> {
 }
 
 fn get_cells(r: &mut Reader<'_>, n_cells: usize) -> Result<Vec<f64>> {
-    let tag = r.u8()?;
+    let tag = r.u8("cell encoding")?;
     // Every cell costs at least one wire byte in either encoding, so a
     // schema whose cell product exceeds the bytes actually present is
     // corrupt — checked *before* the allocation, which a hostile schema
     // could otherwise inflate to terabytes from a few KB of labels.
     if n_cells > r.remaining() {
-        return Err(DfError::Invalid(format!(
-            "snapshot frame claims {n_cells} cells but only {} bytes remain",
-            r.remaining()
-        )));
+        return Err(r
+            .error(format!(
+                "schema implies {n_cells} cells but only {} bytes remain",
+                r.remaining()
+            ))
+            .into());
     }
     // df-lint: allow(bounded-alloc-decode) -- n_cells is rejected against r.remaining() just above; each cell costs >= 1 wire byte
     let mut cells = Vec::with_capacity(n_cells);
     match tag {
         CELLS_F64 => {
             for cell in 0..n_cells {
-                let v = r.f64()?;
+                let v = r.f64("cell")?;
                 if !v.is_finite() || v < 0.0 {
                     return Err(DfError::CorruptCounts { cell, value: v });
                 }
@@ -616,7 +473,7 @@ fn get_cells(r: &mut Reader<'_>, n_cells: usize) -> Result<Vec<f64>> {
         }
         CELLS_VARINT => {
             for cell in 0..n_cells {
-                let raw = r.varint()?;
+                let raw = r.varint("cell")?;
                 if raw > MAX_EXACT {
                     return Err(DfError::CorruptCounts {
                         cell,
@@ -627,9 +484,7 @@ fn get_cells(r: &mut Reader<'_>, n_cells: usize) -> Result<Vec<f64>> {
             }
         }
         tag => {
-            return Err(DfError::Invalid(format!(
-                "unknown cell encoding tag {tag} in snapshot frame"
-            )));
+            return Err(r.error(format!("unknown cell encoding tag {tag}")).into());
         }
     }
     Ok(cells)
@@ -651,20 +506,18 @@ fn put_eps(out: &mut Vec<u8>, eps: &EpsilonResult) {
 }
 
 fn get_eps(r: &mut Reader<'_>) -> Result<EpsilonResult> {
-    let epsilon = r.f64()?;
-    let witness = match r.u8()? {
+    let epsilon = r.f64("epsilon")?;
+    let witness = match r.u8("witness flag")? {
         0 => None,
         1 => Some(EpsilonWitness {
-            outcome: r.str()?,
-            group_hi: r.str()?,
-            group_lo: r.str()?,
-            prob_hi: r.f64()?,
-            prob_lo: r.f64()?,
+            outcome: r.str("witness outcome")?,
+            group_hi: r.str("witness group")?,
+            group_lo: r.str("witness group")?,
+            prob_hi: r.f64("witness probability")?,
+            prob_lo: r.f64("witness probability")?,
         }),
         flag => {
-            return Err(DfError::Invalid(format!(
-                "invalid witness flag {flag} in snapshot frame"
-            )));
+            return Err(r.error(format!("invalid witness flag {flag}")).into());
         }
     };
     Ok(EpsilonResult { epsilon, witness })
@@ -726,9 +579,9 @@ fn put_state(out: &mut Vec<u8>, schema: &SnapshotSchema, snap: &MonitorSnapshot)
 }
 
 fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnapshot> {
-    let records_seen = r.varint()?;
-    let window_rows = r.varint()?;
-    let now_seconds = r.opt_f64()?;
+    let records_seen = r.varint("records seen")?;
+    let window_rows = r.varint("window rows")?;
+    let now_seconds = get_opt_f64(r, "clock")?;
     let n_cells = schema.n_cells()?;
     let window = CountsSnapshot {
         axes: schema.axes.clone(),
@@ -756,11 +609,11 @@ fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnaps
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let n_alerts = r.count()?;
+    let n_alerts = r.count("alert count")?;
     let mut alerts = Vec::with_capacity(n_alerts);
     for alert_idx in 0..n_alerts {
-        let threshold = r.f64()?;
-        let raw_consecutive = r.varint()?;
+        let threshold = r.f64("alert threshold")?;
+        let raw_consecutive = r.varint("alert consecutive")?;
         if raw_consecutive > MAX_ALERT_CONSECUTIVE {
             return Err(DfError::CorruptCounts {
                 cell: alert_idx,
@@ -771,8 +624,8 @@ fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnaps
             cell: alert_idx,
             value: raw_consecutive as f64,
         })?;
-        let at_record = r.varint()?;
-        let at_seconds = r.opt_f64()?;
+        let at_record = r.varint("alert record")?;
+        let at_seconds = get_opt_f64(r, "alert time")?;
         let eps = get_eps(r)?;
         alerts.push(Alert {
             rule: AlertRule {
@@ -789,16 +642,16 @@ fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnaps
         .specs
         .iter()
         .map(|&spec| {
-            let statistic = r.f64()?;
-            let n_alarms = r.count()?;
+            let statistic = r.f64("detector statistic")?;
+            let n_alarms = r.count("alarm count")?;
             let mut alarms = Vec::with_capacity(n_alarms);
             for _ in 0..n_alarms {
                 alarms.push(ChangepointAlarm {
                     detector: spec,
-                    at_record: r.varint()?,
-                    at_seconds: r.opt_f64()?,
-                    statistic: r.f64()?,
-                    signal: r.f64()?,
+                    at_record: r.varint("alarm record")?,
+                    at_seconds: get_opt_f64(r, "alarm time")?,
+                    statistic: r.f64("alarm statistic")?,
+                    signal: r.f64("alarm signal")?,
                 });
             }
             Ok(ChangepointStatus {
@@ -933,31 +786,31 @@ impl SnapshotDecoder {
     /// schema — an unknown hash is a typed error telling the caller to
     /// request a full frame from that replica.
     pub fn decode(&mut self, bytes: &[u8]) -> Result<MonitorSnapshot> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(4)?;
+        let mut r = Reader::new(bytes, 0);
+        let magic = r.take(4, "magic")?;
         if magic != MAGIC {
             return Err(DfError::Invalid(
                 "not a snapshot frame: bad magic bytes".into(),
             ));
         }
-        let version = r.u8()?;
+        let version = r.u8("version")?;
         if version != VERSION {
             return Err(DfError::Invalid(format!(
                 "unsupported snapshot frame version {version} (this decoder \
                  speaks version {VERSION})"
             )));
         }
-        let kind = r.u8()?;
-        let hash = r.u64_le()?;
+        let kind = r.u8("frame kind")?;
+        let hash = r.u64_le("schema hash")?;
         // Borrow the interned schema rather than cloning it: delta frames
         // are the 1 kHz hot path, and a per-frame deep clone of the axis
         // vocabularies would be pure allocation churn.
         let schema: &SnapshotSchema = match kind {
             KIND_FULL => {
-                let start = r.pos;
+                let start = r.pos();
                 let schema = SnapshotSchema::decode(&mut r)?;
                 let schema_span = bytes
-                    .get(start..r.pos)
+                    .get(start..r.pos())
                     .ok_or_else(|| DfError::Invalid("schema span out of frame bounds".into()))?;
                 let actual = fnv1a64(schema_span);
                 if actual != hash {
@@ -1010,7 +863,7 @@ impl SnapshotDecoder {
             }
         };
         let snap = get_state(&mut r, schema)?;
-        r.done()?;
+        r.done("snapshot frame")?;
         Ok(snap)
     }
 }
@@ -1120,9 +973,15 @@ mod tests {
         let snap = live_snapshot();
         let full = encode_snapshot(&snap).unwrap();
         let mut dec = SnapshotDecoder::new();
-        // Truncations at every prefix length fail typed, never panic.
+        // Truncations at every prefix length fail typed, never panic, and
+        // name a byte offset inside the prefix.
         for len in 0..full.len() {
-            assert!(dec.decode(&full[..len]).is_err(), "prefix {len} accepted");
+            let err = dec.decode(&full[..len]).unwrap_err().to_string();
+            let at = err
+                .split_once("at byte ")
+                .and_then(|(_, rest)| rest.split(':').next())
+                .and_then(|n| n.parse::<usize>().ok());
+            assert!(at.is_some_and(|at| at <= len), "prefix {len}: {err}");
         }
         // Bad magic.
         let mut bad = full.clone();
@@ -1320,55 +1179,107 @@ mod tests {
         }
     }
 
+    /// A full frame around a hand-built schema (outcome axis `a0`, no
+    /// detectors), followed by `state` verbatim.
+    fn forge(
+        axes: Vec<(String, Vec<String>)>,
+        subset_attrs: Vec<Vec<String>>,
+        state: &[u8],
+    ) -> Vec<u8> {
+        let schema = SnapshotSchema {
+            outcome_axis: "a0".to_string(),
+            estimator: "evil".to_string(),
+            metric: "eps-df".to_string(),
+            window_seconds: None,
+            bucket_seconds: None,
+            decay: None,
+            axes,
+            subset_attrs,
+            specs: Vec::new(),
+        };
+        let mut schema_bytes = Vec::new();
+        schema.encode(&mut schema_bytes);
+        let hash = fnv1a64(&schema_bytes).to_le_bytes();
+        [
+            &MAGIC[..],
+            &[VERSION, KIND_FULL],
+            &hash,
+            &schema_bytes,
+            state,
+        ]
+        .concat()
+    }
+
+    fn grid(n_axes: usize, n_labels: usize) -> Vec<(String, Vec<String>)> {
+        (0..n_axes)
+            .map(|a| {
+                (
+                    format!("a{a}"),
+                    (0..n_labels).map(|l| l.to_string()).collect(),
+                )
+            })
+            .collect()
+    }
+
     /// A hostile full frame whose few-KB schema implies terabytes of
     /// cells (6 axes × 200 labels → 200⁶ = 6.4e13) must be refused
     /// *without* allocating anything proportional to that product — the
     /// cell count is bounded by the bytes actually on the wire.
     #[test]
     fn hostile_schema_cell_products_cannot_inflate_allocations() {
-        let forge = |n_axes: usize, n_labels: usize| {
-            let schema = SnapshotSchema {
-                outcome_axis: "a0".to_string(),
-                estimator: "evil".to_string(),
-                metric: "eps-df".to_string(),
-                window_seconds: None,
-                bucket_seconds: None,
-                decay: None,
-                axes: (0..n_axes)
-                    .map(|a| {
-                        (
-                            format!("a{a}"),
-                            (0..n_labels).map(|l| format!("l{l}")).collect(),
-                        )
-                    })
-                    .collect(),
-                subset_attrs: Vec::new(),
-                specs: Vec::new(),
-            };
-            let mut schema_bytes = Vec::new();
-            schema.encode(&mut schema_bytes);
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&MAGIC);
-            frame.push(VERSION);
-            frame.push(KIND_FULL);
-            frame.extend_from_slice(&fnv1a64(&schema_bytes).to_le_bytes());
-            frame.extend_from_slice(&schema_bytes);
-            // A plausible little state block: totals, no clock, a cell
-            // tag — then nothing like enough bytes for the cells.
-            put_varint(&mut frame, 1);
-            put_varint(&mut frame, 1);
-            frame.push(0);
-            frame.push(CELLS_VARINT);
-            frame
-        };
+        // A plausible little state block: totals, no clock, a cell tag —
+        // then nothing like enough bytes for the cells.
+        let state = [1, 1, 0, CELLS_VARINT];
         // 6.4e13 implied cells in a ~6 KB frame: refused fast and typed.
-        let bomb = forge(6, 200);
+        let bomb = forge(grid(6, 200), Vec::new(), &state);
         assert!(bomb.len() < 10_000);
         let err = SnapshotDecoder::new().decode(&bomb).unwrap_err();
         assert!(err.to_string().contains("cells"), "got: {err}");
         // 12 axes × 200 labels overflows the usize cell product outright.
-        let overflow = forge(12, 200);
+        let overflow = forge(grid(12, 200), Vec::new(), &state);
         let err = SnapshotDecoder::new().decode(&overflow).unwrap_err();
         assert!(err.to_string().contains("overflows"), "got: {err}");
+    }
+
+    /// Schema checks cost one hash lookup per label, axis and subset
+    /// attribute: all-vocabulary frames under the server's 1 MiB body cap
+    /// decode or fail in well under 2 s, even unoptimized.
+    #[test]
+    fn vocabulary_heavy_frames_decode_in_linear_time() {
+        // Zero totals, no clock, zero varint cells, then ε 0 with no
+        // witness for the full set and each subset, and no alerts.
+        let decode = |axes, subsets: Vec<Vec<String>>, n_cells: usize| {
+            let mut state = vec![0, 0, 0, CELLS_VARINT];
+            state.resize(4 + n_cells, 0);
+            for _ in 0..=subsets.len() {
+                put_f64(&mut state, 0.0);
+                state.push(0);
+            }
+            state.push(0);
+            let frame = forge(axes, subsets, &state);
+            assert!(frame.len() < 1 << 20, "{} B", frame.len());
+            let started = std::time::Instant::now();
+            let result = SnapshotDecoder::new().decode(&frame);
+            assert!(started.elapsed() < std::time::Duration::from_secs(2));
+            result
+        };
+        // One 70,000-label axis: decodes.
+        let mut axes = grid(1, 2);
+        axes.push((
+            "a1".to_string(),
+            (0..70_000).map(|l| l.to_string()).collect(),
+        ));
+        let snap = decode(axes, Vec::new(), 140_000).unwrap();
+        assert_eq!(snap.window.axes[1].1.len(), 70_000);
+        // 100,000 one-label axes, the last repeating the first's name.
+        let mut axes = grid(100_000, 1);
+        axes.push(("a0".to_string(), vec!["0".to_string()]));
+        let err = decode(axes, Vec::new(), 1).unwrap_err();
+        assert!(err.to_string().contains("repeats axis name `a0`"), "{err}");
+        // One subset naming 50,000 protected axes: decodes.
+        let axes = grid(50_001, 1);
+        let subset = axes[1..].iter().map(|(name, _)| name.clone()).collect();
+        let snap = decode(axes, vec![subset], 1).unwrap();
+        assert_eq!(snap.subsets[0].attributes.len(), 50_000);
     }
 }

@@ -45,8 +45,6 @@
 //! - [`builder`]: the fluent [`builder::Audit`] API — composable
 //!   ε-estimation strategies behind one entry point, producing a unified
 //!   serializable [`builder::AuditReport`].
-//! - [`audit`]: the deprecated one-call audit interface (a shim over the
-//!   builder).
 //! - [`report`]: plain-text / markdown table rendering.
 //!
 //! ## Quick start
@@ -86,7 +84,6 @@
 
 pub mod amplification;
 pub mod attributes;
-pub mod audit;
 pub mod baselines;
 pub mod bootstrap;
 pub mod builder;

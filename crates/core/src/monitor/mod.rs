@@ -419,33 +419,7 @@ impl MonitorBuilder {
             ContingencyTable::zeros(self.axes.clone())?,
             &self.outcome_axis,
         )?;
-        let attribute_names: Vec<String> = zero
-            .attribute_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let p = attribute_names.len();
-        let limit = match self.subsets {
-            SubsetPolicy::All => p,
-            SubsetPolicy::UpTo { size } => size.min(p),
-            SubsetPolicy::None => 0,
-        };
-        let mut masks: Vec<u32> = (1..(1u32 << p))
-            .filter(|m| {
-                let ones = m.count_ones() as usize;
-                ones <= limit || ones == p
-            })
-            .collect();
-        masks.sort_by_key(|m| (m.count_ones(), *m));
-        let subset_attrs: Vec<Vec<String>> = masks
-            .into_iter()
-            .map(|mask| {
-                (0..p)
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(|i| attribute_names[i].clone())
-                    .collect()
-            })
-            .collect();
+        let subset_attrs = self.subsets.lattice(&zero.attribute_names())?;
         let window = match (self.window_records, self.window_seconds) {
             (Some(_), Some(_)) => {
                 return Err(DfError::Invalid(

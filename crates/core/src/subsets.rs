@@ -19,6 +19,7 @@
 //! is guaranteed). The `ablation_bound` binary in df-bench explores both
 //! bounds empirically.
 
+use crate::builder::SubsetPolicy;
 use crate::edf::JointCounts;
 use crate::epsilon::EpsilonResult;
 use crate::error::Result;
@@ -109,28 +110,14 @@ impl SubsetAudit {
 /// `counts`, with Dirichlet smoothing `alpha` (0 disables smoothing).
 ///
 /// Cost is `O(2^p)` marginalizations; each marginalization touches every
-/// cell of the joint table once.
+/// cell of the joint table once. More than 31 attributes is an error.
 pub fn subset_audit(counts: &JointCounts, alpha: f64) -> Result<SubsetAudit> {
-    let names: Vec<String> = counts
-        .attribute_names()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    let p = names.len();
-    let mut masks: Vec<u32> = (1..(1u32 << p)).collect();
-    masks.sort_by_key(|m| (m.count_ones(), *m));
-
-    let mut subsets = Vec::with_capacity(masks.len());
-    for mask in masks {
-        let attrs: Vec<&str> = (0..p)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| names[i].as_str())
-            .collect();
+    let lattice = SubsetPolicy::All.lattice(&counts.attribute_names())?;
+    let mut subsets = Vec::with_capacity(lattice.len());
+    for attributes in lattice {
+        let attrs: Vec<&str> = attributes.iter().map(String::as_str).collect();
         let result = counts.edf_subset(&attrs, alpha)?;
-        subsets.push(SubsetEpsilon {
-            attributes: attrs.iter().map(|s| s.to_string()).collect(),
-            result,
-        });
+        subsets.push(SubsetEpsilon { attributes, result });
     }
     Ok(SubsetAudit { alpha, subsets })
 }

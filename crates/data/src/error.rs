@@ -72,6 +72,16 @@ impl From<df_prob::ProbError> for DataError {
     }
 }
 
+/// A wire error inside a DFRL log keeps its offset and text.
+impl From<df_prob::wire::WireError> for DataError {
+    fn from(e: df_prob::wire::WireError) -> Self {
+        DataError::Replay {
+            offset: e.offset,
+            message: e.message,
+        }
+    }
+}
+
 impl From<std::io::Error> for DataError {
     fn from(e: std::io::Error) -> Self {
         DataError::Io(e)

@@ -9,7 +9,8 @@
 //! into [`ContingencyTable::tally_codes_trusted`] with no string ever
 //! materialized.
 //!
-//! Wire layout (all integers little-endian; `varint` is unsigned LEB128):
+//! Wire layout (`varint`, `str` and `f64` are the [`df_prob::wire`]
+//! primitives):
 //!
 //! ```text
 //! log    := magic "DFRL" | version u8 | frame(header) | frame(chunk)* | end
@@ -21,8 +22,7 @@
 //!         | 1 (numeric: chunk cells are f64 bit patterns)
 //! chunk  := n_rows varint | per column, in schema order:
 //!             categorical: code varint × n_rows   (each < its vocab arity)
-//!             numeric:     f64 (8 bytes LE) × n_rows
-//! str    := varint byte_len | UTF-8 bytes
+//!             numeric:     f64 × n_rows
 //! ```
 //!
 //! Decoding treats the log as untrusted input, exactly like the DFLT fleet
@@ -34,14 +34,10 @@
 //! range-checked against their vocabulary once at decode, which is what
 //! licenses the trusted (scan-free) tally downstream.
 //!
-//! Categorical cells decode in bulk. At the arities audits use nearly
-//! every code is a one-byte varint, so the reader checks a column's bytes
-//! 64 at a time: a block whose every byte is below `min(arity, 0x80)` is a
-//! run of complete, in-range codes and is widened into the column whole.
-//! Only the cell at the first other byte — a multi-byte or non-canonical
-//! varint, an out-of-range code, or the end of the frame — goes through
-//! the per-cell varint decode and range check, so every error carries the
-//! same offset and text as a cell-by-cell decode would give.
+//! Categorical cells decode in bulk through [`Reader::codes`]: at the
+//! arities audits use nearly every code is a one-byte varint, so a
+//! column's bytes are checked 64 at a time, and only the cell at the first
+//! other byte goes through the per-cell varint decode and range check.
 //!
 //! Entry points:
 //!
@@ -58,6 +54,7 @@ use crate::error::{DataError, Result};
 use crate::frame::{Column, ColumnData, DataFrame, Interner};
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::partial::{PartialCounts, Tally};
+use df_prob::wire::{put_f64, put_str, put_varint, Reader};
 use df_prob::ProbError;
 use std::collections::HashSet;
 use std::io::{BufRead, ErrorKind, Write};
@@ -176,32 +173,6 @@ impl LogSchema {
     pub fn columns(&self) -> &[LogColumn] {
         &self.columns
     }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive writers (shared varint/str/f64 encoding).
-// ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        // df-lint: allow(no-lossy-cast) -- masked to 7 bits the line before; the cast cannot lose information
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -470,24 +441,16 @@ impl<R: BufRead> FrameSource<R> {
         })
     }
 
-    /// Unsigned LEB128 straight off the stream (frame lengths).
+    /// Unsigned LEB128 straight off the stream (frame lengths): gathers
+    /// the varint's bytes, at most ten, and decodes them with [`Reader`]
+    /// at their offset in the log.
     fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte(what)?;
-            if shift == 63 && byte > 1 {
-                return Err(self.corrupt(format!("varint overflows u64 in {what}")));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.corrupt(format!("varint longer than 10 bytes in {what}")));
-            }
+        let start = self.offset;
+        let mut bytes = Vec::with_capacity(10);
+        while bytes.len() < 10 && bytes.last().is_none_or(|&b| b >= 0x80) {
+            bytes.push(self.byte(what)?);
         }
+        Ok(Reader::new(&bytes, start).varint(what)?)
     }
 
     /// Reads one length-prefixed frame body, or `None` on the end marker.
@@ -523,166 +486,6 @@ impl<R: BufRead> FrameSource<R> {
         };
         if !at_eof {
             return Err(self.corrupt("trailing bytes after the end marker".into()));
-        }
-        Ok(())
-    }
-}
-
-/// Bounds-checked reader over one frame body; `base` is the frame's
-/// absolute offset in the log so errors point at real byte positions.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Self { buf, pos: 0, base }
-    }
-
-    fn corrupt(&self, message: String) -> DataError {
-        DataError::Replay {
-            offset: self.base + self.pos as u64,
-            message,
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(self.corrupt(format!(
-                "frame truncated reading {what}: needed {n} bytes, have {}",
-                self.remaining()
-            )));
-        }
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| self.corrupt(format!("frame offset overflows reading {what}")))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.corrupt(format!("frame range out of bounds reading {what}")))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        self.take(1, what)?
-            .first()
-            .copied()
-            .ok_or_else(|| self.corrupt(format!("empty read where {what} was promised")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        let bytes = self.take(8, what)?;
-        let bytes: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| self.corrupt(format!("truncated f64 cell in {what}")))?;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8(what)?;
-            if shift == 63 && byte > 1 {
-                return Err(self.corrupt(format!("varint overflows u64 in {what}")));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.corrupt(format!("varint longer than 10 bytes in {what}")));
-            }
-        }
-    }
-
-    /// One categorical cell: a varint code, checked `< arity`.
-    fn code(&mut self, arity: u32, column: &str) -> Result<u32> {
-        let raw = self.varint("cell code")?;
-        u32::try_from(raw)
-            .ok()
-            .filter(|c| *c < arity)
-            .ok_or_else(|| {
-                self.corrupt(format!(
-                    "code {raw} out of range for column `{column}` ({arity} labels)"
-                ))
-            })
-    }
-
-    /// Appends `n` cells of one categorical column to `out`, each checked
-    /// `< arity`. The bytes are checked a block at a time: a block whose
-    /// every byte is below `min(arity, 0x80)` holds complete, in-range
-    /// one-byte codes and is widened into `out` whole. At the first other
-    /// byte, that one cell goes through [`Reader::code`], so multi-byte
-    /// and non-canonical varints, out-of-range codes and truncation decode
-    /// or fail exactly as a per-cell loop would, at the same offset.
-    fn codes(&mut self, n: usize, arity: u32, column: &str, out: &mut Vec<u32>) -> Result<()> {
-        /// Bytes checked per step; the max over a block this size is a
-        /// handful of vector instructions.
-        const BLOCK: usize = 64;
-        let one_byte = arity.min(0x80);
-        let mut left = n;
-        while left > 0 {
-            let rest = self.buf.get(self.pos..).unwrap_or_default();
-            let block = rest.get(..left.min(BLOCK)).unwrap_or(rest);
-            let run = if block.first().is_none_or(|&b| u32::from(b) >= one_byte) {
-                // The next cell is not a one-byte code, or the frame has
-                // ended: skip the block check, so a column of mostly
-                // multi-byte codes costs no more than a per-cell loop.
-                0
-            } else if u32::from(block.iter().fold(0, |m, &b| m.max(b))) < one_byte {
-                block.len()
-            } else {
-                block
-                    .iter()
-                    .position(|&b| u32::from(b) >= one_byte)
-                    .unwrap_or(block.len())
-            };
-            out.extend(block.iter().take(run).map(|&b| u32::from(b)));
-            self.pos += run;
-            left -= run;
-            if run < block.len() || block.is_empty() {
-                out.push(self.code(arity, column)?);
-                left -= 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// A varint used as an element count: rejected when it exceeds the
-    /// bytes still in the frame (every element costs ≥ 1 byte), so a
-    /// hostile count can never size an allocation beyond held input.
-    fn count(&mut self, what: &str) -> Result<usize> {
-        let n = self.varint(what)?;
-        if n > self.remaining() as u64 {
-            return Err(self.corrupt(format!(
-                "{what} claims {n} elements but only {} bytes remain in the frame",
-                self.remaining()
-            )));
-        }
-        usize::try_from(n)
-            .map_err(|_| self.corrupt(format!("{what} of {n} does not fit this target's usize")))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String> {
-        let len = self.count(what)?;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| self.corrupt(format!("invalid UTF-8 in {what}")))
-    }
-
-    fn done(&self, what: &str) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(self.corrupt(format!("{} trailing bytes after {what}", self.remaining())));
         }
         Ok(())
     }
@@ -768,7 +571,7 @@ impl<R: BufRead> LogReader<R> {
         let mut r = Reader::new(&body, base);
         let n_rows = r.count("chunk row count")?;
         if n_rows == 0 {
-            return Err(r.corrupt("chunk frame with zero rows".into()));
+            return Err(r.error("chunk frame with zero rows".into()).into());
         }
         let mut columns = Vec::with_capacity(self.arities.len());
         for (spec, arity) in self.schema.columns.iter().zip(&self.arities) {
@@ -796,7 +599,7 @@ fn decode_header(buf: &[u8], base: u64) -> Result<LogSchema> {
     let mut r = Reader::new(buf, base);
     let n_cols = r.count("schema column count")?;
     if n_cols == 0 {
-        return Err(r.corrupt("schema declares zero columns".into()));
+        return Err(r.error("schema declares zero columns".into()).into());
     }
     let mut columns = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
@@ -813,7 +616,7 @@ fn decode_header(buf: &[u8], base: u64) -> Result<LogSchema> {
             }
             KIND_NUMERIC => columns.push(LogColumn::Numeric { name }),
             k => {
-                return Err(r.corrupt(format!("unknown column kind {k}")));
+                return Err(r.error(format!("unknown column kind {k}")).into());
             }
         }
     }
@@ -1737,6 +1540,13 @@ mod tests {
         forged.extend_from_slice(&huge);
         let e = ReplayChunks::new(forged.as_slice()).unwrap_err();
         assert!(e.to_string().contains("cap"), "{e}");
+        // A frame length past u64: refused at its tenth byte.
+        let mut forged = bytes[..5].to_vec();
+        forged.extend_from_slice(&[0xff; 11]);
+        let e = ReplayChunks::new(forged.as_slice())
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("at byte 15: varint overflows u64"), "{e}");
         // Errors carry byte offsets.
         let e = read_frame_log(&bytes[..3]).unwrap_err();
         assert!(e.to_string().contains("byte"), "{e}");
@@ -1784,152 +1594,5 @@ mod tests {
         bytes.extend_from_slice(&header);
         let e = ReplayChunks::new(bytes.as_slice()).unwrap_err();
         assert!(e.to_string().contains("elements"), "{e}");
-    }
-
-    // Differential decode suite: the bulk `Reader::codes` against the
-    // per-cell loop it replaced.
-
-    /// The per-cell decode loop `Reader::codes` replaced, kept as the
-    /// oracle.
-    fn codes_per_cell(r: &mut Reader<'_>, n: usize, arity: u32, column: &str) -> Result<Vec<u32>> {
-        let mut codes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let raw = r.varint("cell code")?;
-            let code = u32::try_from(raw)
-                .ok()
-                .filter(|c| *c < arity)
-                .ok_or_else(|| {
-                    r.corrupt(format!(
-                        "code {raw} out of range for column `{column}` ({arity} labels)"
-                    ))
-                })?;
-            codes.push(code);
-        }
-        Ok(codes)
-    }
-
-    /// Arities either side of the one-byte varint limit, plus ones whose
-    /// codes take two and three bytes.
-    const ARITIES: [u32; 7] = [1, 2, 127, 128, 129, 300, 70_000];
-    /// Filler bytes ahead of the codes, so they start mid-frame as every
-    /// chunk column does.
-    const LEAD: usize = 3;
-    /// The log offset the decoded buffers stand at.
-    const BASE: u64 = 1000;
-
-    /// A decode's codes and end position, or its error offset and text.
-    type Decoded = std::result::Result<(Vec<u32>, usize), (u64, String)>;
-
-    /// Decodes `n` cells after the [`LEAD`] bytes of `buf` with the bulk
-    /// reader and with the oracle.
-    fn decode_both(buf: &[u8], n: usize, arity: u32) -> (Decoded, Decoded) {
-        let decoded = |r: &Reader<'_>, result: Result<Vec<u32>>| match result {
-            Ok(codes) => Ok((codes, r.pos)),
-            Err(DataError::Replay { offset, message }) => Err((offset, message)),
-            Err(other) => panic!("decode failed with a non-replay error: {other:?}"),
-        };
-        let mut bulk = Reader::new(buf, BASE);
-        bulk.pos = LEAD;
-        let mut out = Vec::new();
-        let result = bulk.codes(n, arity, "c", &mut out).map(|()| out);
-        let bulk = decoded(&bulk, result);
-        let mut oracle = Reader::new(buf, BASE);
-        oracle.pos = LEAD;
-        let result = codes_per_cell(&mut oracle, n, arity, "c");
-        (bulk, decoded(&oracle, result))
-    }
-
-    /// Appends one in-range cell and returns its code. `form` makes most
-    /// cells one-byte codes, so long one-byte runs form; the rest are any
-    /// code in range, and a few are encoded non-canonically with a
-    /// redundant `0x80 … 0x00` tail (1 as `[0x81, 0x00]`).
-    fn put_cell(buf: &mut Vec<u8>, arity: u32, pick: u32, form: u8) -> u32 {
-        let code = if form < 10 {
-            pick % arity.min(0x80)
-        } else {
-            pick % arity
-        };
-        put_varint(buf, u64::from(code));
-        if form >= 13 {
-            *buf.last_mut().unwrap() |= 0x80;
-            buf.push(0);
-        }
-        code
-    }
-
-    /// Appends one cell that must fail: a code out of range, one past
-    /// `u32::MAX`, or a varint that overflows `u64`.
-    fn put_bad_cell(buf: &mut Vec<u8>, arity: u32, pick: u32, kind: u8) {
-        match kind {
-            0 => put_varint(buf, u64::from(arity) + u64::from(pick % 1000)),
-            1 => put_varint(buf, (1u64 << 32) + u64::from(pick)),
-            _ => buf.extend_from_slice(&[0xff; 11]),
-        }
-    }
-
-    #[test]
-    fn non_canonical_and_multi_byte_codes_decode_in_place() {
-        // 0, then 1 as [0x81, 0x00], 1, 300 as [0xac, 0x02], 5.
-        let buf = [0xee, 0xee, 0xee, 0x00, 0x81, 0x00, 0x01, 0xac, 0x02, 0x05];
-        let (bulk, oracle) = decode_both(&buf, 5, 301);
-        assert_eq!(bulk, oracle);
-        assert_eq!(bulk, Ok((vec![0, 1, 1, 300, 5], buf.len())));
-    }
-
-    #[test]
-    fn an_out_of_range_code_fails_alike_at_every_offset() {
-        // Offsets 0..=130 cross the first two 64-byte block edges.
-        for arity in ARITIES {
-            let mut bad = Vec::new();
-            put_varint(&mut bad, u64::from(arity));
-            for at in 0..=130usize {
-                let mut buf = vec![0xee; LEAD];
-                for i in 0..200 {
-                    if i == at {
-                        buf.extend_from_slice(&bad);
-                    } else {
-                        put_varint(&mut buf, (i as u64) % u64::from(arity.min(0x80)));
-                    }
-                }
-                let (bulk, oracle) = decode_both(&buf, 200, arity);
-                assert_eq!(bulk, oracle, "arity {arity}, bad cell {at}");
-                let offset = BASE + (LEAD + at + bad.len()) as u64;
-                let message = format!("code {arity} out of range for column `c` ({arity} labels)");
-                assert_eq!(bulk, Err((offset, message)), "arity {arity}, bad cell {at}");
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn bulk_code_decode_matches_the_per_cell_loop(
-            arity in 0..ARITIES.len(),
-            cells in proptest::collection::vec((proptest::any::<u32>(), 0u8..16), 0..200),
-            bad_at in 0usize..400,
-            bad_kind in 0u8..3,
-        ) {
-            let arity = ARITIES[arity];
-            let mut buf = vec![0xee; LEAD];
-            let mut want = Vec::with_capacity(cells.len());
-            for (i, &(pick, form)) in cells.iter().enumerate() {
-                if i == bad_at {
-                    put_bad_cell(&mut buf, arity, pick, bad_kind);
-                } else {
-                    want.push(put_cell(&mut buf, arity, pick, form));
-                }
-            }
-            let (bulk, oracle) = decode_both(&buf, cells.len(), arity);
-            proptest::prop_assert_eq!(&bulk, &oracle);
-            if bad_at < cells.len() {
-                proptest::prop_assert!(bulk.is_err());
-            } else {
-                proptest::prop_assert_eq!(bulk, Ok((want, buf.len())));
-            }
-            // A truncation at every offset of the body.
-            for cut in LEAD..buf.len() {
-                let (bulk, oracle) = decode_both(&buf[..cut], cells.len(), arity);
-                proptest::prop_assert_eq!(bulk, oracle);
-            }
-        }
     }
 }

@@ -86,11 +86,14 @@ fn in_server_request_path(path: &str) -> bool {
 }
 
 fn in_decode_path(path: &str) -> bool {
-    path == "crates/core/src/fleet/codec.rs" || path == "crates/data/src/replay.rs"
+    path == "crates/core/src/fleet/codec.rs"
+        || path == "crates/data/src/replay.rs"
+        || path == "crates/prob/src/wire.rs"
 }
 
 /// no-panic-path scope: server request/connection path + the untrusted
-/// binary decoders (DFLT snapshots, DFRL replay logs).
+/// binary decoders (DFLT snapshots, DFRL replay logs, and the wire
+/// primitives both are read with).
 fn panic_scope(path: &str) -> bool {
     in_server_request_path(path) || in_decode_path(path)
 }

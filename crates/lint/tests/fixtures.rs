@@ -178,6 +178,17 @@ fn ingest_body_decoder_is_in_alloc_scope() {
     );
 }
 
+/// The wire primitives both binary decoders read with are held to every
+/// decode-path rule.
+#[test]
+fn wire_module_is_in_decode_scope() {
+    let wire = "crates/prob/src/wire.rs";
+    check_rule("no-panic-path", wire, fixture_set!("no-panic-path"));
+    check_rule("no-lossy-cast", wire, fixture_set!("no-lossy-cast"));
+    let alloc = fixture_set!("bounded-alloc-decode");
+    check_rule("bounded-alloc-decode", wire, alloc);
+}
+
 // `pragma-hygiene` is the meta-rule: it has no "suppressed" variant
 // because hygiene findings are never pragma-suppressible by design.
 #[test]

@@ -12,6 +12,7 @@
 
 use crate::error::{ProbError, Result};
 use crate::numerics::{exactly_zero, stable_sum};
+use std::collections::HashSet;
 
 /// One categorical axis of a table: a name plus an ordered label vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,13 +31,12 @@ impl Axis {
                 reason: format!("axis `{name}` needs at least one label"),
             });
         }
-        for (i, l) in labels.iter().enumerate() {
-            if labels[..i].contains(l) {
-                return Err(ProbError::InvalidParameter {
-                    name: "labels",
-                    reason: format!("axis `{name}` has duplicate label `{l}`"),
-                });
-            }
+        let mut seen = HashSet::with_capacity(labels.len());
+        if let Some(l) = labels.iter().find(|l| !seen.insert(l.as_str())) {
+            return Err(ProbError::InvalidParameter {
+                name: "labels",
+                reason: format!("axis `{name}` has duplicate label `{l}`"),
+            });
         }
         Ok(Self { name, labels })
     }
@@ -612,6 +612,21 @@ mod tests {
     fn axis_rejects_duplicates_and_empty() {
         assert!(Axis::from_strs("g", &[]).is_err());
         assert!(Axis::from_strs("g", &["x", "x"]).is_err());
+    }
+
+    /// The label check is one hash lookup per label: a 100,000-label axis
+    /// whose only repeat is its last label gets the usual error, fast.
+    #[test]
+    fn axis_duplicate_check_is_linear() {
+        let mut labels: Vec<String> = (0..99_999).map(|i| format!("l{i}")).collect();
+        labels.push("l99998".to_string());
+        let started = std::time::Instant::now();
+        let err = Axis::new("big", labels).unwrap_err().to_string();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        assert!(
+            err.contains("axis `big` has duplicate label `l99998`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! - [`partial`]: mergeable partial counts — the commutative monoid behind
 //!   sharded/streaming tallying of joint counts.
 //! - [`summary`]: streaming moments and quantiles.
+//! - [`wire`]: the varint/string/`f64` encoding and the bounded reader
+//!   shared by the DFLT snapshot codec and the DFRL replay log.
 //!
 //! The crate is `no_unsafe` by policy and deterministic by construction: all
 //! stochastic components take explicit generators seeded by the caller.
@@ -41,6 +43,7 @@ pub mod partial;
 pub mod rng;
 pub mod special;
 pub mod summary;
+pub mod wire;
 
 pub use contingency::ContingencyTable;
 pub use error::{ProbError, Result};

@@ -213,8 +213,6 @@ impl FrameAudits for Audit<'static> {
 pub mod prelude {
     pub use crate::{FrameAudits, ReplayAudits};
     pub use df_core::amplification::BiasAmplification;
-    #[allow(deprecated)]
-    pub use df_core::audit::{AuditConfig, FairnessAudit};
     pub use df_core::baselines::{
         demographic_parity_distance, disparate_impact_ratio, equalized_odds_gap,
     };

@@ -59,38 +59,6 @@ fn full_audit_roundtrips_through_json() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_shim_agrees_with_builder() {
-    let dataset = small_adult();
-    let counts = counts_of(&dataset.train, "income");
-    let legacy = FairnessAudit::run(
-        &counts,
-        &AuditConfig {
-            alpha: 1.0,
-            positive_outcome: Some(">50K".into()),
-            reference_epsilon: Some(2.0),
-        },
-    )
-    .unwrap();
-    let report = Audit::of(&counts)
-        .estimator(Empirical)
-        .estimator(Smoothed { alpha: 1.0 })
-        .baselines(Baselines::all().with_subgroups(false).positive(">50K"))
-        .reference_epsilon(2.0)
-        .run()
-        .unwrap();
-    assert_eq!(legacy.n_records, report.total_weight);
-    assert_eq!(legacy.epsilon, report.epsilon);
-    assert_eq!(legacy.regime, report.regime);
-    assert_eq!(Some(legacy.demographic_parity), report.demographic_parity);
-    assert_eq!(legacy.disparate_impact, report.disparate_impact);
-    assert_eq!(
-        legacy.smoothed.full_intersection().result,
-        report.estimator("eps-DF(a=1)").unwrap().result
-    );
-}
-
-#[test]
 fn dataset_definitions_agree_across_paths() {
     let dataset = small_adult();
     let counts = counts_of(&dataset.train, "income");
