@@ -14,9 +14,9 @@
 
 use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::error::{DfError, Result};
-use df_prob::contingency::{Axis, ContingencyTable};
-use df_prob::estimate::{categorical_mle, dirichlet_posterior_predictive};
-use df_prob::numerics::exactly_zero;
+use df_prob::contingency::{intersection_labels, Axis, ContingencyTable};
+use df_prob::estimate::dirichlet_posterior_predictive;
+use df_prob::numerics::{exactly_zero, stable_sum};
 
 /// Joint counts of `(outcome, protected attributes…)`, canonicalized so the
 /// outcome axis is first.
@@ -131,59 +131,7 @@ impl JointCounts {
     /// Group weights are the group totals `N_s`, so unobserved intersections
     /// are excluded from ε exactly as Definition 3.1 prescribes.
     pub fn group_outcomes(&self, alpha: f64) -> Result<GroupOutcomes> {
-        let n_outcomes = self.table.axes()[0].len();
-        let attr_axes = &self.table.axes()[1..];
-        let n_groups: usize = attr_axes.iter().map(Axis::len).product();
-
-        let mut probs = vec![0.0; n_groups * n_outcomes];
-        let mut weights = vec![0.0; n_groups];
-        let mut counts = vec![0.0; n_outcomes];
-        let mut idx = vec![0usize; self.table.ndim()];
-
-        // Group flat index: mixed-radix over the attribute axes (outcome
-        // axis excluded), matching ProtectedSpace::flatten order.
-        for g in 0..n_groups {
-            let mut rem = g;
-            for (k, axis) in attr_axes.iter().enumerate().rev() {
-                idx[k + 1] = rem % axis.len();
-                rem /= axis.len();
-            }
-            for (y, c) in counts.iter_mut().enumerate() {
-                idx[0] = y;
-                *c = self.table.get(&idx);
-            }
-            let total: f64 = counts.iter().sum();
-            weights[g] = total;
-            let est = if exactly_zero(alpha) {
-                categorical_mle(&counts)
-            } else {
-                dirichlet_posterior_predictive(&counts, alpha)?
-            };
-            if let Some(p) = est {
-                probs[g * n_outcomes..(g + 1) * n_outcomes].copy_from_slice(&p);
-                if alpha > 0.0 && exactly_zero(total) {
-                    // Smoothing defines a distribution even for empty groups,
-                    // but an unobserved group is still excluded from ε (its
-                    // empirical P(s) is zero).
-                    weights[g] = 0.0;
-                }
-            }
-        }
-
-        let group_labels: Vec<String> = (0..n_groups)
-            .map(|g| {
-                let mut rem = g;
-                let mut parts = vec![String::new(); attr_axes.len()];
-                for (k, axis) in attr_axes.iter().enumerate().rev() {
-                    let v = rem % axis.len();
-                    rem /= axis.len();
-                    parts[k] = format!("{}={}", axis.name(), axis.labels()[v]);
-                }
-                parts.join(", ")
-            })
-            .collect();
-
-        GroupOutcomes::new(self.outcome_labels().to_vec(), group_labels, probs, weights)
+        GroupLayout::new(&self.table, 0).group_outcomes(&self.table, alpha)
     }
 
     /// Empirical differential fairness (Eq. 6): ε of the MLE conditionals.
@@ -201,6 +149,101 @@ impl JointCounts {
     /// with optional smoothing.
     pub fn edf_subset(&self, attrs: &[&str], alpha: f64) -> Result<EpsilonResult> {
         self.marginal_to(attrs)?.edf_smoothed(alpha)
+    }
+}
+
+/// Where the intersections of a table live: the outcome labels, the group
+/// labels in mixed-radix order over the attribute axes (outcome axis
+/// removed, last attribute fastest), and the flat cell index of every
+/// `(group, outcome)` pair. [`JointCounts::group_outcomes`] reads its
+/// outcome-first table through a fresh layout; the monitor builds one for
+/// its schema-order window once and reads every push through it, so both
+/// produce the same table by construction.
+pub(crate) struct GroupLayout {
+    outcome_labels: Vec<String>,
+    group_labels: Vec<String>,
+    /// `flat[g · |Y| + y]` = flat index of `(group g, outcome y)`.
+    flat: Vec<usize>,
+}
+
+impl GroupLayout {
+    /// The layout of `table`, whose axis at position `outcome` holds the
+    /// outcomes and every other axis a protected attribute.
+    pub(crate) fn new(table: &ContingencyTable, outcome: usize) -> Self {
+        let axes = table.axes();
+        let attrs = || axes.iter().enumerate().filter(move |&(i, _)| i != outcome);
+        let named: Vec<(&str, &[String])> = attrs().map(|(_, a)| (a.name(), a.labels())).collect();
+        let group_labels = intersection_labels(&named);
+        let n_outcomes = axes[outcome].len();
+        let mut flat = Vec::with_capacity(group_labels.len() * n_outcomes);
+        let mut idx = vec![0usize; axes.len()];
+        for g in 0..group_labels.len() {
+            let mut rem = g;
+            for (i, axis) in attrs().rev() {
+                idx[i] = rem % axis.len();
+                rem /= axis.len();
+            }
+            for y in 0..n_outcomes {
+                idx[outcome] = y;
+                flat.push(table.flat_index(&idx));
+            }
+        }
+        Self {
+            outcome_labels: axes[outcome].labels().to_vec(),
+            group_labels,
+            flat,
+        }
+    }
+
+    /// [`JointCounts::group_outcomes`] of `table`, which must have the
+    /// axes this layout was built from. The MLE is inlined (same
+    /// arithmetic as `categorical_mle`: compensated-sum total, per-cell
+    /// division), because the monitor runs it on every push and a Vec per
+    /// group would dominate the cost.
+    pub(crate) fn group_outcomes(
+        &self,
+        table: &ContingencyTable,
+        alpha: f64,
+    ) -> Result<GroupOutcomes> {
+        let data = table.data();
+        let n_outcomes = self.outcome_labels.len();
+        let mut probs = vec![0.0; self.flat.len()];
+        let mut weights = vec![0.0; self.group_labels.len()];
+        let mut counts = vec![0.0; n_outcomes];
+        for ((weight, row), cells) in weights
+            .iter_mut()
+            .zip(probs.chunks_exact_mut(n_outcomes))
+            .zip(self.flat.chunks_exact(n_outcomes))
+        {
+            for (c, &cell) in counts.iter_mut().zip(cells) {
+                *c = data[cell];
+            }
+            *weight = counts.iter().sum();
+            if exactly_zero(alpha) {
+                let total = stable_sum(&counts);
+                // An empty group keeps zero probabilities; a NaN total
+                // propagates, as `categorical_mle`'s does.
+                if total > 0.0 || total.is_nan() {
+                    for (p, &c) in row.iter_mut().zip(&counts) {
+                        *p = c / total;
+                    }
+                }
+            } else if let Some(p) = dirichlet_posterior_predictive(&counts, alpha)? {
+                row.copy_from_slice(&p);
+                if exactly_zero(*weight) {
+                    // Smoothing defines a distribution even for empty
+                    // groups, but an unobserved group is still excluded
+                    // from ε (its empirical P(s) is zero).
+                    *weight = 0.0;
+                }
+            }
+        }
+        GroupOutcomes::new(
+            self.outcome_labels.clone(),
+            self.group_labels.clone(),
+            probs,
+            weights,
+        )
     }
 }
 

@@ -203,20 +203,26 @@ impl GroupOutcomes {
     /// paper: if two populated groups both assign zero to an outcome the
     /// pair is vacuously bounded; if exactly one does, ε = ∞.
     pub fn epsilon(&self) -> EpsilonResult {
-        let populated = self.populated_groups();
-        if populated.len() < 2 {
-            return EpsilonResult {
-                epsilon: 0.0,
-                witness: None,
-            };
-        }
+        // `log_ratio(0, 0) == 0` covers the all-zero outcome column.
+        self.worst_outcome(log_ratio)
+    }
+
+    /// The worst outcome under a per-outcome statistic `stat(max_p,
+    /// min_p)` of the extreme probabilities among populated groups — the
+    /// one scan behind ε and every metric of the [`crate::metric`] family.
+    /// The first outcome reaching the maximum wins, and a witness is
+    /// attached whenever two groups are populated (even at statistic 0);
+    /// with fewer, every statistic is vacuously 0.
+    pub(crate) fn worst_outcome(&self, stat: impl Fn(f64, f64) -> f64) -> EpsilonResult {
         let mut best = EpsilonResult {
             epsilon: 0.0,
             witness: None,
         };
+        let populated = self.populated_groups();
+        if populated.len() < 2 {
+            return best;
+        }
         for y in 0..self.num_outcomes() {
-            // Track min/max probability over populated groups; a zero among
-            // positive probabilities blows the ratio up to ∞.
             let mut max_p = f64::NEG_INFINITY;
             let mut min_p = f64::INFINITY;
             let (mut g_hi, mut g_lo) = (populated[0], populated[0]);
@@ -231,8 +237,7 @@ impl GroupOutcomes {
                     g_lo = g;
                 }
             }
-            let gap = log_ratio(max_p, min_p);
-            // `log_ratio(0, 0) == 0` covers the all-zero outcome column.
+            let gap = stat(max_p, min_p);
             if gap > best.epsilon || best.witness.is_none() && gap >= best.epsilon {
                 best = EpsilonResult {
                     epsilon: gap,

@@ -16,8 +16,7 @@
 //!   advance monitor windows, but only real producer traffic counts as
 //!   "heard from".
 //! - **Wall time** ([`FleetTelemetry::snapshot_cut_seconds`], plus the
-//!   push-latency histogram on the shared
-//!   [`MonitorTelemetry`](crate::monitor::MonitorTelemetry)): measured
+//!   push-latency histogram on the shared [`MonitorTelemetry`]): measured
 //!   by the ingest layer through its single audited liveness seam,
 //!   never fed back into any window or ε.
 //!

@@ -11,11 +11,12 @@
 //! accumulated counts — never on the fold order or shape.
 //!
 //! [`merge_many`] and [`merge_tree`] accumulate raw state in place
-//! ([`CountsSnapshot::merge_from`], no per-pair axis clones) and run the
-//! ε kernel exactly **once**, at the root. The result is byte-identical
-//! to the sequential pairwise fold for any arity and any leaf order:
-//! integer window counts are exact in `f64`, so cell sums reassociate
-//! freely, and the alert/alarm logs sort under a canonical total key.
+//! ([`CountsSnapshot::merge_from`](crate::monitor::CountsSnapshot::merge_from),
+//! no per-pair axis clones) and run the ε kernel exactly **once**, at the
+//! root. The result is byte-identical to the sequential pairwise fold for
+//! any arity and any leaf order: integer window counts are exact in `f64`,
+//! so cell sums reassociate freely, and the alert/alarm logs sort under a
+//! canonical total key.
 //! (Decayed-horizon cells are floating-point; their sums reassociate
 //! exactly whenever the decay factor keeps cells dyadic — e.g. λ = 0.5 —
 //! and to within 1 ulp otherwise.)

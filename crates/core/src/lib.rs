@@ -14,7 +14,6 @@
 //!
 //! This crate provides:
 //!
-//! - [`attributes`]: protected-attribute spaces and intersection indexing.
 //! - [`epsilon`]: the ε kernel over group×outcome probability tables.
 //! - [`edf`]: empirical DF from joint counts (Eq. 6) and Dirichlet-smoothed
 //!   DF (Eq. 7), with per-subset marginalization.
@@ -83,7 +82,6 @@
 #![warn(missing_docs)]
 
 pub mod amplification;
-pub mod attributes;
 pub mod baselines;
 pub mod bootstrap;
 pub mod builder;
@@ -102,7 +100,6 @@ pub mod stream;
 pub mod subsets;
 pub mod theta;
 
-pub use attributes::{ProtectedAttribute, ProtectedSpace};
 pub use builder::{Audit, AuditReport, EpsilonEstimator};
 pub use edf::JointCounts;
 pub use epsilon::{EpsilonResult, EpsilonWitness, GroupOutcomes};

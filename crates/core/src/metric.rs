@@ -49,7 +49,7 @@
 
 use crate::builder::EpsilonEstimator;
 use crate::edf::JointCounts;
-use crate::epsilon::{EpsilonResult, EpsilonWitness, GroupOutcomes};
+use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::error::{DfError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -162,87 +162,6 @@ pub fn metric_from_tag(tag: &str) -> Result<Box<dyn Metric>> {
     )))
 }
 
-// ---------------------------------------------------------------------------
-// The shared per-outcome min/max scan.
-// ---------------------------------------------------------------------------
-
-/// Per-outcome extremes over populated groups — the quantities every
-/// metric in the family is a function of.
-struct OutcomeExtremes {
-    outcome: usize,
-    max_p: f64,
-    min_p: f64,
-    g_hi: usize,
-    g_lo: usize,
-}
-
-/// Scans the table once per outcome, mirroring
-/// [`GroupOutcomes::epsilon`]'s extreme-tracking loop (including its
-/// tie-breaks, so witnesses agree across metrics). `None` when fewer
-/// than two groups are populated — every metric is then vacuously zero.
-fn outcome_extremes(table: &GroupOutcomes) -> Option<Vec<OutcomeExtremes>> {
-    let populated = table.populated_groups();
-    if populated.len() < 2 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(table.num_outcomes());
-    for y in 0..table.num_outcomes() {
-        let mut max_p = f64::NEG_INFINITY;
-        let mut min_p = f64::INFINITY;
-        let (mut g_hi, mut g_lo) = (populated[0], populated[0]);
-        for &g in &populated {
-            let p = table.prob(g, y);
-            if p > max_p {
-                max_p = p;
-                g_hi = g;
-            }
-            if p < min_p {
-                min_p = p;
-                g_lo = g;
-            }
-        }
-        out.push(OutcomeExtremes {
-            outcome: y,
-            max_p,
-            min_p,
-            g_hi,
-            g_lo,
-        });
-    }
-    Some(out)
-}
-
-/// Folds per-outcome statistics into the worst one, with the same
-/// tie-break as [`GroupOutcomes::epsilon`]: the first outcome attaining
-/// the maximum wins, and a witness is always attached when two groups
-/// are populated (even at statistic 0).
-fn worst_outcome(
-    table: &GroupOutcomes,
-    extremes: &[OutcomeExtremes],
-    statistic: impl Fn(&OutcomeExtremes) -> f64,
-) -> EpsilonResult {
-    let mut best = EpsilonResult {
-        epsilon: 0.0,
-        witness: None,
-    };
-    for e in extremes {
-        let stat = statistic(e);
-        if stat > best.epsilon || best.witness.is_none() && stat >= best.epsilon {
-            best = EpsilonResult {
-                epsilon: stat,
-                witness: Some(EpsilonWitness {
-                    outcome: table.outcome_labels()[e.outcome].clone(),
-                    group_hi: table.group_labels()[e.g_hi].clone(),
-                    group_lo: table.group_labels()[e.g_lo].clone(),
-                    prob_hi: e.max_p,
-                    prob_lo: e.min_p,
-                }),
-            };
-        }
-    }
-    best
-}
-
 /// The vacuous result when fewer than two groups are populated.
 fn vacuous() -> EpsilonResult {
     EpsilonResult {
@@ -253,9 +172,9 @@ fn vacuous() -> EpsilonResult {
 
 /// `1 − min/max`, with the all-zero outcome column treated as fair (the
 /// same convention as `log_ratio(0, 0) == 0` in the ε kernel).
-fn ratio_shortfall(e: &OutcomeExtremes) -> f64 {
-    if e.max_p > 0.0 {
-        1.0 - e.min_p / e.max_p
+fn ratio_shortfall(max_p: f64, min_p: f64) -> f64 {
+    if max_p > 0.0 {
+        1.0 - min_p / max_p
     } else {
         0.0
     }
@@ -316,11 +235,9 @@ impl Metric for WorstCaseRatio {
         raw: &GroupOutcomes,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult> {
-        let table = estimator.estimate_table(raw)?;
-        match outcome_extremes(&table) {
-            Some(ext) => Ok(worst_outcome(&table, &ext, ratio_shortfall)),
-            None => Ok(vacuous()),
-        }
+        Ok(estimator
+            .estimate_table(raw)?
+            .worst_outcome(ratio_shortfall))
     }
 
     fn clone_box(&self) -> Box<dyn Metric> {
@@ -349,11 +266,9 @@ impl Metric for WorstCaseDiff {
         raw: &GroupOutcomes,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult> {
-        let table = estimator.estimate_table(raw)?;
-        match outcome_extremes(&table) {
-            Some(ext) => Ok(worst_outcome(&table, &ext, |e| e.max_p - e.min_p)),
-            None => Ok(vacuous()),
-        }
+        Ok(estimator
+            .estimate_table(raw)?
+            .worst_outcome(|max_p, min_p| max_p - min_p))
     }
 
     fn clone_box(&self) -> Box<dyn Metric> {
@@ -422,13 +337,11 @@ impl Metric for AlphaIntersectional {
         raw: &GroupOutcomes,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult> {
-        let table = estimator.estimate_table(raw)?;
-        match outcome_extremes(&table) {
-            Some(ext) => Ok(worst_outcome(&table, &ext, |e| {
-                self.alpha * (1.0 - e.min_p) + (1.0 - self.alpha) * ratio_shortfall(e)
-            })),
-            None => Ok(vacuous()),
-        }
+        Ok(estimator
+            .estimate_table(raw)?
+            .worst_outcome(|max_p, min_p| {
+                self.alpha * (1.0 - min_p) + (1.0 - self.alpha) * ratio_shortfall(max_p, min_p)
+            }))
     }
 
     fn clone_box(&self) -> Box<dyn Metric> {

@@ -13,17 +13,19 @@
 //!   is `merge`, expiring one is `subtract` — both exact on integer
 //!   tallies — so the windowed ε is *byte-identical* to a batch
 //!   [`crate::builder::Audit`] of the very same records, at every step
-//!   (asserted by the `monitor_equivalence` property suite). Windows come
-//!   in two flavours:
+//!   (asserted by the `monitor_equivalence` property suite). One ring
+//!   serves two spans; only the bucket key differs:
 //!   - **by record count** ([`MonitorBuilder::window`]): the last W
-//!     records, fed via [`FairnessMonitor::push`];
+//!     records, one bucket per pushed chunk (keyed by push ordinal), fed
+//!     via [`FairnessMonitor::push`];
 //!   - **by wall-clock time** ([`MonitorBuilder::window_seconds`] +
 //!     [`MonitorBuilder::bucket_seconds`]): the last T seconds at bucket
-//!     granularity, fed via [`FairnessMonitor::push_at`] with
-//!     caller-supplied timestamps (core never reads `Instant::now()`, so
-//!     wall-clock monitoring stays replayable and testable), advanced —
-//!     and drained — by [`FairnessMonitor::advance_to`] even when no
-//!     records arrive (see the `monitor_time_equivalence` suite).
+//!     granularity (keyed by `⌊t / b⌋`), fed via
+//!     [`FairnessMonitor::push_at`] with caller-supplied timestamps (core
+//!     never reads `Instant::now()`, so wall-clock monitoring stays
+//!     replayable and testable), advanced — and drained — by
+//!     [`FairnessMonitor::advance_to`] even when no records arrive (see
+//!     the `monitor_time_equivalence` suite).
 //! - **Decayed horizon.** An optional exponentially-decayed table tracks
 //!   the long-run distribution; comparing windowed ε against the decayed ε
 //!   separates a transient spike from a secular trend.
@@ -98,7 +100,6 @@
 //! ```
 
 mod changepoint;
-mod clock;
 mod ring;
 mod snapshot;
 mod telemetry;
@@ -110,16 +111,15 @@ pub use snapshot::{CountsSnapshot, MonitorSnapshot};
 pub use telemetry::MonitorTelemetry;
 
 use crate::builder::{EpsilonEstimator, Smoothed, SubsetPolicy};
-use crate::edf::JointCounts;
+use crate::edf::{GroupLayout, JointCounts};
 use crate::epsilon::{EpsilonResult, EpsilonWitness};
 use crate::error::{DfError, Result};
 use crate::metric::{EpsilonDf, Metric};
 use changepoint::DetectorState;
-use clock::TimeRing;
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::numerics::exactly_zero;
 use df_prob::partial::{PartialCounts, Tally};
-use ring::{CountRing, WindowEngine};
+use ring::{Span, Window};
 use serde::{Deserialize, Serialize};
 use snapshot::subset_epsilons;
 
@@ -420,7 +420,7 @@ impl MonitorBuilder {
             &self.outcome_axis,
         )?;
         let subset_attrs = self.subsets.lattice(&zero.attribute_names())?;
-        let window = match (self.window_records, self.window_seconds) {
+        let span = match (self.window_records, self.window_seconds) {
             (Some(_), Some(_)) => {
                 return Err(DfError::Invalid(
                     "configure either a record-count window or a wall-clock window, not both"
@@ -439,7 +439,7 @@ impl MonitorBuilder {
                         "window must hold at least 1 record".into(),
                     ));
                 }
-                WindowState::Count(CountRing::new(self.axes.clone(), capacity)?)
+                Span::Records(capacity)
             }
             (None, Some(span)) => {
                 if !span.is_finite() || span <= 0.0 {
@@ -470,23 +470,30 @@ impl MonitorBuilder {
                          buckets; coarsen the granularity"
                     )));
                 }
-                WindowState::Time(TimeRing::new(self.axes.clone(), span, bucket)?)
+                Span::Seconds {
+                    bucket_seconds: bucket,
+                    n_buckets: (span / bucket).ceil() as i64,
+                }
             }
         };
+        let window = Window::new(self.axes.clone(), span)?;
+        let layout = GroupLayout::new(
+            window.table(),
+            window.table().axis_position(&self.outcome_axis)?,
+        );
         let states = vec![RuleState::default(); self.rules.len()];
         let detectors = self
             .changepoints
             .into_iter()
             .map(DetectorState::new)
             .collect();
-        let engine = WindowEngine::new(&self.axes, &self.outcome_axis)?;
         let scratch = PartialCounts::zeros(self.axes.clone())?;
         let decayed = self
             .decay
             .map(|_| ContingencyTable::zeros(self.axes.clone()))
             .transpose()?;
         Ok(FairnessMonitor {
-            engine,
+            layout,
             outcome_axis: self.outcome_axis,
             estimator: self.estimator.unwrap_or_else(Self::default_estimator),
             metric: self.metric.unwrap_or_else(Self::default_metric),
@@ -514,46 +521,9 @@ impl MonitorBuilder {
 // The monitor.
 // ---------------------------------------------------------------------------
 
-/// The window policy in force: last-W-records or last-T-seconds.
-enum WindowState {
-    Count(CountRing),
-    Time(TimeRing),
-}
-
-impl WindowState {
-    fn table(&self) -> &ContingencyTable {
-        match self {
-            WindowState::Count(ring) => ring.table(),
-            WindowState::Time(ring) => ring.table(),
-        }
-    }
-
-    fn rows(&self) -> usize {
-        match self {
-            WindowState::Count(ring) => ring.rows(),
-            WindowState::Time(ring) => ring.rows(),
-        }
-    }
-
-    fn now(&self) -> Option<f64> {
-        match self {
-            WindowState::Count(_) => None,
-            WindowState::Time(ring) => ring.now(),
-        }
-    }
-
-    /// Cumulative buckets evicted over the ring's lifetime.
-    fn evicted_buckets(&self) -> u64 {
-        match self {
-            WindowState::Count(ring) => ring.evicted_buckets(),
-            WindowState::Time(ring) => ring.evicted_buckets(),
-        }
-    }
-}
-
 /// The streaming fairness monitor; see the [module docs](self).
 pub struct FairnessMonitor {
-    engine: WindowEngine,
+    layout: GroupLayout,
     outcome_axis: String,
     estimator: Box<dyn EpsilonEstimator>,
     metric: Box<dyn Metric>,
@@ -565,7 +535,7 @@ pub struct FairnessMonitor {
     /// Config echo for snapshots (wall-clock monitors only).
     window_seconds: Option<f64>,
     bucket_seconds: Option<f64>,
-    window: WindowState,
+    window: Window,
     /// Reused per-push tally shard (cleared between chunks), so ingesting
     /// a bucket never re-allocates the schema.
     scratch: PartialCounts,
@@ -582,11 +552,11 @@ pub struct FairnessMonitor {
 }
 
 impl FairnessMonitor {
-    /// Ingests one chunk as a new window bucket, evicts expired buckets,
-    /// recomputes the windowed (and horizon) ε, and evaluates the alert
-    /// rules and change-point detectors. Incremental cost is one chunk
-    /// tally plus O(cells) — never a window re-scan (see the `monitor`
-    /// criterion bench).
+    /// Ingests one chunk as a new window bucket (a chunk of zero records
+    /// stores none), evicts expired buckets, recomputes the windowed (and
+    /// horizon) ε, and evaluates the alert rules and change-point
+    /// detectors. Incremental cost is one chunk tally plus O(cells) —
+    /// never a window re-scan (see the `monitor` criterion bench).
     ///
     /// Record-count windows only (the default, and
     /// [`MonitorBuilder::window`]); a wall-clock monitor must be fed
@@ -594,23 +564,7 @@ impl FairnessMonitor {
     /// window itself is rejected: it could never fit, and silently
     /// truncating it would break the window's "last W records" contract.
     pub fn push<C: Tally + ?Sized>(&mut self, chunk: &C) -> Result<MonitorStep> {
-        let rows = self.seal_chunk(chunk)?;
-        let WindowState::Count(ring) = &mut self.window else {
-            return Err(DfError::Invalid(
-                "this monitor windows by wall-clock time; push chunks with \
-                 push_at(chunk, timestamp)"
-                    .into(),
-            ));
-        };
-        if rows > ring.capacity() {
-            return Err(DfError::Invalid(format!(
-                "chunk of {rows} records exceeds the {}-record window",
-                ring.capacity()
-            )));
-        }
-        ring.ingest(self.scratch.table(), rows)?;
-        self.absorb_into_horizon()?;
-        self.finish(rows)
+        self.ingest(chunk, None)
     }
 
     /// Wall-clock twin of [`FairnessMonitor::push`]: ingests one chunk at
@@ -621,15 +575,15 @@ impl FairnessMonitor {
     /// window is refused. Advancing timestamps evict expired buckets
     /// through the exact subtract path before ε is recomputed.
     pub fn push_at<C: Tally + ?Sized>(&mut self, chunk: &C, timestamp: f64) -> Result<MonitorStep> {
+        self.ingest(chunk, Some(timestamp))
+    }
+
+    /// Shared body of [`FairnessMonitor::push`] and
+    /// [`FairnessMonitor::push_at`]: seal the chunk, window it, absorb it
+    /// into the horizon, and recompute.
+    fn ingest<C: Tally + ?Sized>(&mut self, chunk: &C, at: Option<f64>) -> Result<MonitorStep> {
         let rows = self.seal_chunk(chunk)?;
-        let WindowState::Time(ring) = &mut self.window else {
-            return Err(DfError::Invalid(
-                "this monitor windows by record count; push chunks with push(chunk), \
-                 or configure window_seconds for wall-clock windowing"
-                    .into(),
-            ));
-        };
-        ring.ingest_at(self.scratch.table(), rows, timestamp)?;
+        self.window.push(self.scratch.table(), rows, at)?;
         self.absorb_into_horizon()?;
         self.finish(rows)
     }
@@ -642,14 +596,7 @@ impl FairnessMonitor {
     /// clock is the max over everything seen). Serving fleets call this
     /// on a timer so a silent upstream cannot freeze the window contents.
     pub fn advance_to(&mut self, timestamp: f64) -> Result<MonitorStep> {
-        let WindowState::Time(ring) = &mut self.window else {
-            return Err(DfError::Invalid(
-                "advance_to is only meaningful for wall-clock windows \
-                 (configure window_seconds)"
-                    .into(),
-            ));
-        };
-        ring.advance_to(timestamp)?;
+        self.window.advance_to(timestamp)?;
         self.finish(0)
     }
 
@@ -689,25 +636,22 @@ impl FairnessMonitor {
     /// alert rules and change-point detectors, assemble the step.
     fn finish(&mut self, rows: usize) -> Result<MonitorStep> {
         self.records_seen += rows as u64;
-        let raw = self.engine.raw_outcomes(self.window.table())?;
-        let epsilon = if self.metric.requires_counts() {
-            // Label-conditioned metrics (differential equalized odds) need
-            // the full joint table, not the flattened group×outcome view.
-            let jc = JointCounts::from_table(self.window.table().clone(), &self.outcome_axis)?;
-            self.metric.evaluate_counts(&jc, &*self.estimator)?
-        } else {
-            self.metric.evaluate(&raw, &*self.estimator)?
-        };
+        let epsilon = self.window_epsilon()?;
         let decayed_epsilon = self.horizon_epsilon()?;
         let now_seconds = self.window.now();
         let fired = self.evaluate_rules(&epsilon, now_seconds);
         // The raw worst-pair log-ratio is only computed when a detector
         // actually watches it (one extra ε kernel pass).
-        let raw_epsilon = self
+        let watched = self
             .detectors
             .iter()
-            .any(|d| d.spec().signal() == ChangeSignal::RawLogRatio)
-            .then(|| raw.epsilon().epsilon);
+            .any(|d| d.spec().signal() == ChangeSignal::RawLogRatio);
+        let raw_epsilon = if watched {
+            let raw = self.layout.group_outcomes(self.window.table(), 0.0)?;
+            Some(raw.epsilon().epsilon)
+        } else {
+            None
+        };
         let mut alarms = Vec::new();
         for detector in &mut self.detectors {
             let sample = match detector.spec().signal() {
@@ -738,8 +682,8 @@ impl FairnessMonitor {
 
     /// The configured metric's statistic of the current window — the same
     /// value a batch [`crate::builder::Audit`] of the window's records
-    /// would headline, byte for byte (computed through the cached
-    /// `WindowEngine`, which is value-identical to the audit path).
+    /// would headline, byte for byte (read through the monitor's
+    /// `GroupLayout`, the very code behind `JointCounts::group_outcomes`).
     pub fn window_epsilon(&self) -> Result<EpsilonResult> {
         self.evaluate_table(self.window.table())
     }
@@ -747,11 +691,13 @@ impl FairnessMonitor {
     /// Evaluates the configured metric over one counts table.
     fn evaluate_table(&self, table: &ContingencyTable) -> Result<EpsilonResult> {
         if self.metric.requires_counts() {
+            // Label-conditioned metrics (differential equalized odds) need
+            // the full joint table, not the flattened group×outcome view.
             let jc = JointCounts::from_table(table.clone(), &self.outcome_axis)?;
             self.metric.evaluate_counts(&jc, &*self.estimator)
         } else {
             self.metric
-                .evaluate(&self.engine.raw_outcomes(table)?, &*self.estimator)
+                .evaluate(&self.layout.group_outcomes(table, 0.0)?, &*self.estimator)
         }
     }
 
@@ -1008,6 +954,36 @@ mod tests {
         assert_eq!(step.epsilon.epsilon, 0.0);
         assert_eq!(m.window_counts().data(), &[2.0, 2.0, 2.0, 2.0]);
         assert_eq!(m.records_seen(), 16);
+    }
+
+    #[test]
+    fn empty_chunks_store_no_bucket() {
+        // Record window: empty chunks leave no bucket behind, so only the
+        // two real chunks that fall out of the window are ever evicted.
+        let mut m = Audit::monitor("y", axes()).window(4).build().unwrap();
+        m.push(&balanced()).unwrap();
+        for _ in 0..1_000 {
+            m.push(&Pairs(Vec::new())).unwrap();
+        }
+        m.push(&skewed()).unwrap();
+        m.push(&skewed()).unwrap();
+        assert_eq!(m.telemetry().evicted_buckets.get(), 2);
+        assert_eq!(m.window_rows(), 4);
+        assert_eq!(m.window_counts().data(), &[0.0, 2.0, 2.0, 0.0]);
+        // Wall-clock window: an empty push stores nothing but still
+        // advances the clock and evicts the one real bucket.
+        let mut m = Audit::monitor("y", axes())
+            .window_seconds(10.0)
+            .bucket_seconds(1.0)
+            .build()
+            .unwrap();
+        m.push_at(&balanced(), 0.0).unwrap();
+        for t in 1..=1_000 {
+            m.push_at(&Pairs(Vec::new()), t as f64).unwrap();
+        }
+        assert_eq!(m.telemetry().evicted_buckets.get(), 1);
+        assert_eq!(m.window_rows(), 0);
+        assert_eq!(m.now_seconds(), Some(1_000.0));
     }
 
     #[test]
@@ -1285,17 +1261,18 @@ mod tests {
     #[test]
     fn cached_engine_matches_the_audit_path_exactly() {
         // Outcome axis deliberately NOT first, sparse cells, an empty
-        // group: the engine's flat-index map and cached labels must
-        // reproduce `JointCounts::group_outcomes(0.0)` value for value.
+        // group: the monitor's schema-order layout must reproduce
+        // `JointCounts::group_outcomes(0.0)` value for value.
         let axes = vec![
             Axis::from_strs("g", &["a", "b", "c"]).unwrap(),
             Axis::from_strs("y", &["no", "yes"]).unwrap(),
             Axis::from_strs("r", &["x", "z"]).unwrap(),
         ];
         let data = vec![3.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 2.0, 1.0];
-        let table = ContingencyTable::from_data(axes.clone(), data).unwrap();
-        let engine = WindowEngine::new(&axes, "y").unwrap();
-        let fast = engine.raw_outcomes(&table).unwrap();
+        let table = ContingencyTable::from_data(axes, data).unwrap();
+        let fast = GroupLayout::new(&table, 1)
+            .group_outcomes(&table, 0.0)
+            .unwrap();
         let slow = JointCounts::from_table(table, "y")
             .unwrap()
             .group_outcomes(0.0)

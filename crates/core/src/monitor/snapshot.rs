@@ -9,7 +9,7 @@ use crate::error::{DfError, Result};
 use crate::metric::{metric_from_tag, Metric};
 use crate::report::{fmt_count, fmt_epsilon, Align, ResponseFormat, TextTable};
 use crate::subsets::SubsetEpsilon;
-use df_prob::contingency::{Axis, ContingencyTable};
+use df_prob::contingency::{add_cells, Axis, ContingencyTable};
 use serde::{Deserialize, Serialize};
 
 /// A serializable contingency table: named axes plus row-major cell data.
@@ -79,11 +79,7 @@ impl CountsSnapshot {
                 other.data.len()
             )));
         }
-        for (dst, src) in self.data.iter_mut().zip(&other.data) {
-            // df-lint: allow(counts-via-monoid) -- this IS the wire-level monoid op: axes and lengths are validated above, and PartialCounts itself lives a crate away
-            *dst += src;
-        }
-        Ok(())
+        Ok(add_cells(&mut self.data, &other.data)?)
     }
 }
 

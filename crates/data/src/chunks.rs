@@ -22,6 +22,7 @@ use crate::frame::DataFrame;
 use df_prob::contingency::Axis;
 use df_prob::partial::{PartialCounts, Tally};
 use df_prob::ProbError;
+use std::collections::HashMap;
 use std::io::BufRead;
 
 // ---------------------------------------------------------------------------
@@ -190,14 +191,45 @@ impl LabelChunk {
 }
 
 impl Tally for LabelChunk {
+    /// Resolves every row to codes through one label → code map per axis,
+    /// then bulk-tallies the code columns. A chunk with a row of the wrong
+    /// width or an unknown label tallies none of its rows.
     fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-        let mut labels: Vec<&str> = Vec::with_capacity(shard.ndim());
+        let axes = shard.axes();
+        let codes: Vec<HashMap<&str, u32>> = axes
+            .iter()
+            .map(|axis| {
+                (0..)
+                    .zip(axis.labels())
+                    .map(|(code, l)| (l.as_str(), code))
+                    .collect()
+            })
+            .collect();
+        let mut columns: Vec<Vec<u32>> = (0..axes.len())
+            .map(|_| Vec::with_capacity(self.rows.len()))
+            .collect();
         for row in &self.rows {
-            labels.clear();
-            labels.extend(row.iter().map(String::as_str));
-            shard.record_by_labels(&labels)?;
+            if row.len() != axes.len() {
+                return Err(ProbError::ShapeMismatch {
+                    context: "increment_by_labels",
+                    expected: axes.len(),
+                    actual: row.len(),
+                });
+            }
+            for (((column, codes), axis), label) in
+                columns.iter_mut().zip(&codes).zip(axes).zip(row)
+            {
+                let code = codes
+                    .get(label.as_str())
+                    .ok_or_else(|| ProbError::UnknownLabel {
+                        axis: axis.name().to_string(),
+                        label: label.clone(),
+                    })?;
+                column.push(*code);
+            }
         }
-        Ok(())
+        let columns: Vec<&[u32]> = columns.iter().map(Vec::as_slice).collect();
+        shard.record_codes_trusted(&columns)
     }
 }
 
@@ -439,6 +471,33 @@ mod tests {
             PartialCounts::zeros(vec![Axis::from_strs("y", &["no", "yes"]).unwrap()]).unwrap();
         assert!(chunk.tally_into(&mut shard).is_err());
         assert!(CsvChunks::new("".as_bytes(), CsvOptions::default(), 0).is_err());
+    }
+
+    /// 20,000 CSV rows against a 70,000-label axis: one hash map per axis
+    /// per chunk, not a vocabulary scan per cell.
+    #[test]
+    fn label_chunks_resolve_large_vocabularies_in_linear_time() {
+        let vocab: Vec<String> = (0..70_000).map(|i| format!("v{i}")).collect();
+        let axes = vec![
+            Axis::from_strs("y", &["no", "yes"]).unwrap(),
+            Axis::new("v", vocab.clone()).unwrap(),
+        ];
+        let rows: Vec<[usize; 2]> = (0..20_000)
+            .map(|i| [i % 2, 69_999 - (i * 7_919) % 70_000])
+            .collect();
+        let csv: String = rows
+            .iter()
+            .map(|&[y, v]| format!("{},{}\n", ["no", "yes"][y], vocab[v]))
+            .collect();
+        let mut expected = PartialCounts::zeros(axes.clone()).unwrap();
+        for idx in &rows {
+            expected.record(idx);
+        }
+        let started = std::time::Instant::now();
+        let chunks = CsvChunks::new(csv.as_bytes(), CsvOptions::default(), 4_096).unwrap();
+        let streamed = tally_all(chunks.map(|c| c.unwrap()), axes).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(streamed, expected.into_table());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! contingency tables — without trying to be a general dataframe library.
 
 use crate::error::{DataError, Result};
-use df_prob::contingency::{Axis, ContingencyTable};
+use df_prob::contingency::{intersection_labels, Axis, ContingencyTable};
 use df_prob::rng::Pcg32;
 use std::collections::HashMap;
 
@@ -386,9 +386,9 @@ impl DataFrame {
     }
 
     /// Per-row group index over the named categorical columns, mixed-radix
-    /// with the first column most significant — matching
-    /// `ProtectedSpace::flatten` in df-core. Also returns the group count
-    /// and per-group labels (`"col=value"` joined by `, `).
+    /// with the first column most significant — the group order of
+    /// df-core's audits. Also returns the per-group labels, named by
+    /// [`intersection_labels`] exactly as audits name them.
     pub fn group_indices(&self, columns: &[&str]) -> Result<(Vec<usize>, Vec<String>)> {
         if columns.is_empty() {
             return Err(DataError::Invalid("need at least one column".into()));
@@ -398,7 +398,6 @@ impl DataFrame {
             .map(|n| self.column(n)?.as_categorical())
             .collect::<Result<_>>()?;
         let arities: Vec<usize> = cols.iter().map(|(_, v)| v.len()).collect();
-        let n_groups: usize = arities.iter().product();
 
         let mut indices = Vec::with_capacity(self.n_rows);
         for row in 0..self.n_rows {
@@ -408,18 +407,12 @@ impl DataFrame {
             }
             indices.push(flat);
         }
-        let mut labels = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            let mut rem = g;
-            let mut parts = vec![String::new(); columns.len()];
-            for (k, ((_, vocab), name)) in cols.iter().zip(columns).enumerate().rev() {
-                let v = rem % vocab.len();
-                rem /= vocab.len();
-                parts[k] = format!("{name}={}", vocab[v]);
-            }
-            labels.push(parts.join(", "));
-        }
-        Ok((indices, labels))
+        let named: Vec<(&str, &[String])> = columns
+            .iter()
+            .zip(&cols)
+            .map(|(name, (_, vocab))| (*name, *vocab))
+            .collect();
+        Ok((indices, intersection_labels(&named)))
     }
 }
 

@@ -9,6 +9,12 @@
 //! Layout is row-major with precomputed strides; the hot loops index by
 //! integer code (no hashing), following the perf-book guidance for hot data
 //! structures.
+//!
+//! Two free functions keep single copies of decisions the rest of the
+//! workspace shares: [`intersection_labels`] names the intersections of a
+//! set of axes (`"gender=F, race=B"`, in mixed-radix order), and
+//! [`add_cells`] is the one cell-wise count sum behind every table and
+//! snapshot merge.
 
 use crate::error::{ProbError, Result};
 use crate::numerics::{exactly_zero, stable_sum};
@@ -494,10 +500,7 @@ impl ContingencyTable {
                 reason: "cannot merge tables with different axes".into(),
             });
         }
-        for (dst, &src) in self.data.iter_mut().zip(&other.data) {
-            *dst += src;
-        }
-        Ok(())
+        add_cells(&mut self.data, &other.data)
     }
 
     /// Cell-wise subtracts another table from this one — the exact inverse
@@ -593,6 +596,43 @@ impl ContingencyTable {
         }
         Ok(out)
     }
+}
+
+/// The display names of the intersections of `axes`, each given as
+/// `(name, labels)`, in mixed-radix order with the first axis most
+/// significant: `"name=label"` per axis, joined by `", "`. Audits, the
+/// monitor and data-frame group indices all name groups through this one
+/// function, so a group label means the same intersection everywhere.
+pub fn intersection_labels(axes: &[(&str, &[String])]) -> Vec<String> {
+    let mut out = vec![String::new()];
+    for (k, (name, labels)) in axes.iter().enumerate() {
+        out = out
+            .iter()
+            .flat_map(|prefix| {
+                labels.iter().map(move |label| match k {
+                    0 => format!("{name}={label}"),
+                    _ => format!("{prefix}, {name}={label}"),
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+/// Adds `src` into `dst` cell by cell — the count sum behind every table
+/// and snapshot merge. The slices must have equal length.
+pub fn add_cells(dst: &mut [f64], src: &[f64]) -> Result<()> {
+    if dst.len() != src.len() {
+        return Err(ProbError::ShapeMismatch {
+            context: "add_cells",
+            expected: dst.len(),
+            actual: src.len(),
+        });
+    }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -832,6 +872,15 @@ mod tests {
         ])
         .unwrap();
         assert!(a.merge_from(&other).is_err());
+    }
+
+    #[test]
+    fn add_cells_checks_lengths() {
+        let mut dst = vec![1.0, 2.0];
+        add_cells(&mut dst, &[3.0, 4.0]).unwrap();
+        assert_eq!(dst, [4.0, 6.0]);
+        assert!(add_cells(&mut dst, &[1.0]).is_err());
+        assert_eq!(dst, [4.0, 6.0]);
     }
 
     #[test]

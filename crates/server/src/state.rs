@@ -328,7 +328,7 @@ impl ServerState {
         merge_many(&all, &*self.estimator)
     }
 
-    /// [`Self::merged_snapshot`] behind the version-tagged cache: the
+    /// The merged fleet snapshot behind the version-tagged cache: the
     /// warm path clones the cached merge instead of re-cutting the fleet.
     pub fn merged_cached(&self, timeout: Duration) -> Result<(u64, MonitorSnapshot)> {
         let version = self.version();

@@ -241,10 +241,7 @@ pub mod prelude {
     pub use df_core::report::ResponseFormat;
     pub use df_core::subsets::{subset_audit, SubsetAudit};
     pub use df_core::theta::{posterior_theta, ThetaClass};
-    pub use df_core::{
-        DfError, EpsilonResult, EpsilonWitness, GroupOutcomes, JointCounts, ProtectedAttribute,
-        ProtectedSpace,
-    };
+    pub use df_core::{DfError, EpsilonResult, EpsilonWitness, GroupOutcomes, JointCounts};
     pub use df_data::adult;
     pub use df_data::chunks::{CsvChunks, FrameChunks, LabelChunk};
     pub use df_data::frame::{Column, DataFrame, Interner};

@@ -1,6 +1,6 @@
 //! Integration tests for the documented extensions: differential equalized
 //! odds, bootstrap CIs, fairness-regularized training, fairness-aware model
-//! selection, and the ProtectedSpace helper — all through the facade.
+//! selection, and frame group indexing — all through the facade.
 
 use differential_fairness::data::adult::synth::{generate, SynthConfig};
 use differential_fairness::data::encode::{binary_labels, FrameEncoder};
@@ -24,25 +24,27 @@ fn adult_8k() -> differential_fairness::data::adult::AdultDataset {
 
 #[test]
 fn protected_space_mirrors_frame_group_indexing() {
-    // ProtectedSpace::flatten must agree with DataFrame::group_indices so
-    // audits and reports name the same intersections.
+    // DataFrame::group_indices must order and name the intersections of
+    // the protected space exactly as audits do.
     let dataset = adult_8k();
     let (indices, labels) = dataset
         .train
         .group_indices(&["gender", "nationality"])
         .unwrap();
-    let space = ProtectedSpace::new(vec![
-        ProtectedAttribute::from_strs("gender", &["Male", "Female"]).unwrap(),
-        ProtectedAttribute::from_strs("nationality", &["US", "Non-US"]).unwrap(),
-    ])
+    let counts = JointCounts::from_table(
+        dataset
+            .train
+            .contingency(&["income", "gender", "nationality"])
+            .unwrap(),
+        "income",
+    )
     .unwrap();
-    assert_eq!(space.intersection_count(), labels.len());
-    for (flat, label) in labels.iter().enumerate() {
-        assert_eq!(&space.describe(flat).unwrap(), label);
+    let table = counts.group_outcomes(0.0).unwrap();
+    assert_eq!(table.group_labels(), &labels[..]);
+    for (g, &weight) in table.weights().iter().enumerate() {
+        let rows = indices.iter().filter(|&&i| i == g).count();
+        assert_eq!(weight, rows as f64, "group {}", labels[g]);
     }
-    assert!(indices.iter().all(|&g| g < space.intersection_count()));
-    // Subset enumeration matches the audit lattice.
-    assert_eq!(space.subsets().len(), 3);
 }
 
 #[test]
