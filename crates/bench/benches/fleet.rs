@@ -14,9 +14,9 @@
 //!    against the sequential pairwise `MonitorSnapshot::merge` fold
 //!    (which re-clones axes and re-runs the ε kernel per pair). Both
 //!    produce byte-identical output — proven in `fleet_equivalence`.
-//! 3. **Ingestion.** N producer threads pushing a fixed 4-replica fleet
-//!    replay through `FleetIngest` with N shards: scaling of the
-//!    backpressure-free front-end, snapshot drain included.
+//! 3. **Ingestion.** 4 producer threads pushing a fixed 4-replica fleet
+//!    replay into `FleetIngest` with N shards (producers share a shard
+//!    lock when N < 4), final cut included.
 //!
 //! Run with `cargo bench -p df-bench --bench fleet`.
 
@@ -29,22 +29,8 @@ use df_data::workloads::{
     TimestampedReplay,
 };
 use df_prob::contingency::Axis;
-use df_prob::partial::{PartialCounts, Tally};
 use df_prob::rng::Pcg32;
 use std::hint::black_box;
-use std::sync::Arc;
-
-/// A zero-copy producer chunk: sharing the replay across bench
-/// iterations (and producer threads) keeps the measurement on the
-/// monitors, not on cloning row buffers.
-#[derive(Clone)]
-struct SharedChunk(Arc<TimedChunk>);
-
-impl Tally for SharedChunk {
-    fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-        self.0.tally_into(shard)
-    }
-}
 
 /// Two outcomes × 4×3×2 protected intersections = 48 cells.
 fn schema() -> Vec<Axis> {
@@ -168,18 +154,9 @@ fn bench_ingest(c: &mut Criterion) {
         ArrivalProcess::Poisson { rate: 5_000.0 },
     )
     .expect("fleet workload");
-    let feeds: Vec<Vec<(SharedChunk, f64)>> = replays
+    let feeds: Vec<Vec<TimedChunk>> = replays
         .iter()
-        .map(|r| {
-            r.bucket_chunks(1.0)
-                .expect("bucket grouping")
-                .into_iter()
-                .map(|chunk| {
-                    let at = chunk.timestamp;
-                    (SharedChunk(Arc::new(chunk)), at)
-                })
-                .collect()
-        })
+        .map(|r| r.bucket_chunks(1.0).expect("bucket grouping"))
         .collect();
     let total_rows: usize = replays.iter().map(|r| r.frame.n_rows()).sum();
 
@@ -194,7 +171,7 @@ fn bench_ingest(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    let fleet: FleetIngest<SharedChunk> = Audit::monitor("outcome", schema())
+                    let fleet: FleetIngest = Audit::monitor("outcome", schema())
                         .estimator(Smoothed { alpha: 1.0 })
                         .window_seconds(60.0)
                         .bucket_seconds(1.0)
@@ -202,15 +179,15 @@ fn bench_ingest(c: &mut Criterion) {
                         .unwrap();
                     std::thread::scope(|scope| {
                         for (i, feed) in feeds.iter().enumerate() {
-                            let producer = fleet.producer(i % shards).unwrap();
+                            let fleet = &fleet;
                             scope.spawn(move || {
-                                for (chunk, at) in feed {
-                                    producer.send(chunk.clone(), *at).unwrap();
+                                for chunk in feed {
+                                    fleet.push(i % shards, chunk, chunk.timestamp).unwrap();
                                 }
                             });
                         }
                     });
-                    fleet.finish().unwrap()
+                    fleet.snapshot().unwrap()
                 })
             },
         );

@@ -16,9 +16,9 @@
 //!    target is `per_request_telemetry / tcp_request ≤ 5%`; measured,
 //!    the sequence is hundreds of nanoseconds against a
 //!    tens-of-microseconds request, comfortably under.
-//! 3. **What does instrumentation cost the ingest worker?** The
+//! 3. **What does instrumentation cost a shard push?** The
 //!    incremental monitor loop bare vs with exactly the per-chunk
-//!    telemetry the fleet shard worker adds (two clock reads, a
+//!    telemetry `FleetIngest::push` adds (two clock reads, a
 //!    histogram observation, four counter/gauge bumps). The cost is
 //!    fixed per chunk, so it amortizes over the batch — report it per
 //!    row, not per chunk.
@@ -209,8 +209,8 @@ fn bench_ingest_worker_overhead(c: &mut Criterion) {
         })
     });
 
-    // Instrumented: the identical loop plus exactly what the fleet
-    // shard worker records per chunk.
+    // Instrumented: the identical loop plus exactly what
+    // `FleetIngest::push` records per chunk.
     group.bench_function("instrumented", |b| {
         b.iter(|| {
             let mut monitor = monitor_for(&frame);

@@ -13,7 +13,7 @@
 //!    recomputation — measured by interleaving one-row ingests with
 //!    audits.
 //! 3. **Ingest path.** `POST /v1/ingest/records` throughput for
-//!    64-row JSON chunks, the validation + enqueue cost per request.
+//!    64-row JSON chunks, the validation + shard push cost per request.
 //!
 //! Run with `cargo bench -p df-bench --bench server`.
 

@@ -12,6 +12,7 @@
 //!   [`subgroup_fairness_violation`] audits every conjunctive subgroup
 //!   definable from the protected attributes.
 
+use crate::builder::check_mask_width;
 use crate::edf::JointCounts;
 use crate::epsilon::GroupOutcomes;
 use crate::error::{DfError, Result};
@@ -172,6 +173,7 @@ pub fn subgroup_fairness_violation(
         .map(str::to_string)
         .collect();
     let p = names.len();
+    check_mask_width(p)?;
     let mut out = Vec::new();
     for mask in 1u32..(1 << p) {
         let attrs: Vec<&str> = (0..p)

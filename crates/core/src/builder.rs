@@ -207,11 +207,7 @@ impl SubsetPolicy {
     /// is a typed error.
     pub(crate) fn lattice(self, names: &[&str]) -> Result<Vec<Vec<String>>> {
         let p = names.len();
-        if p > 31 {
-            return Err(DfError::Invalid(format!(
-                "the subset lattice supports at most 31 protected attributes, got {p}"
-            )));
-        }
+        check_mask_width(p)?;
         let limit = match self {
             SubsetPolicy::All => p,
             SubsetPolicy::UpTo { size } => size.min(p),
@@ -234,6 +230,17 @@ impl SubsetPolicy {
             })
             .collect())
     }
+}
+
+/// Refuses more than 31 protected attributes: every subset walk indexes
+/// attributes by the bits of a `u32` mask.
+pub(crate) fn check_mask_width(p: usize) -> Result<()> {
+    if p > 31 {
+        return Err(DfError::Invalid(format!(
+            "the subset lattice supports at most 31 protected attributes, got {p}"
+        )));
+    }
+    Ok(())
 }
 
 /// Which comparison baselines (§7 of the paper) to compute.
@@ -1149,8 +1156,9 @@ mod tests {
     }
 
     /// Subset masks are `u32`: 32 protected attributes (one-label axes
-    /// are legal) get a typed error from the audit and from the monitor,
-    /// where the mask shift used to wrap to an empty lattice.
+    /// are legal) get a typed error from the audit, the monitor and the
+    /// subgroup baseline, where the mask shift used to wrap to an empty
+    /// lattice or overflow.
     #[test]
     fn lattice_refuses_more_than_31_attributes() {
         let mut axes = vec![Axis::from_strs("y", &["no", "yes"]).unwrap()];
@@ -1159,7 +1167,8 @@ mod tests {
         let counts = JointCounts::from_table(table, "y").unwrap();
         let audit = Audit::of(&counts).subsets(SubsetPolicy::None).run();
         let monitor = Audit::monitor("y", axes).build().err();
-        for err in [audit.err(), monitor] {
+        let subgroups = subgroup_fairness_violation(&counts, "yes").err();
+        for err in [audit.err(), monitor, subgroups] {
             assert!(
                 matches!(&err, Some(DfError::Invalid(m)) if m.contains("got 32")),
                 "{err:?}"

@@ -1,19 +1,23 @@
-//! Backpressure-free concurrent ingestion: N producers, N private
-//! monitors, one merged fleet ε.
+//! Concurrent ingestion: N shards, each one locked monitor, one merged
+//! fleet ε.
 //!
-//! The monitor is single-threaded by design — its hot path is an exact
-//! merge/subtract over one ring, and a mutex around it would serialize
-//! every producer in the process. [`FleetIngest`] shards instead, the
-//! same pattern as [`crate::stream::sharded_joint_counts`]: each producer
-//! owns a private channel into a dedicated worker thread holding its own
-//! [`FairnessMonitor`], so the ingest hot path takes **no lock shared
-//! between producers** and never blocks on aggregation
-//! (`std::sync::mpsc` senders never wait on the receiver). Aggregation
-//! happens only when someone asks: [`FleetIngest::snapshot`] enqueues a
-//! snapshot command behind each shard's pending chunks (a consistent
-//! cut: everything sent before the call is included), aligns every
-//! shard's clock to the fleet-wide maximum, and folds the shard
-//! snapshots through the aggregation tree ([`super::merge_many`]).
+//! [`FleetIngest`] holds one `Mutex<FairnessMonitor>` per shard, the same
+//! sharding as [`crate::stream::sharded_joint_counts`]: producers on
+//! different shards share no lock, and producers on one shard take turns.
+//! [`FleetIngest::push`] locks its shard and tallies before it returns,
+//! so an `Ok` means "counted", a stalled shard blocks its own producers
+//! instead of buffering behind them, and a chunk or timestamp the monitor
+//! refuses fails its own push and leaves the shard as it was (the monitor
+//! validates before it mutates).
+//!
+//! A cut ([`FleetIngest::snapshot`]) locks every shard in index order — a
+//! push holds one lock at a time, so no two callers can deadlock —
+//! advances each lagging shard clock once to the fleet-wide maximum (so
+//! every window evicts against the same horizon), snapshots the shards,
+//! releases the locks and folds the snapshots through the aggregation
+//! tree ([`super::merge_many`]). Everything pushed before the cut is in
+//! it, and one round is always aligned: no push can land between the
+//! clock read and the snapshots.
 //!
 //! Because each shard feeds its monitor in its own timestamp order and
 //! snapshot merging is the counts monoid, the merged fleet snapshot is
@@ -30,483 +34,205 @@
 //! `Audit::monitor(..).window_seconds(T).bucket_seconds(b).fleet(n)`.
 
 use crate::builder::EpsilonEstimator;
-use crate::epsilon::EpsilonResult;
 use crate::error::{DfError, Result};
-use crate::fleet::telemetry::{FleetTelemetry, ShardTelemetry};
+use crate::fleet::telemetry::FleetTelemetry;
 use crate::monitor::{FairnessMonitor, MonitorBuilder, MonitorSnapshot};
 use df_prob::partial::Tally;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-/// A bounded wait: the absolute deadline plus the original budget (echoed
-/// in the timeout error so callers see what they asked for, not the
-/// remainder that happened to be left on the final `recv`).
-#[derive(Clone, Copy)]
-struct Deadline {
-    at: Instant,
-    budget: Duration,
-}
+/// How long a bounded cut sleeps between `try_lock` attempts on a busy
+/// shard.
+const LOCK_RETRY: Duration = Duration::from_micros(50);
 
 /// The one place this module — and all of `df-core` — reads the wall
 /// clock. Everything fairness-related is driven by caller-supplied `f64`
 /// timestamps (replay determinism: same stream, same ε, every run); the
 /// wall clock exists solely for two operational concerns that are not
-/// part of the fairness computation: bounding how long [`FleetIngest`]
-/// waits for worker *threads* to reply, and measuring telemetry
-/// durations (push latency, consistent-cut latency — see
-/// [`FleetTelemetry`]). Callers that own a clock can skip the timeout
-/// use entirely via [`FleetIngest::try_snapshot_deadline`].
+/// part of the fairness computation: the deadline of
+/// [`FleetIngest::try_snapshot_timeout`]'s lock wait, and telemetry
+/// durations (push latency, cut latency — see [`FleetTelemetry`]).
 fn wall_clock_now() -> Instant {
-    // df-lint: allow(no-wall-clock) -- thread-liveness timeouts and telemetry durations only; never feeds timestamps, windows, or epsilon
+    // df-lint: allow(no-wall-clock) -- lock-wait deadline and telemetry durations only; never feeds timestamps, windows, or epsilon
     Instant::now()
-}
-
-/// Commands a shard worker understands.
-enum ShardMsg<C> {
-    /// Ingest one chunk at a timestamp (`FairnessMonitor::push_at`).
-    Chunk { chunk: C, at: f64 },
-    /// Advance the shard clock with zero arrivals
-    /// (`FairnessMonitor::advance_to`).
-    Advance { at: f64 },
-    /// Report the shard's current clock (cheap: no ε work, no mutation).
-    Clock { reply: Sender<Option<f64>> },
-    /// Optionally advance to a fleet-wide clock, then snapshot.
-    Snapshot {
-        advance_to: Option<f64>,
-        reply: Sender<Result<MonitorSnapshot>>,
-    },
-    /// Exit the worker loop — even while producer handles (cloned
-    /// senders) are still alive somewhere.
-    Shutdown,
-}
-
-/// A handle for one producer: owns a sender into its shard's private
-/// channel. Clone it to let several sources feed the same shard (their
-/// sends interleave in channel order; the shard still processes
-/// single-threaded).
-pub struct FleetProducer<C: Tally + Send + 'static> {
-    shard: usize,
-    sender: Sender<ShardMsg<C>>,
-    telemetry: ShardTelemetry,
-}
-
-impl<C: Tally + Send + 'static> Clone for FleetProducer<C> {
-    fn clone(&self) -> Self {
-        Self {
-            shard: self.shard,
-            sender: self.sender.clone(),
-            telemetry: self.telemetry.clone(),
-        }
-    }
-}
-
-impl<C: Tally + Send + 'static> FleetProducer<C> {
-    /// The shard this producer feeds.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Enqueues one chunk at `at` seconds — returns immediately, never
-    /// waiting on the worker (backpressure-free by construction). Chunk
-    /// validation happens on the worker; a bad chunk poisons its shard
-    /// and surfaces as a typed error from the next
-    /// [`FleetIngest::snapshot`].
-    pub fn send(&self, chunk: C, at: f64) -> Result<()> {
-        self.sender
-            .send(ShardMsg::Chunk { chunk, at })
-            .map_err(|_| disconnected(self.shard))?;
-        self.telemetry.enqueued.inc();
-        Ok(())
-    }
-
-    /// Enqueues a zero-arrival clock advance, so an idle source keeps its
-    /// shard's window draining.
-    pub fn advance_to(&self, at: f64) -> Result<()> {
-        self.sender
-            .send(ShardMsg::Advance { at })
-            .map_err(|_| disconnected(self.shard))?;
-        self.telemetry.enqueued.inc();
-        Ok(())
-    }
-}
-
-fn disconnected(shard: usize) -> DfError {
-    DfError::Invalid(format!(
-        "fleet shard {shard} worker has shut down; the FleetIngest was \
-         finished or dropped"
-    ))
 }
 
 /// The concurrent sharded front-end; see the [module docs](self). Built
 /// by [`MonitorBuilder::fleet`].
-pub struct FleetIngest<C: Tally + Send + 'static> {
-    senders: Vec<Sender<ShardMsg<C>>>,
-    workers: Vec<JoinHandle<()>>,
+pub struct FleetIngest {
+    shards: Vec<Mutex<FairnessMonitor>>,
     estimator: Box<dyn EpsilonEstimator>,
     telemetry: Arc<FleetTelemetry>,
 }
 
-impl<C: Tally + Send + 'static> FleetIngest<C> {
-    fn spawn(
-        monitors: Vec<FairnessMonitor>,
-        estimator: Box<dyn EpsilonEstimator>,
-        telemetry: Arc<FleetTelemetry>,
-    ) -> Self {
-        let mut senders = Vec::with_capacity(monitors.len());
-        let mut workers = Vec::with_capacity(monitors.len());
-        for (shard, monitor) in monitors.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            let tel = telemetry.shard(shard).clone();
-            senders.push(tx);
-            workers.push(std::thread::spawn(move || shard_worker(monitor, rx, tel)));
-        }
-        Self {
-            senders,
-            workers,
-            estimator,
-            telemetry,
-        }
-    }
-
-    /// Number of shards (= workers = independent producers).
+impl FleetIngest {
+    /// Number of shards (= independent monitors).
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.shards.len()
     }
 
     /// Live fleet telemetry: per-shard traffic counters, queue depths,
     /// staleness gauges, cut latency, and the shared monitor bundle —
-    /// readable at any time without touching the shard channels (see
-    /// [`FleetTelemetry`]). The `Arc` is shared with every worker, so a
-    /// scrape layer can clone it into gauge closures that outlive this
-    /// handle's borrows.
+    /// readable at any time without touching the shard locks (see
+    /// [`FleetTelemetry`]). The `Arc` lets a scrape layer clone it into
+    /// gauge closures that outlive this handle's borrows.
     pub fn telemetry(&self) -> &Arc<FleetTelemetry> {
         &self.telemetry
     }
 
-    /// A producer handle for the given shard.
-    pub fn producer(&self, shard: usize) -> Result<FleetProducer<C>> {
-        let sender = self.senders.get(shard).ok_or_else(|| {
+    /// Tallies one chunk at `at` seconds into `shard`'s monitor
+    /// ([`FairnessMonitor::push_at`]) and returns once it is counted,
+    /// waiting while another push or a cut holds the shard. A chunk or
+    /// timestamp the monitor refuses is this call's error, and the shard
+    /// is left as it was.
+    pub fn push<C: Tally + ?Sized>(&self, shard: usize, chunk: &C, at: f64) -> Result<()> {
+        let cell = self.shards.get(shard).ok_or_else(|| {
             DfError::Invalid(format!(
                 "no shard {shard}: this fleet has {} shards",
-                self.senders.len()
+                self.shards()
             ))
         })?;
-        Ok(FleetProducer {
-            shard,
-            sender: sender.clone(),
-            telemetry: self.telemetry.shard(shard).clone(),
-        })
+        let tel = self.telemetry.shard(shard);
+        tel.enqueued.inc();
+        let result = lock(shard, cell).and_then(|mut monitor| {
+            let before = monitor.records_seen();
+            let start = wall_clock_now();
+            monitor.push_at(chunk, at)?;
+            let took = wall_clock_now().saturating_duration_since(start);
+            monitor.telemetry().push_seconds.observe(took.as_secs_f64());
+            tel.rows.add(monitor.records_seen() - before);
+            tel.chunks.inc();
+            // The newest data time heard, monotone under out-of-order
+            // pushes; only pushes write it, and only under this lock.
+            if tel.last_seen.get_finite().is_none_or(|seen| at > seen) {
+                tel.last_seen.set(at);
+            }
+            Ok(())
+        });
+        tel.processed.inc();
+        result
     }
 
-    /// One producer handle per shard, in shard order.
-    pub fn producers(&self) -> Vec<FleetProducer<C>> {
-        (0..self.shards())
-            .map(|i| self.producer(i).expect("index in range"))
-            .collect()
-    }
-
-    /// Drains and merges: waits for every shard to process everything
-    /// enqueued before this call, aligns all shard clocks to the
-    /// fleet-wide maximum (so every window evicts against the same
-    /// horizon), and folds the shard snapshots through the aggregation
-    /// tree. The first shard error (a corrupt chunk, a pre-window
-    /// timestamp) surfaces here, typed.
+    /// A consistent cut of the whole fleet: waits for every shard, aligns
+    /// all shard clocks to the fleet-wide maximum (so every window evicts
+    /// against the same horizon), and folds the shard snapshots through
+    /// the aggregation tree. Everything pushed before this call is in it.
     pub fn snapshot(&self) -> Result<MonitorSnapshot> {
-        self.collect(None, None)
+        self.cut(None, None)
     }
 
-    /// [`FleetIngest::snapshot`] with a bounded wait: if any shard fails
-    /// to reply within `timeout` (measured across the whole consistent-cut
-    /// round, not per shard), returns [`DfError::Timeout`] instead of
-    /// blocking — so a stuck or overloaded shard cannot hang a serving
-    /// request forever. The snapshot command stays queued on the slow
-    /// shard; its eventual reply is discarded, and retrying later is safe.
+    /// [`FleetIngest::snapshot`] with a bounded wait: if some shard stays
+    /// locked past `timeout` (measured across the whole cut, not per
+    /// shard), returns [`DfError::Timeout`] instead of blocking — so a
+    /// stalled push cannot hang a serving request forever. Nothing is
+    /// mutated before every lock is held, so retrying later is safe.
     pub fn try_snapshot_timeout(&self, timeout: Duration) -> Result<MonitorSnapshot> {
-        self.try_snapshot_deadline(wall_clock_now() + timeout, timeout)
-    }
-
-    /// [`FleetIngest::try_snapshot_timeout`] with the deadline threaded
-    /// in from the caller: waits until the absolute instant `at`, and
-    /// reports `budget` in any [`DfError::Timeout`] (the budget is an
-    /// echo for error messages, not a second limit). This is the
-    /// deterministic entry point — it never reads the wall clock to
-    /// *construct* the deadline, so a caller that owns the clock (a
-    /// test harness, a deadline-propagating RPC layer) stays in charge.
-    pub fn try_snapshot_deadline(&self, at: Instant, budget: Duration) -> Result<MonitorSnapshot> {
-        self.collect(None, Some(Deadline { at, budget }))
+        self.cut(None, Some(timeout))
     }
 
     /// [`FleetIngest::snapshot`] against an explicit fleet clock: every
     /// shard advances to `now` (shards already ahead keep their own
-    /// clock) before snapshotting. Use when the caller owns the clock —
-    /// e.g. a 1 Hz aggregation timer stamping each tick.
+    /// clock, and the rest align to the newest one) before snapshotting.
+    /// Use when the caller owns the clock — e.g. a 1 Hz aggregation timer
+    /// stamping each tick, or an idle fleet whose windows must drain.
     pub fn snapshot_at(&self, now: f64) -> Result<MonitorSnapshot> {
         if !now.is_finite() {
             return Err(DfError::Invalid(format!(
                 "fleet snapshot timestamp must be finite, got {now}"
             )));
         }
-        self.collect(Some(now), None)
+        self.cut(Some(now), None)
     }
 
-    /// The fleet-wide ε: the headline of [`FleetIngest::snapshot`].
-    pub fn epsilon(&self) -> Result<EpsilonResult> {
-        Ok(self.snapshot()?.epsilon)
-    }
-
-    /// Final snapshot, then shutdown: drains every shard, joins the
-    /// workers, and returns the merged fleet state.
-    pub fn finish(mut self) -> Result<MonitorSnapshot> {
-        let snap = self.snapshot();
-        self.shutdown();
-        snap
-    }
-
-    /// Upper bound on snapshot rounds per [`FleetIngest::snapshot`] call.
-    /// Re-aligning is what keeps the cut consistent when a newer-stamped
-    /// chunk races in between rounds — but under *sustained* concurrent
-    /// traffic each round could observe a newer clock forever, so after
-    /// this many rounds the freshest round is merged as-is (a valid
-    /// monoid merge whose shard clocks may trail the in-flight traffic
-    /// by the last few milliseconds). Callers needing a perfectly
-    /// clock-aligned cut quiesce their producers first, or stamp ticks
-    /// themselves via [`FleetIngest::snapshot_at`].
-    const MAX_ALIGN_ROUNDS: usize = 3;
-
-    /// Clock discovery plus bounded alignment: a cheap clock round finds
-    /// the fleet-wide maximum (no ε work), then snapshot rounds advance
-    /// every shard to it; if a round observes a clock *ahead* of the
-    /// target — a chunk raced in mid-snapshot — the round repeats with
-    /// the newer clock, up to [`Self::MAX_ALIGN_ROUNDS`], so the merged
-    /// state never mixes a fresh shard clock with another shard's stale
-    /// eviction horizon. One clock round plus one snapshot round in the
-    /// common case.
+    /// Locks every shard in index order, advances each lagging clock once
+    /// to `max(shard clocks, now)`, snapshots, releases and merges.
     ///
+    /// Only a shard whose clock the target moves is advanced:
+    /// `advance_to` evaluates alert rules and change-point detectors (a
+    /// genuine monitor step), and polling an already-aligned fleet must
+    /// not feed them spurious zero-arrival samples. Clockless shards hold
+    /// empty windows — nothing to evict — so they are never touched.
     /// Successful cuts record their wall-clock duration into
-    /// [`FleetTelemetry::snapshot_cut_seconds`] (both clock reads go
-    /// through the audited [`wall_clock_now`] seam; the duration never
-    /// feeds back into any window).
-    fn collect(&self, target: Option<f64>, deadline: Option<Deadline>) -> Result<MonitorSnapshot> {
+    /// [`FleetTelemetry::snapshot_cut_seconds`].
+    fn cut(&self, now: Option<f64>, timeout: Option<Duration>) -> Result<MonitorSnapshot> {
         let start = wall_clock_now();
-        let result = self.collect_rounds(target, deadline);
-        if result.is_ok() {
-            let cut = wall_clock_now().saturating_duration_since(start);
-            self.telemetry
-                .snapshot_cut_seconds
-                .observe(cut.as_secs_f64());
-            self.telemetry.snapshots.inc();
+        let mut monitors = Vec::with_capacity(self.shards());
+        for (shard, cell) in self.shards.iter().enumerate() {
+            monitors.push(match timeout {
+                None => lock(shard, cell)?,
+                Some(budget) => lock_within(shard, cell, start, budget)?,
+            });
         }
-        result
-    }
-
-    /// The alignment loop behind [`FleetIngest::collect`].
-    fn collect_rounds(
-        &self,
-        target: Option<f64>,
-        deadline: Option<Deadline>,
-    ) -> Result<MonitorSnapshot> {
-        let mut target = match target {
-            Some(t) => Some(t),
-            None => self.clock_round(deadline)?,
-        };
-        for round in 1.. {
-            let snapshots = self.snapshot_round(target, deadline)?;
-            let observed = snapshots
-                .iter()
-                .filter_map(|s| s.now_seconds)
-                .fold(None, |acc: Option<f64>, now| {
-                    Some(acc.map_or(now, |a| a.max(now)))
-                });
-            // Aligned when no clocked shard sits ahead of the target the
-            // whole fleet was advanced to (clockless shards hold empty
-            // windows — nothing to evict).
-            let aligned = match observed {
-                None => true,
-                Some(fleet_now) => target.is_some_and(|t| fleet_now <= t),
-            };
-            if aligned || round >= Self::MAX_ALIGN_ROUNDS {
-                return super::merge_many(&snapshots, &*self.estimator);
-            }
-            target = observed;
-        }
-        unreachable!("the loop returns within MAX_ALIGN_ROUNDS")
-    }
-
-    /// The fleet-wide maximum shard clock — a cheap query (no ε kernel),
-    /// consistent with everything enqueued before the call (the reply is
-    /// queued behind each shard's pending chunks).
-    fn clock_round(&self, deadline: Option<Deadline>) -> Result<Option<f64>> {
-        let mut replies = Vec::with_capacity(self.shards());
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            sender
-                .send(ShardMsg::Clock { reply: tx })
-                .map_err(|_| disconnected(shard))?;
-            replies.push((shard, rx));
-        }
-        let mut fleet_now: Option<f64> = None;
-        for (shard, rx) in replies {
-            if let Some(now) = recv(shard, &rx, deadline)? {
-                fleet_now = Some(fleet_now.map_or(now, |a: f64| a.max(now)));
-            }
-        }
-        Ok(fleet_now)
-    }
-
-    /// One snapshot command to every shard, replies collected in order.
-    fn snapshot_round(
-        &self,
-        advance_to: Option<f64>,
-        deadline: Option<Deadline>,
-    ) -> Result<Vec<MonitorSnapshot>> {
-        let mut replies = Vec::with_capacity(self.shards());
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            sender
-                .send(ShardMsg::Snapshot {
-                    advance_to,
-                    reply: tx,
-                })
-                .map_err(|_| disconnected(shard))?;
-            replies.push((shard, rx));
-        }
-        replies
-            .into_iter()
-            .map(|(shard, rx)| recv(shard, &rx, deadline)?)
-            .collect()
-    }
-
-    fn shutdown(&mut self) {
-        // An explicit shutdown message, not just dropping our senders:
-        // producer handles are cloned senders, and a worker blocked on
-        // `recv` would otherwise wait on every outstanding clone.
-        for sender in self.senders.drain(..) {
-            // df-lint: allow(must-use-results) -- send fails only when the shard already exited; shutdown is then done
-            let _ = sender.send(ShardMsg::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            // df-lint: allow(must-use-results) -- a panicked shard already surfaced its error through the reply channel
-            let _ = worker.join();
-        }
-    }
-}
-
-impl<C: Tally + Send + 'static> Drop for FleetIngest<C> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn recv<T>(shard: usize, rx: &Receiver<T>, deadline: Option<Deadline>) -> Result<T> {
-    let died = || {
-        DfError::Invalid(format!(
-            "fleet shard {shard} worker died before replying (panicked \
-             while ingesting?)"
-        ))
-    };
-    match deadline {
-        None => rx.recv().map_err(|_| died()),
-        Some(d) => match rx.recv_timeout(d.at.saturating_duration_since(wall_clock_now())) {
-            Ok(v) => Ok(v),
-            Err(RecvTimeoutError::Disconnected) => Err(died()),
-            Err(RecvTimeoutError::Timeout) => Err(DfError::Timeout {
-                what: "fleet snapshot",
-                waited_ms: u64::try_from(d.budget.as_millis()).unwrap_or(u64::MAX),
-            }),
-        },
-    }
-}
-
-/// One shard's event loop: a private monitor fed from a private channel.
-/// The first ingest error poisons the shard — later chunks are discarded
-/// and every subsequent snapshot reports the original error (matching the
-/// streaming engine's abort-on-first-error contract).
-///
-/// Telemetry contract: `processed` counts every data message consumed
-/// (even on a poisoned shard, so queue depth converges back to zero);
-/// `last_seen` moves only on *producer* traffic — snapshot alignment
-/// advances windows but must not make a silent shard look alive.
-fn shard_worker<C: Tally + Send>(
-    mut monitor: FairnessMonitor,
-    rx: Receiver<ShardMsg<C>>,
-    tel: ShardTelemetry,
-) {
-    let mut failed: Option<DfError> = None;
-    // Local max over producer-supplied timestamps (the worker is
-    // single-threaded, so no atomic max is needed): `last_seen` is "the
-    // newest data time heard", monotone even under out-of-order sends.
-    let mut newest_heard: Option<f64> = None;
-    let mut heard = |tel: &ShardTelemetry, at: f64| {
-        if newest_heard.is_none_or(|n| at > n) {
-            newest_heard = Some(at);
-            tel.last_seen.set(at);
-        }
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Chunk { chunk, at } => {
-                if failed.is_none() {
-                    let before = monitor.records_seen();
-                    let start = wall_clock_now();
-                    match monitor.push_at(&chunk, at) {
-                        Ok(_) => {
-                            let took = wall_clock_now().saturating_duration_since(start);
-                            monitor.telemetry().push_seconds.observe(took.as_secs_f64());
-                            tel.rows.add(monitor.records_seen() - before);
-                            tel.chunks.inc();
-                            heard(&tel, at);
-                        }
-                        Err(e) => failed = Some(e),
+        let target = monitors
+            .iter()
+            .filter_map(|m| m.now_seconds())
+            .chain(now)
+            .reduce(f64::max);
+        let snapshots = monitors
+            .iter_mut()
+            .map(|monitor| {
+                if let (Some(target), Some(clock)) = (target, monitor.now_seconds()) {
+                    if target > clock {
+                        monitor.advance_to(target)?;
                     }
                 }
-                tel.processed.inc();
-            }
-            ShardMsg::Advance { at } => {
-                if failed.is_none() {
-                    match monitor.advance_to(at) {
-                        Ok(_) => heard(&tel, at),
-                        Err(e) => failed = Some(e),
-                    }
+                monitor.snapshot()
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // Pushes resume while the tree folds the copies.
+        drop(monitors);
+        let merged = super::merge_many(&snapshots, &*self.estimator)?;
+        let took = wall_clock_now().saturating_duration_since(start);
+        self.telemetry
+            .snapshot_cut_seconds
+            .observe(took.as_secs_f64());
+        self.telemetry.snapshots.inc();
+        Ok(merged)
+    }
+}
+
+/// Locks one shard. A poisoned lock means a push panicked mid-tally and
+/// the monitor may hold half a chunk, so the shard refuses every later
+/// push and cut with a typed error.
+fn lock(shard: usize, cell: &Mutex<FairnessMonitor>) -> Result<MutexGuard<'_, FairnessMonitor>> {
+    cell.lock().map_err(|_| poisoned(shard))
+}
+
+/// [`lock`] with a deadline: retries `try_lock` every [`LOCK_RETRY`]
+/// until `budget` has passed since `start`.
+fn lock_within(
+    shard: usize,
+    cell: &Mutex<FairnessMonitor>,
+    start: Instant,
+    budget: Duration,
+) -> Result<MutexGuard<'_, FairnessMonitor>> {
+    loop {
+        match cell.try_lock() {
+            Ok(monitor) => return Ok(monitor),
+            Err(TryLockError::Poisoned(_)) => return Err(poisoned(shard)),
+            Err(TryLockError::WouldBlock) => {
+                if wall_clock_now().saturating_duration_since(start) >= budget {
+                    return Err(DfError::Timeout {
+                        what: "fleet snapshot",
+                        waited_ms: u64::try_from(budget.as_millis()).unwrap_or(u64::MAX),
+                    });
                 }
-                tel.processed.inc();
+                std::thread::sleep(LOCK_RETRY);
             }
-            ShardMsg::Clock { reply } => {
-                // df-lint: allow(must-use-results) -- requester gone (timed out / dropped); the reply has no other consumer
-                let _ = reply.send(monitor.now_seconds());
-            }
-            ShardMsg::Snapshot { advance_to, reply } => {
-                // Only advance when the target actually moves this
-                // shard's clock: `advance_to` evaluates alert rules and
-                // change-point detectors (a genuine monitor step), and a
-                // no-op alignment round must not feed them spurious
-                // zero-arrival samples — snapshotting an already-aligned
-                // fleet repeatedly has to leave every shard's detector
-                // state untouched, no matter how often it is polled.
-                // Clockless shards hold empty windows: nothing to evict,
-                // so they are never advanced (or mutated) by alignment.
-                let moves =
-                    advance_to.is_some_and(|at| monitor.now_seconds().is_some_and(|now| at > now));
-                let result = match &failed {
-                    Some(e) => Err(e.clone()),
-                    None if moves => monitor
-                        .advance_to(advance_to.expect("moves implies Some"))
-                        .and_then(|_| monitor.snapshot()),
-                    None => monitor.snapshot(),
-                };
-                // df-lint: allow(must-use-results) -- requester gone (timed out / dropped); the reply has no other consumer
-                let _ = reply.send(result);
-            }
-            ShardMsg::Shutdown => return,
         }
     }
+}
+
+fn poisoned(shard: usize) -> DfError {
+    DfError::Invalid(format!(
+        "fleet shard {shard} is out of service: a push panicked while holding its lock"
+    ))
 }
 
 impl MonitorBuilder {
     /// Turns this monitor configuration into a **fleet**: `shards`
-    /// identical wall-clock monitors, each on its own worker thread
-    /// behind its own channel, merged on demand into the fleet-wide ε.
+    /// identical wall-clock monitors, each behind its own lock, merged on
+    /// demand into the fleet-wide ε.
     ///
     /// Requires a wall-clock window
     /// ([`MonitorBuilder::window_seconds`]): fleet aggregation aligns
@@ -537,16 +263,15 @@ impl MonitorBuilder {
     ///     .estimator(Smoothed { alpha: 1.0 })
     ///     .window_seconds(60.0)
     ///     .bucket_seconds(5.0)
-    ///     .fleet::<Rows>(2)
+    ///     .fleet(2)
     ///     .unwrap();
-    /// let producers = fleet.producers();
-    /// producers[0].send(Rows(vec![[1, 0], [0, 1]]), 3.0).unwrap();
-    /// producers[1].send(Rows(vec![[0, 0], [1, 1]]), 4.5).unwrap();
-    /// let snap = fleet.finish().unwrap();
+    /// fleet.push(0, &Rows(vec![[1, 0], [0, 1]]), 3.0).unwrap();
+    /// fleet.push(1, &Rows(vec![[0, 0], [1, 1]]), 4.5).unwrap();
+    /// let snap = fleet.snapshot().unwrap();
     /// assert_eq!(snap.records_seen, 4);
     /// assert_eq!(snap.now_seconds, Some(4.5));
     /// ```
-    pub fn fleet<C: Tally + Send + 'static>(self, shards: usize) -> Result<FleetIngest<C>> {
+    pub fn fleet(self, shards: usize) -> Result<FleetIngest> {
         if shards == 0 {
             return Err(DfError::Invalid("a fleet needs at least one shard".into()));
         }
@@ -566,11 +291,15 @@ impl MonitorBuilder {
         if let Some(bundle) = self.injected_telemetry() {
             telemetry.monitor = bundle.clone();
         }
-        let shared = telemetry.monitor.clone();
-        let monitors: Vec<FairnessMonitor> = (0..shards)
-            .map(|_| self.clone().telemetry(shared.clone()).build())
+        let shard = self.telemetry(telemetry.monitor.clone());
+        let shards = (0..shards)
+            .map(|_| shard.clone().build().map(Mutex::new))
             .collect::<Result<_>>()?;
-        Ok(FleetIngest::spawn(monitors, estimator, Arc::new(telemetry)))
+        Ok(FleetIngest {
+            shards,
+            estimator,
+            telemetry: Arc::new(telemetry),
+        })
     }
 }
 
@@ -580,6 +309,7 @@ mod tests {
     use crate::builder::{Audit, Smoothed};
     use df_prob::contingency::Axis;
     use df_prob::partial::PartialCounts;
+    use std::sync::mpsc::{channel, Receiver};
 
     struct Pairs(Vec<[usize; 2]>);
 
@@ -592,6 +322,18 @@ mod tests {
         }
     }
 
+    /// One record, tallied once the test opens the gate: its push holds
+    /// the shard lock for exactly as long as the test needs.
+    struct Gate(Receiver<()>);
+
+    impl Tally for Gate {
+        fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
+            self.0.recv().expect("the test opens the gate");
+            shard.record(&[0, 0]);
+            Ok(())
+        }
+    }
+
     fn axes() -> Vec<Axis> {
         vec![
             Axis::from_strs("y", &["no", "yes"]).unwrap(),
@@ -599,7 +341,7 @@ mod tests {
         ]
     }
 
-    fn fleet(shards: usize) -> FleetIngest<Pairs> {
+    fn fleet(shards: usize) -> FleetIngest {
         Audit::monitor("y", axes())
             .estimator(Smoothed { alpha: 1.0 })
             .window_seconds(10.0)
@@ -608,24 +350,27 @@ mod tests {
             .unwrap()
     }
 
+    /// Spins until some other thread holds `shard`'s lock.
+    fn wait_until_held(fleet: &FleetIngest, shard: usize) {
+        while fleet.shards[shard].try_lock().is_ok() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn builder_validates_fleet_configuration() {
         assert!(Audit::monitor("y", axes())
             .window_seconds(10.0)
-            .fleet::<Pairs>(0)
+            .fleet(0)
             .is_err());
         // A record-count window cannot be fleet-aggregated.
-        assert!(Audit::monitor("y", axes())
-            .window(100)
-            .fleet::<Pairs>(2)
-            .is_err());
-        assert!(Audit::monitor("y", axes()).fleet::<Pairs>(2).is_err());
+        assert!(Audit::monitor("y", axes()).window(100).fleet(2).is_err());
+        assert!(Audit::monitor("y", axes()).fleet(2).is_err());
     }
 
     #[test]
     fn snapshot_mutates_nothing_no_matter_how_often_polled() {
-        // The lint-enforced contract behind `ShardMsg::Snapshot`: a
-        // snapshot is a pure read. The first poll may align shard
+        // A snapshot is a pure read. The first poll may align shard
         // clocks (a genuine monitor step on the lagging shards), but
         // every poll after that — with no new traffic — must return a
         // bit-identical snapshot: no zero-arrival windows fed to alert
@@ -633,33 +378,26 @@ mod tests {
         // An armed alert rule makes any accidental advance visible: a
         // spurious zero-arrival window would append to the alert log,
         // which is part of snapshot equality.
-        let fleet: FleetIngest<Pairs> = Audit::monitor("y", axes())
+        let fleet = Audit::monitor("y", axes())
             .estimator(Smoothed { alpha: 1.0 })
             .window_seconds(10.0)
             .bucket_seconds(1.0)
             .alert(crate::monitor::AlertRule::epsilon_above(0.0))
             .fleet(2)
             .unwrap();
-        let producers = fleet.producers();
         // Deliberately skewed shard clocks so the first snapshot has
         // real alignment work to do.
-        producers[0].send(Pairs(vec![[1, 0], [0, 1]]), 3.0).unwrap();
-        producers[1].send(Pairs(vec![[0, 0], [1, 1]]), 7.5).unwrap();
+        fleet.push(0, &Pairs(vec![[1, 0], [0, 1]]), 3.0).unwrap();
+        fleet.push(1, &Pairs(vec![[0, 0], [1, 1]]), 7.5).unwrap();
 
         let first = fleet.snapshot().unwrap();
         for _ in 0..5 {
             let again = fleet.snapshot().unwrap();
             assert_eq!(again, first, "repeat poll mutated the fleet");
         }
-        // Deadline-threaded form is the same pure read.
-        let deadline = first.clone();
-        let via_deadline = fleet
-            .try_snapshot_deadline(
-                wall_clock_now() + Duration::from_secs(5),
-                Duration::from_secs(5),
-            )
-            .unwrap();
-        assert_eq!(via_deadline, deadline);
+        // The bounded form is the same pure read.
+        let bounded = fleet.try_snapshot_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(bounded, first);
         assert_eq!(first.now_seconds, Some(7.5));
         assert_eq!(first.records_seen, 4);
     }
@@ -668,14 +406,14 @@ mod tests {
     fn concurrent_producers_merge_into_one_window() {
         let fleet = fleet(4);
         assert_eq!(fleet.shards(), 4);
-        assert!(fleet.producer(4).is_err());
-        let producers = fleet.producers();
+        assert!(fleet.push(4, &Pairs(vec![[0, 0]]), 0.0).is_err());
         std::thread::scope(|scope| {
-            for (i, producer) in producers.into_iter().enumerate() {
+            for i in 0..4 {
+                let fleet = &fleet;
                 scope.spawn(move || {
                     for t in 0..5 {
-                        producer
-                            .send(Pairs(vec![[1, i % 2], [0, 1 - i % 2]]), t as f64)
+                        fleet
+                            .push(i, &Pairs(vec![[1, i % 2], [0, 1 - i % 2]]), t as f64)
                             .unwrap();
                     }
                 });
@@ -688,24 +426,18 @@ mod tests {
         // The fleet is balanced overall: 10 of each (y, g) cell.
         assert_eq!(snap.window.data, vec![10.0, 10.0, 10.0, 10.0]);
         assert_eq!(snap.epsilon.epsilon, 0.0);
-        // finish() drains and shuts down; producers then error.
-        let producer = fleet.producer(0).unwrap();
-        let last = fleet.finish().unwrap();
-        assert_eq!(last.records_seen, 40);
-        assert!(producer.send(Pairs(vec![[0, 0]]), 9.0).is_err());
     }
 
     #[test]
     fn telemetry_tracks_traffic_staleness_and_cuts() {
         let fleet = fleet(2);
         let tel = Arc::clone(fleet.telemetry());
-        let p0 = fleet.producer(0).unwrap();
-        let p1 = fleet.producer(1).unwrap();
-        p0.send(Pairs(vec![[1, 0], [0, 1]]), 10.0).unwrap();
-        p1.send(Pairs(vec![[0, 0]]), 4.0).unwrap();
+        fleet.push(0, &Pairs(vec![[1, 0], [0, 1]]), 10.0).unwrap();
+        fleet.push(1, &Pairs(vec![[0, 0]]), 4.0).unwrap();
         let snap = fleet.snapshot().unwrap();
         assert_eq!(snap.records_seen, 3);
-        // The cut drained both queues; per-shard traffic is accounted.
+        // Every push returned, so nothing waits; per-shard traffic is
+        // accounted.
         assert_eq!(tel.queue_depth_total(), 0);
         assert_eq!(tel.rows_total(), 3);
         assert_eq!(tel.shard(0).rows.get(), 2);
@@ -727,12 +459,10 @@ mod tests {
     #[test]
     fn snapshot_aligns_stale_shard_clocks() {
         let fleet = fleet(2);
-        let fast = fleet.producer(0).unwrap();
-        let slow = fleet.producer(1).unwrap();
         // The slow shard's traffic is old enough to be outside the window
         // relative to the fast shard's clock.
-        slow.send(Pairs(vec![[1, 0], [1, 0]]), 2.0).unwrap();
-        fast.send(Pairs(vec![[0, 1], [1, 1]]), 30.0).unwrap();
+        fleet.push(1, &Pairs(vec![[1, 0], [1, 0]]), 2.0).unwrap();
+        fleet.push(0, &Pairs(vec![[0, 1], [1, 1]]), 30.0).unwrap();
         let snap = fleet.snapshot().unwrap();
         // Clock alignment evicted the slow shard's stale bucket: only the
         // fast shard's chunk remains in the fleet window.
@@ -744,13 +474,13 @@ mod tests {
     #[test]
     fn idle_advance_keeps_draining() {
         let fleet = fleet(1);
-        let producer = fleet.producer(0).unwrap();
-        producer.send(Pairs(vec![[1, 0], [0, 1]]), 1.0).unwrap();
-        producer.advance_to(100.0).unwrap();
-        let snap = fleet.snapshot().unwrap();
+        fleet.push(0, &Pairs(vec![[1, 0], [0, 1]]), 1.0).unwrap();
+        let snap = fleet.snapshot_at(100.0).unwrap();
         assert_eq!(snap.window_rows, 0);
         assert_eq!(snap.records_seen, 2);
         assert_eq!(snap.now_seconds, Some(100.0));
+        // The drain is a real clock step: an unstamped cut stays there.
+        assert_eq!(fleet.snapshot().unwrap(), snap);
     }
 
     #[test]
@@ -765,32 +495,23 @@ mod tests {
 
     #[test]
     fn try_snapshot_timeout_bounds_the_wait_on_a_stuck_shard() {
-        struct Stall(Duration);
-        impl Tally for Stall {
-            fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-                std::thread::sleep(self.0);
-                shard.record(&[0, 0]);
-                Ok(())
-            }
-        }
-        let fleet: FleetIngest<Stall> = Audit::monitor("y", axes())
-            .estimator(Smoothed { alpha: 1.0 })
-            .window_seconds(10.0)
-            .fleet(2)
-            .unwrap();
-        let producer = fleet.producer(0).unwrap();
-        // The shard worker sleeps half a second tallying this chunk; the
-        // bounded snapshot gives up long before that.
-        producer
-            .send(Stall(Duration::from_millis(500)), 1.0)
-            .unwrap();
-        let err = fleet
-            .try_snapshot_timeout(Duration::from_millis(20))
-            .unwrap_err();
-        assert!(
-            matches!(err, DfError::Timeout { waited_ms: 20, .. }),
-            "expected Timeout, got {err:?}"
-        );
+        let fleet = fleet(2);
+        let (open, gate) = channel();
+        std::thread::scope(|scope| {
+            // Another thread's push holds shard 0 until the gate opens;
+            // the bounded cut gives up first.
+            let stalled = scope.spawn(|| fleet.push(0, &Gate(gate), 1.0));
+            wait_until_held(&fleet, 0);
+            let err = fleet
+                .try_snapshot_timeout(Duration::from_millis(20))
+                .unwrap_err();
+            assert!(
+                matches!(err, DfError::Timeout { waited_ms: 20, .. }),
+                "expected Timeout, got {err:?}"
+            );
+            open.send(()).unwrap();
+            stalled.join().unwrap().unwrap();
+        });
         // The cut was only delayed, not lost: an unbounded snapshot later
         // sees the chunk, and a generous bounded wait succeeds too.
         let snap = fleet.snapshot().unwrap();
@@ -800,7 +521,45 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_chunks_poison_their_shard_with_a_typed_error() {
+    fn a_stalled_shard_blocks_its_producers_instead_of_buffering() {
+        let fleet = fleet(2);
+        let depth = || fleet.telemetry().shard(0).queue_depth();
+        let (open, gate) = channel();
+        std::thread::scope(|scope| {
+            let stalled = scope.spawn(|| fleet.push(0, &Gate(gate), 1.0));
+            wait_until_held(&fleet, 0);
+            let producers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..100 {
+                            fleet.push(0, &Pairs(vec![[1, 0]]), 1.0).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            // Other shards keep serving while shard 0 is stalled.
+            fleet.push(1, &Pairs(vec![[0, 1]]), 1.0).unwrap();
+            // One push holds the lock and each producer waits with one
+            // chunk in hand: nothing else is buffered, before or after
+            // the stall ends.
+            while depth() < 9 {
+                std::thread::yield_now();
+            }
+            open.send(()).unwrap();
+            let mut deepest = 9;
+            while !producers.iter().all(|p| p.is_finished()) {
+                deepest = deepest.max(depth());
+                std::thread::yield_now();
+            }
+            assert_eq!(deepest, 9);
+            stalled.join().unwrap().unwrap();
+        });
+        assert_eq!(fleet.snapshot().unwrap().records_seen, 802);
+        assert_eq!(fleet.telemetry().queue_depth_total(), 0);
+    }
+
+    #[test]
+    fn corrupt_chunks_fail_their_own_push_with_a_typed_error() {
         struct Weighted(f64);
         impl Tally for Weighted {
             fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
@@ -808,16 +567,41 @@ mod tests {
                 Ok(())
             }
         }
-        let fleet: FleetIngest<Weighted> = Audit::monitor("y", axes())
+        let fleet = Audit::monitor("y", axes())
             .window_seconds(10.0)
             .fleet(2)
             .unwrap();
-        let producer = fleet.producer(0).unwrap();
-        producer.send(Weighted(-1.0), 1.0).unwrap();
-        producer.send(Weighted(2.0), 2.0).unwrap();
-        let err = fleet.snapshot().unwrap_err();
-        assert!(err.to_string().contains("finite, non-negative"));
-        // The error is sticky: reported again on the next snapshot.
+        let err = fleet.push(0, &Weighted(-1.0), 1.0).unwrap_err();
+        assert!(err.to_string().contains("finite, non-negative"), "{err}");
+        // A timestamp the window already left is refused the same way.
+        fleet.push(0, &Weighted(2.0), 30.0).unwrap();
+        let err = fleet.push(0, &Weighted(1.0), 2.0).unwrap_err();
+        assert!(err.to_string().contains("left the window"), "{err}");
+        // The shard keeps serving, holding only the accepted chunk.
+        let snap = fleet.snapshot().unwrap();
+        assert_eq!(snap.records_seen, 2);
+        assert_eq!(fleet.telemetry().shard(0).chunks.get(), 1);
+        assert_eq!(fleet.telemetry().queue_depth_total(), 0);
+    }
+
+    #[test]
+    fn a_panicking_push_takes_only_its_shard_out_of_service() {
+        struct Panics;
+        impl Tally for Panics {
+            fn tally_into(&self, _: &mut PartialCounts) -> df_prob::Result<()> {
+                panic!("tally bug")
+            }
+        }
+        let fleet = fleet(2);
+        std::thread::scope(|scope| {
+            assert!(scope.spawn(|| fleet.push(0, &Panics, 1.0)).join().is_err());
+        });
+        let err = fleet.push(0, &Pairs(vec![[0, 0]]), 1.0).unwrap_err();
+        assert!(
+            matches!(&err, DfError::Invalid(m) if m.contains("shard 0")),
+            "{err:?}"
+        );
         assert!(fleet.snapshot().is_err());
+        fleet.push(1, &Pairs(vec![[0, 0]]), 1.0).unwrap();
     }
 }

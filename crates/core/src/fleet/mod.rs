@@ -18,10 +18,10 @@
 //!   accumulation, byte-identical to the sequential pairwise
 //!   [`crate::monitor::MonitorSnapshot::merge`] fold for every tree
 //!   shape and leaf order.
-//! - [`ingest`]: [`FleetIngest`] — a backpressure-free concurrent
-//!   front-end: N producers feed N private per-shard monitors over
-//!   channels (no shared lock on the hot path), and
-//!   [`FleetIngest::snapshot`] drains, clock-aligns, and merges. Built
+//! - [`ingest`]: [`FleetIngest`] — a concurrent front-end of N
+//!   per-shard monitors, each behind its own lock: a push locks one
+//!   shard and tallies before it returns, and [`FleetIngest::snapshot`]
+//!   locks every shard, clock-aligns and merges in one round. Built
 //!   from the fluent chain:
 //!   `Audit::monitor(..).window_seconds(T).fleet(n)`.
 //!
@@ -37,6 +37,6 @@ pub mod telemetry;
 pub mod tree;
 
 pub use codec::{decode_snapshot, encode_snapshot, SnapshotDecoder, SnapshotEncoder};
-pub use ingest::{FleetIngest, FleetProducer};
+pub use ingest::FleetIngest;
 pub use telemetry::{FleetTelemetry, ShardTelemetry};
 pub use tree::{merge_many, merge_tree};

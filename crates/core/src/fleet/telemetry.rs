@@ -1,53 +1,51 @@
 //! Fleet ingest telemetry: per-shard traffic accounting, queue depths,
 //! staleness, and consistent-cut latency.
 //!
-//! All of it rides `df-obs` atomics, so the ingest hot path pays one or
-//! two relaxed atomic ops per message and the serving layer reads live
-//! values at scrape time without touching the shard channels. Two
-//! different notions of time coexist here, deliberately:
+//! All of it rides `df-obs` atomics, so a push pays a few relaxed atomic
+//! ops and the serving layer reads live values at scrape time without
+//! touching the shard locks. Two different notions of time coexist
+//! here, deliberately:
 //!
 //! - **Data time** (caller-supplied `at` seconds, the same timestamps
 //!   the windows run on): [`ShardTelemetry::last_seen`] tracks the
-//!   newest `at` each shard has *processed*, and
+//!   newest `at` each shard has *tallied*, and
 //!   [`FleetTelemetry::max_lag_seconds`] derives the worst shard's
 //!   staleness against the fleet-wide maximum — a dead replica shows up
 //!   as monotonically growing lag, a signal instead of a blind spot.
-//!   Snapshot clock-alignment rounds do **not** touch `last_seen`: they
-//!   advance monitor windows, but only real producer traffic counts as
-//!   "heard from".
+//!   Cut clock alignment does **not** touch `last_seen`: it advances
+//!   monitor windows, but only real pushes count as "heard from".
 //! - **Wall time** ([`FleetTelemetry::snapshot_cut_seconds`], plus the
 //!   push-latency histogram on the shared [`MonitorTelemetry`]): measured
-//!   by the ingest layer through its single audited liveness seam,
-//!   never fed back into any window or ε.
+//!   by the ingest layer through its single audited clock seam, never
+//!   fed back into any window or ε.
 //!
-//! Queue depth is the difference of two counters (`enqueued` by
-//! producers, `processed` by the worker) because `std::sync::mpsc`
-//! exposes no length; the reads are racy by a message or two, which is
+//! Queue depth is the number of pushes waiting for or holding a shard's
+//! lock: `enqueued` counts a push before it takes the lock, `processed`
+//! after it returns. The two reads are racy by a push or two, which is
 //! fine for a gauge.
 
 use crate::monitor::MonitorTelemetry;
 use df_obs::{Counter, Gauge, Histogram};
 
-/// Telemetry for one ingest shard. `Clone` shares cells (the producer
-/// side bumps `enqueued`, the worker side everything else).
+/// Telemetry for one ingest shard. `Clone` shares cells.
 #[derive(Clone, Debug, Default)]
 pub struct ShardTelemetry {
     /// Records ingested by this shard's monitor.
     pub rows: Counter,
-    /// Chunk messages processed.
+    /// Chunks tallied.
     pub chunks: Counter,
-    /// Data messages (chunks + advances) enqueued by producers.
+    /// Pushes started (counted before the shard lock is taken).
     pub enqueued: Counter,
-    /// Data messages the worker has finished processing.
+    /// Pushes returned, accepted or refused.
     pub processed: Counter,
-    /// Newest data timestamp (`at` seconds) this shard has processed;
-    /// unset (`NaN`) until the first chunk or advance.
+    /// Newest data timestamp (`at` seconds) this shard has tallied;
+    /// unset (`NaN`) until the first accepted push.
     pub last_seen: Gauge,
 }
 
 impl ShardTelemetry {
-    /// Messages enqueued but not yet processed (racy by design; clamped
-    /// at zero when the reads interleave).
+    /// Pushes waiting for or holding the shard lock (racy by design;
+    /// clamped at zero when the reads interleave).
     pub fn queue_depth(&self) -> u64 {
         self.enqueued.get().saturating_sub(self.processed.get())
     }
@@ -58,8 +56,8 @@ impl ShardTelemetry {
 #[derive(Debug)]
 pub struct FleetTelemetry {
     shards: Vec<ShardTelemetry>,
-    /// Wall-clock duration of consistent-cut rounds (clock discovery +
-    /// alignment + merge), in seconds.
+    /// Wall-clock duration of consistent cuts (lock sweep + alignment +
+    /// merge), in seconds.
     pub snapshot_cut_seconds: Histogram,
     /// Consistent cuts completed successfully.
     pub snapshots: Counter,
@@ -94,12 +92,12 @@ impl FleetTelemetry {
         self.shards.iter().map(|s| s.rows.get()).sum()
     }
 
-    /// Total enqueued-but-unprocessed messages across all shards.
+    /// Pushes waiting for or holding a shard lock, across all shards.
     pub fn queue_depth_total(&self) -> u64 {
         self.shards.iter().map(|s| s.queue_depth()).sum()
     }
 
-    /// The newest data timestamp any shard has processed (`None` until
+    /// The newest data timestamp any shard has tallied (`None` until
     /// some shard hears real traffic).
     pub fn fleet_last_seen(&self) -> Option<f64> {
         self.shards

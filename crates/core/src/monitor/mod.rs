@@ -107,6 +107,7 @@ mod telemetry;
 pub use changepoint::{
     ChangeSignal, ChangepointAlarm, ChangepointSpec, ChangepointStatus, Cusum, PageHinkley,
 };
+pub use ring::validate_timestamp;
 pub use snapshot::{CountsSnapshot, MonitorSnapshot};
 pub use telemetry::MonitorTelemetry;
 

@@ -38,7 +38,10 @@ use std::collections::VecDeque;
 /// cast can never saturate.
 const MAX_TIMESTAMP_SECONDS: f64 = 1e15;
 
-fn validate_timestamp(ts: f64) -> Result<()> {
+/// Refuses a timestamp no wall-clock window accepts: non-finite, negative,
+/// or above 10¹⁵ seconds. The one definition of the range, for callers
+/// that must check before they commit to a timestamp.
+pub fn validate_timestamp(ts: f64) -> Result<()> {
     if !ts.is_finite() || !(0.0..=MAX_TIMESTAMP_SECONDS).contains(&ts) {
         return Err(DfError::Invalid(format!(
             "monitor timestamps must be finite seconds in [0, {MAX_TIMESTAMP_SECONDS:e}], got {ts}"

@@ -10,10 +10,10 @@
 //!   functions of the ingested stream, so replaying a recorded stream
 //!   reproduces them exactly.
 //! - **caller-measured durations** — [`MonitorTelemetry::push_seconds`]
-//!   is observed by whoever *drives* the monitor and owns a clock (the
-//!   fleet shard worker times `push_at` through its audited liveness
-//!   seam; a standalone embedder times it however it likes). The
-//!   monitor itself never samples time.
+//!   is observed by whoever *drives* the monitor and owns a clock
+//!   ([`crate::fleet::FleetIngest::push`] times `push_at` through its
+//!   audited clock seam; a standalone embedder times it however it
+//!   likes). The monitor itself never samples time.
 //!
 //! Handles are `Arc`-backed clones: the fleet front-end injects **one
 //! shared bundle** into every shard monitor

@@ -1,15 +1,14 @@
 //! Ingest body decoding: a JSON or CSV record body goes in one pass
-//! straight to column-major `u32` codes, ready to enqueue as a
+//! straight to column-major `u32` codes, ready to push as a
 //! [`CodeChunk`].
 //!
 //! The label → code [`Catalog`] is built once from the server's axes.
 //! Interning *is* the validation: a label outside its axis's vocabulary,
 //! or a row with the wrong number of labels, is a failed lookup that
-//! rejects the whole body before anything reaches a shard, so shard
-//! workers are never poisoned over HTTP. Labels are looked up where they
-//! lie in the body; only a JSON label holding an escape or a CSV field
-//! holding `""` is copied first. The code columns are sized from the
-//! body length, never from a count the body declares.
+//! rejects the whole body before anything reaches a shard. Labels are
+//! looked up where they lie in the body; only a JSON label holding an
+//! escape or a CSV field holding `""` is copied first. The code columns
+//! are sized from the body length, never from a count the body declares.
 //!
 //! JSON bodies follow `serde_json::parse`'s grammar exactly: ASCII
 //! whitespace between tokens, `\uXXXX` escapes including surrogate

@@ -8,6 +8,12 @@
 //! questions per request — estimator, subset-lattice slice, window, and
 //! wire format are all chosen per query.
 //!
+//! A default server runs five threads: one accept loop and four
+//! connection workers ([`ServerBuilder::workers`]). The one `FleetIngest`
+//! adds none — a worker pushes a record body into its shard's locked
+//! monitor before it answers, and a read cuts the shards on the worker
+//! that serves it.
+//!
 //! ## Endpoints
 //!
 //! | Route | Method | Purpose |

@@ -237,7 +237,7 @@ impl ServerObs {
             ),
             (
                 "df_ingest_queue_depth",
-                "Messages enqueued but not yet processed, per shard.",
+                "Pushes waiting for or holding the shard lock, per shard.",
             ),
             (
                 "df_shard_last_seen_seconds",

@@ -11,22 +11,26 @@
 //! last resolution, reads reuse the merged snapshot (and the rendered
 //! response bytes) without touching the fleet at all — that is what makes
 //! tens of thousands of audit requests per second cheap between ingest
-//! bursts. The first read after an ingest pays one consistent-cut round
-//! plus one ε recomputation.
+//! bursts. The first read after an ingest pays one consistent cut plus
+//! one ε recomputation.
 //!
-//! ## Why bad input cannot poison a shard
+//! ## Why bad input is refused before it reaches a shard
 //!
-//! [`df_core::fleet::FleetIngest`] deliberately validates chunks on the
-//! worker and poisons the shard on the first error (sticky, like the
-//! streaming engine). A public HTTP endpoint cannot afford an input that
-//! bricks a shard, so a record body only reaches the fleet as a
-//! [`CodeChunk`] that is valid by construction. Interning is the
-//! validation: the body decoder looks every label up in the catalog built
-//! from the schema, and an unknown label or a row of the wrong arity is a
-//! failed lookup that rejects the whole request. The timestamp is checked
-//! against a conservative lower bound (`max_seen − T + b`) that provably
-//! can never land behind any shard's window horizon. Shards then tally
-//! the codes with the trusted columnar kernel, resolving no label again.
+//! [`df_core::fleet::FleetIngest::push`] tallies under the shard lock
+//! before the request answers, and a chunk or timestamp the monitor
+//! refuses fails that one push and leaves the shard unchanged: a
+//! per-request 400. The server still refuses bad input before the push,
+//! so that a refused request moves no server state either. A record body
+//! only reaches the fleet as a [`CodeChunk`] that is valid by
+//! construction. Interning is the validation: the body decoder looks
+//! every label up in the catalog built from the schema, and an unknown
+//! label or a row of the wrong arity is a failed lookup that rejects the
+//! whole request. The timestamp must lie in the monitor's range
+//! ([`df_core::monitor::validate_timestamp`]) before it may raise
+//! `max_seen`, and must clear a conservative lower bound
+//! (`max_seen − T + b`) that provably can never land behind any shard's
+//! window horizon. Shards then tally the codes with the trusted columnar
+//! kernel, resolving no label again.
 
 use crate::decode::Catalog;
 use crate::http::Response;
@@ -34,7 +38,9 @@ use crate::obs::{AccessLogFn, ServerObs};
 use df_core::builder::{Audit, EpsilonEstimator, SubsetPolicy};
 use df_core::fleet::{merge_many, FleetIngest, FleetTelemetry, SnapshotDecoder};
 use df_core::metric::Metric;
-use df_core::monitor::{AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot};
+use df_core::monitor::{
+    validate_timestamp, AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot,
+};
 use df_core::{DfError, Result};
 use df_data::replay::CodeChunk;
 use df_prob::contingency::Axis;
@@ -88,7 +94,7 @@ pub struct ServerState {
     bucket_seconds: f64,
     decay: Option<f64>,
     snapshot_timeout: Duration,
-    fleet: FleetIngest<CodeChunk>,
+    fleet: FleetIngest,
     /// The zero snapshot of an identically configured monitor; the
     /// compatibility yardstick for posted wire snapshots.
     reference: MonitorSnapshot,
@@ -125,7 +131,7 @@ impl ServerState {
             b
         };
         let reference = builder().build()?.snapshot()?;
-        let fleet = builder().fleet::<CodeChunk>(cfg.shards)?;
+        let fleet = builder().fleet(cfg.shards)?;
         let obs = ServerObs::new(
             fleet.telemetry(),
             cfg.latency_bounds.as_deref(),
@@ -227,11 +233,10 @@ impl ServerState {
         &self.catalog
     }
 
-    /// Interns rows of label strings against the catalog and enqueues
-    /// them like a decoded record body. Returns `(rows accepted, shard
-    /// used)`. Nothing reaches the fleet unless every row is valid — an
-    /// atomic accept/reject per request, and the reason shard workers can
-    /// never be poisoned over HTTP.
+    /// Interns rows of label strings against the catalog and pushes them
+    /// like a decoded record body. Returns `(rows accepted, shard used)`.
+    /// Nothing reaches the fleet unless every row is valid — an atomic
+    /// accept/reject per request.
     pub fn ingest_rows(
         &self,
         rows: Vec<Vec<String>>,
@@ -241,7 +246,7 @@ impl ServerState {
         self.ingest_chunk(self.catalog.encode_rows(&rows)?, at, shard)
     }
 
-    /// Checks the timestamp and shard of a decoded chunk and enqueues it.
+    /// Checks the timestamp and shard of a decoded chunk and pushes it.
     /// Returns `(rows accepted, shard used)`.
     pub(crate) fn ingest_chunk(
         &self,
@@ -261,22 +266,19 @@ impl ServerState {
             None => self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards(),
         };
         let accepted = chunk.n_rows();
-        self.fleet.producer(shard)?.send(chunk, at)?;
+        self.fleet.push(shard, &chunk, at)?;
         self.bump_version();
         Ok((accepted, shard))
     }
 
-    /// Refuses timestamps the window could reject: non-finite, or older
-    /// than `max_seen − T + b`. Every shard clock is at most `max_seen`,
-    /// and a timestamp at least `now − T + b` always lands in an
-    /// in-window bucket, so anything passing this check is provably safe
-    /// on whichever shard it reaches.
+    /// Refuses timestamps the window could reject: outside the monitor's
+    /// range, or older than `max_seen − T + b`. The range check comes
+    /// first, so a refused timestamp never raises `max_seen`. Every shard
+    /// clock is at most `max_seen`, and a timestamp at least
+    /// `now − T + b` always lands in an in-window bucket, so anything
+    /// passing this check is provably safe on whichever shard it reaches.
     fn check_timestamp(&self, at: f64) -> Result<()> {
-        if !at.is_finite() {
-            return Err(DfError::Invalid(format!(
-                "record timestamp must be finite, got {at}"
-            )));
-        }
+        validate_timestamp(at)?;
         let mut max_seen = lock_recover(&self.max_seen);
         if let Some(max) = *max_seen {
             let floor = max - self.window_seconds + self.bucket_seconds;

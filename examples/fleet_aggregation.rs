@@ -7,9 +7,10 @@
 //! steps from 0.2 to 1.6 at t = 150 s) and shows the three fleet layers
 //! working together:
 //!
-//! 1. **Concurrent sharded ingestion**: 4 producers feed 4 private
-//!    monitors through `FleetIngest` — no shared lock on the hot path.
-//! 2. **Merge-tree aggregation**: every 30 s tick, `snapshot_at` drains
+//! 1. **Concurrent sharded ingestion**: 4 producer threads push into 4
+//!    shard monitors through `FleetIngest`, each shard behind its own
+//!    lock — producers on different shards never wait on each other.
+//! 2. **Merge-tree aggregation**: every 30 s tick, `snapshot_at` locks
 //!    the shards, aligns their clocks, and folds their snapshots into
 //!    the fleet-wide ε over the *union* of traffic.
 //! 3. **Binary snapshot transport**: each fleet tick ships through the
@@ -50,7 +51,7 @@ fn main() {
         Axis::from_strs("attr0", &["v0", "v1"]).unwrap(),
         Axis::from_strs("attr1", &["v0", "v1"]).unwrap(),
     ];
-    let fleet: FleetIngest<TimedChunk> = Audit::monitor("outcome", axes)
+    let fleet: FleetIngest = Audit::monitor("outcome", axes)
         .estimator(Smoothed { alpha: 1.0 })
         .window_seconds(60.0)
         .bucket_seconds(5.0)
@@ -75,17 +76,17 @@ fn main() {
         // Each producer thread pushes its replica's buckets up to `until`.
         std::thread::scope(|scope| {
             for (shard, (feed, cursor)) in feeds.iter().zip(&mut cursors).enumerate() {
-                let producer = fleet.producer(shard).unwrap();
+                let fleet = &fleet;
                 scope.spawn(move || {
                     while *cursor < feed.len() && feed[*cursor].timestamp < until {
                         let chunk = &feed[*cursor];
-                        producer.send(chunk.clone(), chunk.timestamp).unwrap();
+                        fleet.push(shard, chunk, chunk.timestamp).unwrap();
                         *cursor += 1;
                     }
                 });
             }
         });
-        // The aggregation tick: drain, clock-align, merge — then ship the
+        // The aggregation tick: lock, clock-align, merge — then ship the
         // fleet snapshot through the binary codec (as a replica would).
         let snap = fleet.snapshot_at(until).unwrap();
         let frame = encoder.encode(&snap).unwrap();
@@ -107,7 +108,7 @@ fn main() {
     // The per-silo blind spot: audit each shard alone vs the fleet.
     let finals: Vec<MonitorSnapshot> = (0..4)
         .map(|shard| {
-            let lone: FleetIngest<TimedChunk> = Audit::monitor(
+            let lone: FleetIngest = Audit::monitor(
                 "outcome",
                 vec![
                     Axis::from_strs("outcome", &["y0", "y1"]).unwrap(),
@@ -120,11 +121,10 @@ fn main() {
             .bucket_seconds(5.0)
             .fleet(1)
             .unwrap();
-            let producer = lone.producer(0).unwrap();
             for chunk in &feeds[shard] {
-                producer.send(chunk.clone(), chunk.timestamp).unwrap();
+                lone.push(0, chunk, chunk.timestamp).unwrap();
             }
-            lone.finish().unwrap()
+            lone.snapshot().unwrap()
         })
         .collect();
     println!("\nfinal 60 s window, per-silo vs fleet:");
@@ -163,7 +163,7 @@ fn main() {
         drifting.epsilon.epsilon, fleet_eps.epsilon.epsilon
     );
 
-    let last = fleet.finish().unwrap();
+    let last = fleet.snapshot().unwrap();
     println!(
         "fleet ingested {} records across 4 shards; final fleet eps = {:.3}",
         last.records_seen, last.epsilon.epsilon

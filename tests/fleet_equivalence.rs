@@ -238,18 +238,18 @@ proptest! {
             })
             .collect();
         // The fleet: one producer thread per shard.
-        let fleet: FleetIngest<Pairs> = build().fleet(n_shards).unwrap();
+        let fleet: FleetIngest = build().fleet(n_shards).unwrap();
         std::thread::scope(|scope| {
             for (i, feed) in feeds.iter().enumerate() {
-                let producer = fleet.producer(i).unwrap();
+                let fleet = &fleet;
                 scope.spawn(move || {
                     for (chunk, at) in feed {
-                        producer.send(chunk.clone(), *at).unwrap();
+                        fleet.push(i, chunk, *at).unwrap();
                     }
                 });
             }
         });
-        let merged = fleet.finish().unwrap();
+        let merged = fleet.snapshot().unwrap();
         // The reference: one monitor over the same records in timestamp
         // order (stable within equal timestamps — same-bucket arrivals
         // commute through the counts monoid).

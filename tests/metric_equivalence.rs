@@ -215,16 +215,11 @@ fn every_metric_reports_identically_across_all_five_paths() {
         let snap_json = serde_json::to_string(&snap).unwrap();
 
         // Path 4: 4-shard fleet ingest of the round-robined chunks.
-        let fleet: FleetIngest<TimedChunk> = monitor_builder().fleet(4).unwrap();
-        {
-            let producers: Vec<_> = (0..4).map(|i| fleet.producer(i).unwrap()).collect();
-            for (i, chunk) in chunks.iter().enumerate() {
-                producers[i % 4]
-                    .send(chunk.clone(), chunk.timestamp)
-                    .unwrap();
-            }
+        let fleet: FleetIngest = monitor_builder().fleet(4).unwrap();
+        for (i, chunk) in chunks.iter().enumerate() {
+            fleet.push(i % 4, chunk, chunk.timestamp).unwrap();
         }
-        let merged = fleet.finish().unwrap();
+        let merged = fleet.snapshot().unwrap();
         assert_eq!(
             serde_json::to_string(&merged).unwrap(),
             snap_json,

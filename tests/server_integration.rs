@@ -679,10 +679,33 @@ fn stale_timestamps_are_refused_without_poisoning_shards() {
         .unwrap();
     assert_eq!(edge.status, 200, "{}", edge.text());
 
-    // Every shard still answers: the reject never reached a worker.
+    // Timestamps outside the monitor's range are refused at the door and
+    // do not move the staleness floor: real-time ingest still lands.
+    for at in ["-5", "1e16"] {
+        let out_of_range = c
+            .request(
+                "POST",
+                &format!("/v1/ingest/records?at={at}"),
+                &[],
+                &json_chunk(&[row(0)], 1000.0),
+            )
+            .unwrap();
+        assert_eq!(out_of_range.status, 400, "{at}: {}", out_of_range.text());
+    }
+    let again = c
+        .request(
+            "POST",
+            "/v1/ingest/records?at=1000",
+            &[],
+            &json_chunk(&[row(0)], 1000.0),
+        )
+        .unwrap();
+    assert_eq!(again.status, 200, "{}", again.text());
+
+    // Every shard still answers: the rejects never reached a shard.
     let audit = c.get("/v1/audit").unwrap();
     assert_eq!(audit.status, 200, "{}", audit.text());
-    assert!(audit.text().contains("\"n_records\":2"), "{}", audit.text());
+    assert!(audit.text().contains("\"n_records\":3"), "{}", audit.text());
 
     server.shutdown();
 }
