@@ -1,5 +1,5 @@
 //! Criterion bench: the fleet aggregation subsystem — snapshot transport
-//! (binary vs JSON), merge trees, and concurrent sharded ingestion.
+//! (binary vs JSON), the snapshot fold, and concurrent sharded ingestion.
 //!
 //! Three questions, matching the three fleet layers:
 //!

@@ -1330,18 +1330,7 @@ mod tests {
 
     #[test]
     fn of_stream_matches_of_counts_byte_for_byte() {
-        struct Rows(Vec<[usize; 3]>);
-        impl df_prob::partial::Tally for Rows {
-            fn tally_into(
-                &self,
-                shard: &mut df_prob::partial::PartialCounts,
-            ) -> df_prob::Result<()> {
-                for idx in &self.0 {
-                    shard.record(idx);
-                }
-                Ok(())
-            }
-        }
+        use crate::monitor::tests::Rows;
         // Table 1 as a record stream.
         let counts = table1();
         let mut rows: Vec<[usize; 3]> = Vec::new();
@@ -1352,7 +1341,8 @@ mod tests {
         }
         let axes = counts.table().axes().to_vec();
         for threads in [1, 2, 4] {
-            let chunks: Vec<Result<Rows>> = rows.chunks(97).map(|c| Ok(Rows(c.to_vec()))).collect();
+            let chunks: Vec<Result<Rows<3>>> =
+                rows.chunks(97).map(|c| Ok(Rows(c.to_vec()))).collect();
             let streamed = Audit::of_stream("outcome", axes.clone(), chunks, threads)
                 .unwrap()
                 .bootstrap(25, 7)

@@ -882,27 +882,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MonitorSnapshot> {
 mod tests {
     use super::*;
     use crate::builder::{Audit, Smoothed, SubsetPolicy};
+    use crate::monitor::tests::{axes, Rows};
     use crate::monitor::Cusum;
-    use df_prob::contingency::Axis;
-    use df_prob::partial::{PartialCounts, Tally};
-
-    struct Pairs(Vec<[usize; 2]>);
-
-    impl Tally for Pairs {
-        fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-            for idx in &self.0 {
-                shard.record(idx);
-            }
-            Ok(())
-        }
-    }
-
-    fn axes() -> Vec<Axis> {
-        vec![
-            Axis::from_strs("y", &["no", "yes"]).unwrap(),
-            Axis::from_strs("g", &["a", "b"]).unwrap(),
-        ]
-    }
 
     fn live_snapshot() -> MonitorSnapshot {
         let mut monitor = Audit::monitor("y", axes())
@@ -917,7 +898,7 @@ mod tests {
             .unwrap();
         for t in 0..8 {
             monitor
-                .push_at(&Pairs(vec![[1, 0], [1, 0], [0, 1], [1, 1]]), t as f64)
+                .push_at(&Rows(vec![[1, 0], [1, 0], [0, 1], [1, 1]]), t as f64)
                 .unwrap();
         }
         monitor.snapshot().unwrap()
@@ -1126,7 +1107,7 @@ mod tests {
                 .window_seconds(4.0)
                 .build()
                 .unwrap();
-            monitor.push_at(&Pairs(vec![[0, 0], [1, 1]]), 1.0).unwrap();
+            monitor.push_at(&Rows(vec![[0, 0], [1, 1]]), 1.0).unwrap();
             monitor.snapshot().unwrap()
         };
         let snap_for = |i: usize| {

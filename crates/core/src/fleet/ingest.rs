@@ -13,11 +13,14 @@
 //! A cut ([`FleetIngest::snapshot`]) locks every shard in index order — a
 //! push holds one lock at a time, so no two callers can deadlock —
 //! advances each lagging shard clock once to the fleet-wide maximum (so
-//! every window evicts against the same horizon), snapshots the shards,
-//! releases the locks and folds the snapshots through the aggregation
-//! tree ([`super::merge_many`]). Everything pushed before the cut is in
-//! it, and one round is always aligned: no push can land between the
-//! clock read and the snapshots.
+//! every window evicts against the same horizon), copies each shard's
+//! mergeable state (counts, clock, totals, logs, detector states) and
+//! releases the locks. It then folds the copies, and any replica
+//! snapshots the caller hands it after them, and derives the statistics
+//! once, at the root: no shard computes an ε that the merge would throw
+//! away, and none is computed under a shard lock. Everything pushed
+//! before the cut is in it, and one round is always aligned: no push can
+//! land between the clock read and the copies.
 //!
 //! Because each shard feeds its monitor in its own timestamp order and
 //! snapshot merging is the counts monoid, the merged fleet snapshot is
@@ -115,19 +118,28 @@ impl FleetIngest {
 
     /// A consistent cut of the whole fleet: waits for every shard, aligns
     /// all shard clocks to the fleet-wide maximum (so every window evicts
-    /// against the same horizon), and folds the shard snapshots through
-    /// the aggregation tree. Everything pushed before this call is in it.
+    /// against the same horizon), folds the shards' counts and derives
+    /// the fleet-wide statistics once. Everything pushed before this call
+    /// is in it.
     pub fn snapshot(&self) -> Result<MonitorSnapshot> {
-        self.cut(None, None)
+        self.cut(None, None, &[])
     }
 
-    /// [`FleetIngest::snapshot`] with a bounded wait: if some shard stays
-    /// locked past `timeout` (measured across the whole cut, not per
-    /// shard), returns [`DfError::Timeout`] instead of blocking — so a
-    /// stalled push cannot hang a serving request forever. Nothing is
-    /// mutated before every lock is held, so retrying later is safe.
-    pub fn try_snapshot_timeout(&self, timeout: Duration) -> Result<MonitorSnapshot> {
-        self.cut(None, Some(timeout))
+    /// [`FleetIngest::snapshot`] with a bounded wait, folding `replicas`
+    /// in as well: snapshots of remote monitors configured like this
+    /// fleet, absorbed after the shards in slice order, so the one
+    /// derivation at the root covers the shards and the replicas alike
+    /// (pass `&[]` for the local fleet alone). If some shard stays locked
+    /// past `timeout` (measured across the whole cut, not per shard),
+    /// returns [`DfError::Timeout`] instead of blocking — so a stalled
+    /// push cannot hang a serving request forever. Nothing is mutated
+    /// before every lock is held, so retrying later is safe.
+    pub fn try_snapshot_timeout(
+        &self,
+        timeout: Duration,
+        replicas: &[MonitorSnapshot],
+    ) -> Result<MonitorSnapshot> {
+        self.cut(None, Some(timeout), replicas)
     }
 
     /// [`FleetIngest::snapshot`] against an explicit fleet clock: every
@@ -141,11 +153,12 @@ impl FleetIngest {
                 "fleet snapshot timestamp must be finite, got {now}"
             )));
         }
-        self.cut(Some(now), None)
+        self.cut(Some(now), None, &[])
     }
 
     /// Locks every shard in index order, advances each lagging clock once
-    /// to `max(shard clocks, now)`, snapshots, releases and merges.
+    /// to `max(shard clocks, now)`, copies each shard's mergeable state,
+    /// releases, folds `replicas` after the shards and derives once.
     ///
     /// Only a shard whose clock the target moves is advanced:
     /// `advance_to` evaluates alert rules and change-point detectors (a
@@ -154,7 +167,12 @@ impl FleetIngest {
     /// empty windows — nothing to evict — so they are never touched.
     /// Successful cuts record their wall-clock duration into
     /// [`FleetTelemetry::snapshot_cut_seconds`].
-    fn cut(&self, now: Option<f64>, timeout: Option<Duration>) -> Result<MonitorSnapshot> {
+    fn cut(
+        &self,
+        now: Option<f64>,
+        timeout: Option<Duration>,
+        replicas: &[MonitorSnapshot],
+    ) -> Result<MonitorSnapshot> {
         let start = wall_clock_now();
         let mut monitors = Vec::with_capacity(self.shards());
         for (shard, cell) in self.shards.iter().enumerate() {
@@ -168,7 +186,7 @@ impl FleetIngest {
             .filter_map(|m| m.now_seconds())
             .chain(now)
             .reduce(f64::max);
-        let snapshots = monitors
+        let mut states = monitors
             .iter_mut()
             .map(|monitor| {
                 if let (Some(target), Some(clock)) = (target, monitor.now_seconds()) {
@@ -176,12 +194,13 @@ impl FleetIngest {
                         monitor.advance_to(target)?;
                     }
                 }
-                monitor.snapshot()
+                Ok(monitor.state())
             })
             .collect::<Result<Vec<_>>>()?;
-        // Pushes resume while the tree folds the copies.
+        // Pushes resume while the copies fold and derive.
         drop(monitors);
-        let merged = super::merge_many(&snapshots, &*self.estimator)?;
+        states.extend_from_slice(replicas);
+        let merged = super::merge_many(&states, &*self.estimator)?;
         let took = wall_clock_now().saturating_duration_since(start);
         self.telemetry
             .snapshot_cut_seconds
@@ -307,20 +326,12 @@ impl MonitorBuilder {
 mod tests {
     use super::*;
     use crate::builder::{Audit, Smoothed};
-    use df_prob::contingency::Axis;
+    use crate::epsilon::GroupOutcomes;
+    use crate::fleet::merge_many;
+    use crate::monitor::tests::{axes, Rows};
     use df_prob::partial::PartialCounts;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::{channel, Receiver};
-
-    struct Pairs(Vec<[usize; 2]>);
-
-    impl Tally for Pairs {
-        fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-            for idx in &self.0 {
-                shard.record(idx);
-            }
-            Ok(())
-        }
-    }
 
     /// One record, tallied once the test opens the gate: its push holds
     /// the shard lock for exactly as long as the test needs.
@@ -332,13 +343,6 @@ mod tests {
             shard.record(&[0, 0]);
             Ok(())
         }
-    }
-
-    fn axes() -> Vec<Axis> {
-        vec![
-            Axis::from_strs("y", &["no", "yes"]).unwrap(),
-            Axis::from_strs("g", &["a", "b"]).unwrap(),
-        ]
     }
 
     fn fleet(shards: usize) -> FleetIngest {
@@ -387,8 +391,8 @@ mod tests {
             .unwrap();
         // Deliberately skewed shard clocks so the first snapshot has
         // real alignment work to do.
-        fleet.push(0, &Pairs(vec![[1, 0], [0, 1]]), 3.0).unwrap();
-        fleet.push(1, &Pairs(vec![[0, 0], [1, 1]]), 7.5).unwrap();
+        fleet.push(0, &Rows(vec![[1, 0], [0, 1]]), 3.0).unwrap();
+        fleet.push(1, &Rows(vec![[0, 0], [1, 1]]), 7.5).unwrap();
 
         let first = fleet.snapshot().unwrap();
         for _ in 0..5 {
@@ -396,7 +400,9 @@ mod tests {
             assert_eq!(again, first, "repeat poll mutated the fleet");
         }
         // The bounded form is the same pure read.
-        let bounded = fleet.try_snapshot_timeout(Duration::from_secs(5)).unwrap();
+        let bounded = fleet
+            .try_snapshot_timeout(Duration::from_secs(5), &[])
+            .unwrap();
         assert_eq!(bounded, first);
         assert_eq!(first.now_seconds, Some(7.5));
         assert_eq!(first.records_seen, 4);
@@ -406,14 +412,14 @@ mod tests {
     fn concurrent_producers_merge_into_one_window() {
         let fleet = fleet(4);
         assert_eq!(fleet.shards(), 4);
-        assert!(fleet.push(4, &Pairs(vec![[0, 0]]), 0.0).is_err());
+        assert!(fleet.push(4, &Rows(vec![[0, 0]]), 0.0).is_err());
         std::thread::scope(|scope| {
             for i in 0..4 {
                 let fleet = &fleet;
                 scope.spawn(move || {
                     for t in 0..5 {
                         fleet
-                            .push(i, &Pairs(vec![[1, i % 2], [0, 1 - i % 2]]), t as f64)
+                            .push(i, &Rows(vec![[1, i % 2], [0, 1 - i % 2]]), t as f64)
                             .unwrap();
                     }
                 });
@@ -428,12 +434,68 @@ mod tests {
         assert_eq!(snap.epsilon.epsilon, 0.0);
     }
 
+    /// `Smoothed { alpha: 1 }` that counts its table evaluations across
+    /// every clone (the fleet and each shard hold one).
+    #[derive(Clone)]
+    struct Counting(Arc<AtomicUsize>);
+
+    impl EpsilonEstimator for Counting {
+        fn name(&self) -> String {
+            Smoothed { alpha: 1.0 }.name()
+        }
+
+        fn estimate_table(&self, raw: &GroupOutcomes) -> Result<GroupOutcomes> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Smoothed { alpha: 1.0 }.estimate_table(raw)
+        }
+
+        fn clone_box(&self) -> Box<dyn EpsilonEstimator> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// One cut is one derivation, however many shards and replicas it
+    /// folds; replicas are absorbed after the shards.
+    #[test]
+    fn a_cut_derives_once_however_many_shards_and_replicas() {
+        let evaluations = Arc::new(AtomicUsize::new(0));
+        let build = || {
+            Audit::monitor("y", axes())
+                .estimator(Counting(Arc::clone(&evaluations)))
+                .window_seconds(10.0)
+                .bucket_seconds(1.0)
+        };
+        let fleet = build().fleet(4).unwrap();
+        for shard in 0..4 {
+            let skew = shard % 2;
+            fleet
+                .push(shard, &Rows(vec![[1, skew], [0, 1 - skew]]), 3.0)
+                .unwrap();
+        }
+        let mut replica = build().build().unwrap();
+        replica.push_at(&Rows(vec![[1, 1]]), 3.0).unwrap();
+        let replicas = [replica.snapshot().unwrap()];
+        evaluations.store(0, Ordering::SeqCst);
+        let local = fleet.snapshot().unwrap();
+        assert_eq!(local.records_seen, 8);
+        assert_eq!(evaluations.load(Ordering::SeqCst), 1);
+        let merged = fleet
+            .try_snapshot_timeout(Duration::from_secs(5), &replicas)
+            .unwrap();
+        assert_eq!(evaluations.load(Ordering::SeqCst), 2);
+        let [replica] = replicas;
+        assert_eq!(
+            merged,
+            merge_many(&[local, replica], &Smoothed { alpha: 1.0 }).unwrap()
+        );
+    }
+
     #[test]
     fn telemetry_tracks_traffic_staleness_and_cuts() {
         let fleet = fleet(2);
         let tel = Arc::clone(fleet.telemetry());
-        fleet.push(0, &Pairs(vec![[1, 0], [0, 1]]), 10.0).unwrap();
-        fleet.push(1, &Pairs(vec![[0, 0]]), 4.0).unwrap();
+        fleet.push(0, &Rows(vec![[1, 0], [0, 1]]), 10.0).unwrap();
+        fleet.push(1, &Rows(vec![[0, 0]]), 4.0).unwrap();
         let snap = fleet.snapshot().unwrap();
         assert_eq!(snap.records_seen, 3);
         // Every push returned, so nothing waits; per-shard traffic is
@@ -461,8 +523,8 @@ mod tests {
         let fleet = fleet(2);
         // The slow shard's traffic is old enough to be outside the window
         // relative to the fast shard's clock.
-        fleet.push(1, &Pairs(vec![[1, 0], [1, 0]]), 2.0).unwrap();
-        fleet.push(0, &Pairs(vec![[0, 1], [1, 1]]), 30.0).unwrap();
+        fleet.push(1, &Rows(vec![[1, 0], [1, 0]]), 2.0).unwrap();
+        fleet.push(0, &Rows(vec![[0, 1], [1, 1]]), 30.0).unwrap();
         let snap = fleet.snapshot().unwrap();
         // Clock alignment evicted the slow shard's stale bucket: only the
         // fast shard's chunk remains in the fleet window.
@@ -474,7 +536,7 @@ mod tests {
     #[test]
     fn idle_advance_keeps_draining() {
         let fleet = fleet(1);
-        fleet.push(0, &Pairs(vec![[1, 0], [0, 1]]), 1.0).unwrap();
+        fleet.push(0, &Rows(vec![[1, 0], [0, 1]]), 1.0).unwrap();
         let snap = fleet.snapshot_at(100.0).unwrap();
         assert_eq!(snap.window_rows, 0);
         assert_eq!(snap.records_seen, 2);
@@ -503,7 +565,7 @@ mod tests {
             let stalled = scope.spawn(|| fleet.push(0, &Gate(gate), 1.0));
             wait_until_held(&fleet, 0);
             let err = fleet
-                .try_snapshot_timeout(Duration::from_millis(20))
+                .try_snapshot_timeout(Duration::from_millis(20), &[])
                 .unwrap_err();
             assert!(
                 matches!(err, DfError::Timeout { waited_ms: 20, .. }),
@@ -516,7 +578,9 @@ mod tests {
         // sees the chunk, and a generous bounded wait succeeds too.
         let snap = fleet.snapshot().unwrap();
         assert_eq!(snap.records_seen, 1);
-        let snap = fleet.try_snapshot_timeout(Duration::from_secs(30)).unwrap();
+        let snap = fleet
+            .try_snapshot_timeout(Duration::from_secs(30), &[])
+            .unwrap();
         assert_eq!(snap.records_seen, 1);
     }
 
@@ -532,13 +596,13 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         for _ in 0..100 {
-                            fleet.push(0, &Pairs(vec![[1, 0]]), 1.0).unwrap();
+                            fleet.push(0, &Rows(vec![[1, 0]]), 1.0).unwrap();
                         }
                     })
                 })
                 .collect();
             // Other shards keep serving while shard 0 is stalled.
-            fleet.push(1, &Pairs(vec![[0, 1]]), 1.0).unwrap();
+            fleet.push(1, &Rows(vec![[0, 1]]), 1.0).unwrap();
             // One push holds the lock and each producer waits with one
             // chunk in hand: nothing else is buffered, before or after
             // the stall ends.
@@ -596,12 +660,12 @@ mod tests {
         std::thread::scope(|scope| {
             assert!(scope.spawn(|| fleet.push(0, &Panics, 1.0)).join().is_err());
         });
-        let err = fleet.push(0, &Pairs(vec![[0, 0]]), 1.0).unwrap_err();
+        let err = fleet.push(0, &Rows(vec![[0, 0]]), 1.0).unwrap_err();
         assert!(
             matches!(&err, DfError::Invalid(m) if m.contains("shard 0")),
             "{err:?}"
         );
         assert!(fleet.snapshot().is_err());
-        fleet.push(1, &Pairs(vec![[0, 0]]), 1.0).unwrap();
+        fleet.push(1, &Rows(vec![[0, 0]]), 1.0).unwrap();
     }
 }

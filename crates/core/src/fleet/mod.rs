@@ -13,16 +13,16 @@
 //!   replica ships its axis vocabularies once, then every tick is a
 //!   small delta frame. JSON stays for dashboards; this is for
 //!   1 000 replicas × 1 Hz.
-//! - [`tree`]: [`merge_many`] / [`merge_tree`] fold any number of
-//!   snapshots through a k-ary aggregation tree with in-place cell
-//!   accumulation, byte-identical to the sequential pairwise
-//!   [`crate::monitor::MonitorSnapshot::merge`] fold for every tree
-//!   shape and leaf order.
+//! - [`merge_many`]: folds any number of snapshots with in-place cell
+//!   accumulation and one derivation of the statistics at the end,
+//!   byte-identical to the sequential pairwise
+//!   [`crate::monitor::MonitorSnapshot::merge`] fold.
 //! - [`ingest`]: [`FleetIngest`] — a concurrent front-end of N
 //!   per-shard monitors, each behind its own lock: a push locks one
 //!   shard and tallies before it returns, and [`FleetIngest::snapshot`]
-//!   locks every shard, clock-aligns and merges in one round. Built
-//!   from the fluent chain:
+//!   locks every shard, clock-aligns and copies each shard's counts in
+//!   one round, then folds them — with any replica snapshots after
+//!   them — into one derivation. Built from the fluent chain:
 //!   `Audit::monitor(..).window_seconds(T).fleet(n)`.
 //!
 //! Why the union matters: Ghosh et al. (2021) show per-silo fairness
@@ -34,9 +34,8 @@
 pub mod codec;
 pub mod ingest;
 pub mod telemetry;
-pub mod tree;
 
+pub use crate::monitor::snapshot::merge_many;
 pub use codec::{decode_snapshot, encode_snapshot, SnapshotDecoder, SnapshotEncoder};
 pub use ingest::FleetIngest;
 pub use telemetry::{FleetTelemetry, ShardTelemetry};
-pub use tree::{merge_many, merge_tree};

@@ -44,8 +44,9 @@
 //!   horizon counts plus detector states, so snapshots from sharded
 //!   monitors (one per serving replica) merge cell-wise into the
 //!   fleet-wide monitor state, exactly like the partial counts of the
-//!   sharded audit engine — commutatively and associatively, so
-//!   aggregation-tree order never matters.
+//!   sharded audit engine — commutatively and associatively, so fold
+//!   order never matters. Every snapshot's statistics come from one
+//!   derivation over its counts, taken once per fold.
 //!
 //! Entry point: [`crate::builder::Audit::monitor`], which shares the
 //! builder's estimator and subset-policy stages.
@@ -101,7 +102,7 @@
 
 mod changepoint;
 mod ring;
-mod snapshot;
+pub(crate) mod snapshot;
 mod telemetry;
 
 pub use changepoint::{
@@ -116,13 +117,13 @@ use crate::edf::{GroupLayout, JointCounts};
 use crate::epsilon::{EpsilonResult, EpsilonWitness};
 use crate::error::{DfError, Result};
 use crate::metric::{EpsilonDf, Metric};
+use crate::subsets::SubsetEpsilon;
 use changepoint::DetectorState;
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::numerics::exactly_zero;
 use df_prob::partial::{PartialCounts, Tally};
 use ring::{Span, Window};
 use serde::{Deserialize, Serialize};
-use snapshot::subset_epsilons;
 
 // ---------------------------------------------------------------------------
 // Alert rules.
@@ -287,7 +288,7 @@ impl MonitorBuilder {
     /// The metric used when none is configured: ε-DF, the paper's
     /// headline definition and the byte-identical historical behaviour.
     /// The fleet aggregator never needs a copy: merged snapshots carry
-    /// the metric tag and recompute through [`crate::metric::metric_from_tag`].
+    /// the metric tag and derive through [`crate::metric::metric_from_tag`].
     fn default_metric() -> Box<dyn Metric> {
         Box::new(EpsilonDf)
     }
@@ -638,7 +639,8 @@ impl FairnessMonitor {
     fn finish(&mut self, rows: usize) -> Result<MonitorStep> {
         self.records_seen += rows as u64;
         let epsilon = self.window_epsilon()?;
-        let decayed_epsilon = self.horizon_epsilon()?;
+        let decayed_epsilon = self.decayed.as_ref().map(|d| self.evaluate_table(d));
+        let decayed_epsilon = decayed_epsilon.transpose()?;
         let now_seconds = self.window.now();
         let fired = self.evaluate_rules(&epsilon, now_seconds);
         // The raw worst-pair log-ratio is only computed when a detector
@@ -699,13 +701,6 @@ impl FairnessMonitor {
         } else {
             self.metric
                 .evaluate(&self.layout.group_outcomes(table, 0.0)?, &*self.estimator)
-        }
-    }
-
-    fn horizon_epsilon(&self) -> Result<Option<EpsilonResult>> {
-        match &self.decayed {
-            Some(d) => Ok(Some(self.evaluate_table(d)?)),
-            None => Ok(None),
         }
     }
 
@@ -782,21 +777,28 @@ impl FairnessMonitor {
 
     /// The full serializable, mergeable monitor state: window and horizon
     /// counts, ε, the per-subset lattice dictated by the configured
-    /// [`SubsetPolicy`], change-point detector states, and the alert log.
+    /// [`SubsetPolicy`], change-point detector states, and the alert log
+    /// in canonical order — the mergeable state, derived once under the
+    /// monitor's own metric and estimator.
     pub fn snapshot(&self) -> Result<MonitorSnapshot> {
-        let window_counts =
-            JointCounts::from_table(self.window.table().clone(), &self.outcome_axis)?;
-        let epsilon = self.window_epsilon()?;
-        let subsets = subset_epsilons(
-            &window_counts,
-            &self.subset_attrs,
-            &epsilon,
-            &*self.metric,
-            &*self.estimator,
-        )?;
-        Ok(MonitorSnapshot {
+        let mut snapshot = self.state();
+        snapshot.derive(&*self.metric, &*self.estimator)?;
+        Ok(snapshot)
+    }
+
+    /// The mergeable half of [`FairnessMonitor::snapshot`]: counts, clock,
+    /// totals, the alert log and detector states, with the derived fields
+    /// unset (ε NaN, no estimator echo), as `absorb_counts` leaves them. A
+    /// fleet cut copies this under the shard lock and derives once, at
+    /// the root.
+    pub(crate) fn state(&self) -> MonitorSnapshot {
+        let unset = || EpsilonResult {
+            epsilon: f64::NAN,
+            witness: None,
+        };
+        MonitorSnapshot {
             outcome_axis: self.outcome_axis.clone(),
-            estimator: self.estimator.name(),
+            estimator: String::new(),
             metric: self.metric.tag(),
             records_seen: self.records_seen,
             window_rows: self.window.rows() as u64,
@@ -806,24 +808,32 @@ impl FairnessMonitor {
             window: CountsSnapshot::from_table(self.window.table()),
             decayed: self.decayed.as_ref().map(CountsSnapshot::from_table),
             decay: self.decay,
-            epsilon,
-            decayed_epsilon: self.horizon_epsilon()?,
-            subsets,
+            epsilon: unset(),
+            decayed_epsilon: None,
+            subsets: self
+                .subset_attrs
+                .iter()
+                .map(|attributes| SubsetEpsilon {
+                    attributes: attributes.clone(),
+                    result: unset(),
+                })
+                .collect(),
             alerts: self.alerts.clone(),
             changepoints: self.detectors.iter().map(|d| d.status()).collect(),
-        })
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::{Audit, Empirical};
 
-    /// A chunk of (outcome, group) index pairs.
-    struct Pairs(Vec<[usize; 2]>);
+    /// A chunk of index rows: (outcome, group) pairs unless `N` says
+    /// otherwise.
+    pub(crate) struct Rows<const N: usize = 2>(pub(crate) Vec<[usize; N]>);
 
-    impl Tally for Pairs {
+    impl<const N: usize> Tally for Rows<N> {
         fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
             for idx in &self.0 {
                 shard.record(idx);
@@ -832,7 +842,7 @@ mod tests {
         }
     }
 
-    fn axes() -> Vec<Axis> {
+    pub(crate) fn axes() -> Vec<Axis> {
         vec![
             Axis::from_strs("y", &["no", "yes"]).unwrap(),
             Axis::from_strs("g", &["a", "b"]).unwrap(),
@@ -840,12 +850,12 @@ mod tests {
     }
 
     /// A balanced chunk (ε = 0) and a skewed chunk (ε > 0), both 4 records.
-    fn balanced() -> Pairs {
-        Pairs(vec![[0, 0], [1, 0], [0, 1], [1, 1]])
+    fn balanced() -> Rows {
+        Rows(vec![[0, 0], [1, 0], [0, 1], [1, 1]])
     }
 
-    fn skewed() -> Pairs {
-        Pairs(vec![[1, 0], [1, 0], [0, 1], [0, 1]])
+    pub(crate) fn skewed() -> Rows {
+        Rows(vec![[1, 0], [1, 0], [0, 1], [0, 1]])
     }
 
     #[test]
@@ -964,7 +974,7 @@ mod tests {
         let mut m = Audit::monitor("y", axes()).window(4).build().unwrap();
         m.push(&balanced()).unwrap();
         for _ in 0..1_000 {
-            m.push(&Pairs(Vec::new())).unwrap();
+            m.push(&Rows::<2>(Vec::new())).unwrap();
         }
         m.push(&skewed()).unwrap();
         m.push(&skewed()).unwrap();
@@ -980,7 +990,7 @@ mod tests {
             .unwrap();
         m.push_at(&balanced(), 0.0).unwrap();
         for t in 1..=1_000 {
-            m.push_at(&Pairs(Vec::new()), t as f64).unwrap();
+            m.push_at(&Rows::<2>(Vec::new()), t as f64).unwrap();
         }
         assert_eq!(m.telemetry().evicted_buckets.get(), 1);
         assert_eq!(m.window_rows(), 0);

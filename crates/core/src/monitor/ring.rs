@@ -252,13 +252,7 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn axes() -> Vec<Axis> {
-        vec![
-            Axis::from_strs("y", &["no", "yes"]).unwrap(),
-            Axis::from_strs("g", &["a", "b"]).unwrap(),
-        ]
-    }
+    use crate::monitor::tests::axes;
 
     fn bucket(cells: [f64; 4]) -> ContingencyTable {
         ContingencyTable::from_data(axes(), cells.to_vec()).unwrap()

@@ -1,4 +1,15 @@
-//! Serializable, shard-mergeable monitor state.
+//! Serializable, shard-mergeable monitor state, and the one fold that
+//! derives its statistics.
+//!
+//! A [`MonitorSnapshot`]'s mergeable half is counts and logs, which
+//! snapshots of disjoint traffic combine by addition, max and
+//! concatenation (`absorb_counts`). Its derived half — the headline,
+//! decayed and subset statistics, the estimator echo and the canonical
+//! alert and alarm order — is computed from those counts by `derive`
+//! alone, once per snapshot: by [`crate::monitor::FairnessMonitor::snapshot`]
+//! under the monitor's own metric and estimator, and by [`merge_many`]
+//! (which a fleet cut calls on its shards' counts and replicas) and
+//! [`MonitorSnapshot::merge`] after the last absorb.
 
 use super::changepoint::ChangepointStatus;
 use super::{Alert, ChangepointAlarm};
@@ -61,10 +72,9 @@ impl CountsSnapshot {
     /// Cell-wise adds another snapshot into this one, in place. The two
     /// snapshots must agree on axes *and* cell count (wire data can lie
     /// about either independently; a silent `zip` truncation would drop
-    /// mass). This is the accumulation step behind both
-    /// [`MonitorSnapshot::merge`] and the fleet aggregation tree
-    /// ([`crate::fleet::merge_many`]), which folds thousands of shard
-    /// snapshots without re-cloning axes per pair.
+    /// mass). This is the accumulation step behind
+    /// [`MonitorSnapshot::merge`] and [`merge_many`], which folds
+    /// thousands of shard snapshots without re-cloning axes per pair.
     pub fn merge_from(&mut self, other: &CountsSnapshot) -> Result<()> {
         if self.axes != other.axes {
             return Err(DfError::Invalid(
@@ -144,9 +154,8 @@ pub struct MonitorSnapshot {
 /// remaining fields (every serialized field of the alert, witness
 /// probabilities included) only break ties between distinct alerts at the
 /// same position. Distinct alerts always compare unequal under this key,
-/// which is what makes the fleet aggregation tree's one-shot sort
-/// byte-identical to the pairwise fold's repeated sorts for *any* leaf
-/// permutation.
+/// which is what makes one sort at the end of a fold byte-identical to
+/// the pairwise fold's repeated sorts for *any* leaf permutation.
 fn alert_key(a: &Alert) -> (u64, u64, u64, u64, usize, String, u64, u64) {
     (
         a.at_record,
@@ -194,9 +203,9 @@ impl MonitorSnapshot {
     /// conservatively by max, and the merged clock is the latest shard
     /// clock.
     ///
-    /// Pairwise merging recomputes ε per pair; to fold a whole fleet's
-    /// snapshots, [`crate::fleet::merge_many`] accumulates cells in place
-    /// and recomputes ε once at the root, producing byte-identical output.
+    /// Pairwise merging derives the statistics per pair; to fold a whole
+    /// fleet's snapshots, [`merge_many`] accumulates cells in place and
+    /// derives once at the root, producing byte-identical output.
     pub fn merge(
         &self,
         other: &MonitorSnapshot,
@@ -204,7 +213,7 @@ impl MonitorSnapshot {
     ) -> Result<MonitorSnapshot> {
         let mut out = self.clone();
         out.absorb_counts(other)?;
-        out.canonicalize_and_recompute(estimator)?;
+        out.derive(&*metric_from_tag(&out.metric)?, estimator)?;
         Ok(out)
     }
 
@@ -278,10 +287,10 @@ impl MonitorSnapshot {
         tag: &str,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<MonitorSnapshot> {
-        metric_from_tag(tag)?;
+        let metric = metric_from_tag(tag)?;
         let mut out = self.clone();
         out.metric = tag.to_string();
-        out.canonicalize_and_recompute(estimator)?;
+        out.derive(&*metric, estimator)?;
         Ok(out)
     }
 
@@ -290,9 +299,9 @@ impl MonitorSnapshot {
     /// statistics, and concatenated (not yet canonically ordered) alert
     /// and alarm logs. Derived fields — ε, subset results, the estimator
     /// echo — are left stale; callers finish with
-    /// [`MonitorSnapshot::canonicalize_and_recompute`]. Splitting the two
-    /// is what lets an aggregation tree absorb thousands of shard
-    /// snapshots paying one ε kernel pass total instead of one per pair.
+    /// [`MonitorSnapshot::derive`]. Splitting the two is what lets a fold
+    /// absorb thousands of shard snapshots paying one derivation total
+    /// instead of one per pair.
     pub(crate) fn absorb_counts(&mut self, other: &MonitorSnapshot) -> Result<()> {
         self.mergeable_with(other)?;
         self.window.merge_from(&other.window)?;
@@ -315,40 +324,43 @@ impl MonitorSnapshot {
         Ok(())
     }
 
-    /// Restores the derived half of the snapshot after one or more
-    /// [`MonitorSnapshot::absorb_counts`] calls: sorts the alert and alarm
-    /// logs into canonical order and recomputes the headline statistic,
-    /// the decayed statistic, and the per-subset lattice from the
-    /// accumulated counts under `estimator` — routed through the metric
-    /// named by the snapshot's own tag, so a merge of min/max-ratio
-    /// shards recomputes a min/max ratio, never a silently substituted ε.
-    pub(crate) fn canonicalize_and_recompute(
+    /// Computes the derived half from the counts: sorts the alert and
+    /// alarm logs into canonical order, evaluates `metric` under
+    /// `estimator` over the window, the decayed horizon and every subset
+    /// of the lattice, and echoes the estimator's name. The metric tag is
+    /// configuration: callers pass the metric it names (a monitor its own
+    /// object, a fold the tag's registry entry), so a merge of
+    /// min/max-ratio shards recomputes a min/max ratio, never ε.
+    pub(crate) fn derive(
         &mut self,
+        metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<()> {
-        let metric = metric_from_tag(&self.metric)?;
         self.alerts.sort_by_key(alert_key);
         for status in &mut self.changepoints {
             status.alarms.sort_by_key(alarm_key);
         }
-        let window_counts = JointCounts::from_table(self.window.to_table()?, &self.outcome_axis)?;
-        self.epsilon = metric.evaluate_counts(&window_counts, estimator)?;
+        let window = JointCounts::from_table(self.window.to_table()?, &self.outcome_axis)?;
+        self.epsilon = metric.evaluate_counts(&window, estimator)?;
         self.decayed_epsilon = match &self.decayed {
             Some(d) => {
-                let jc = JointCounts::from_table(d.to_table()?, &self.outcome_axis)?;
-                Some(metric.evaluate_counts(&jc, estimator)?)
+                let horizon = JointCounts::from_table(d.to_table()?, &self.outcome_axis)?;
+                Some(metric.evaluate_counts(&horizon, estimator)?)
             }
             None => None,
         };
-        let subset_attrs: Vec<Vec<String>> =
-            self.subsets.iter().map(|s| s.attributes.clone()).collect();
-        self.subsets = subset_epsilons(
-            &window_counts,
-            &subset_attrs,
-            &self.epsilon,
-            &*metric,
-            estimator,
-        )?;
+        // The lattice ends with the full intersection, which is the
+        // headline — the exact layout of the builder's
+        // `EstimatorReport::subsets`.
+        let n_attrs = window.attribute_names().len();
+        for subset in &mut self.subsets {
+            subset.result = if subset.attributes.len() == n_attrs {
+                self.epsilon.clone()
+            } else {
+                let names: Vec<&str> = subset.attributes.iter().map(String::as_str).collect();
+                metric.evaluate_marginal(&window, &names, estimator)?
+            };
+        }
         self.estimator = estimator.name();
         Ok(())
     }
@@ -487,36 +499,126 @@ impl MonitorSnapshot {
     }
 }
 
-/// Per-subset statistic of `metric` under `estimator`, reusing the
-/// precomputed full-intersection result for the last (full) entry — the
-/// exact layout of the builder's `EstimatorReport::subsets`.
-pub(crate) fn subset_epsilons(
-    counts: &JointCounts,
-    subset_attrs: &[Vec<String>],
-    full: &EpsilonResult,
-    metric: &dyn Metric,
+/// Folds any number of snapshots into one monitor state: accumulates
+/// their counts in place, in slice order, and derives the statistics once
+/// under the snapshots' metric tag and `estimator`. Byte-identical to the
+/// pairwise [`MonitorSnapshot::merge`] fold over the same slice, at one
+/// derivation instead of one per pair. Under a permutation, window cells
+/// (integer tallies) still sum exactly; decayed-horizon cells are float
+/// sums, bit-exact when λ keeps them dyadic (e.g. λ = 0.5) and within
+/// 1 ulp otherwise.
+///
+/// Errors on an empty slice and on configuration-incompatible shards
+/// (different schemas, windows, decay, subset lattices, or detectors).
+pub fn merge_many(
+    snapshots: &[MonitorSnapshot],
     estimator: &dyn EpsilonEstimator,
-) -> Result<Vec<SubsetEpsilon>> {
-    let n_attrs = counts.attribute_names().len();
-    let mut out = Vec::with_capacity(subset_attrs.len());
-    for attrs in subset_attrs {
-        let result = if attrs.len() == n_attrs {
-            full.clone()
-        } else {
-            let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
-            metric.evaluate_marginal(counts, &names, estimator)?
-        };
-        out.push(SubsetEpsilon {
-            attributes: attrs.clone(),
-            result,
-        });
+) -> Result<MonitorSnapshot> {
+    let (first, rest) = snapshots
+        .split_first()
+        .ok_or_else(|| DfError::Invalid("cannot merge an empty set of snapshots".into()))?;
+    let mut root = first.clone();
+    for leaf in rest {
+        root.absorb_counts(leaf)?;
     }
-    Ok(out)
+    root.derive(&*metric_from_tag(&root.metric)?, estimator)?;
+    Ok(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{Audit, Smoothed, SubsetPolicy};
+    use crate::monitor::tests::{axes, skewed, Rows};
+    use crate::monitor::AlertRule;
+
+    /// `n` wall-clock monitors over a two-attribute schema, with the full
+    /// subset lattice and a decayed horizon of retention `lambda`, each
+    /// fed its own few chunks.
+    fn shard_snapshots(n: usize, lambda: f64) -> Vec<MonitorSnapshot> {
+        let mut axes = axes();
+        axes.push(Axis::from_strs("r", &["u", "v", "w"]).unwrap());
+        (0..n)
+            .map(|i| {
+                let mut m = Audit::monitor("y", axes.clone())
+                    .estimator(Smoothed { alpha: 1.0 })
+                    .subsets(SubsetPolicy::All)
+                    .window_seconds(8.0)
+                    .bucket_seconds(1.0)
+                    .decay(lambda)
+                    .build()
+                    .unwrap();
+                for t in 0..(3 + i % 4) {
+                    let (skew, r) = ((i + t) % 2, (i * t) % 3);
+                    let rows = [[1, skew, r], [0, 1 - skew, 2 - r], [skew, 1, (r + t) % 3]];
+                    m.push_at(&Rows(rows[..1 + (i + t) % 3].to_vec()), t as f64)
+                        .unwrap();
+                }
+                m.snapshot().unwrap()
+            })
+            .collect()
+    }
+
+    fn json(snap: &MonitorSnapshot) -> String {
+        serde_json::to_string(snap).unwrap()
+    }
+
+    #[test]
+    fn singleton_fold_recanonicalizes_in_place() {
+        // Two rules that both fire on one push: the monitor logs them in
+        // rule order (0.5, then 0.1), and its snapshot lists them in the
+        // canonical order every fold produces.
+        let mut two_rules = Audit::monitor("y", axes())
+            .alert(AlertRule::epsilon_above(0.5))
+            .alert(AlertRule::epsilon_above(0.1))
+            .build()
+            .unwrap();
+        two_rules.push(&skewed()).unwrap();
+        let thresholds =
+            |alerts: &[Alert]| -> Vec<f64> { alerts.iter().map(|a| a.rule.threshold).collect() };
+        assert_eq!(thresholds(two_rules.alerts()), [0.5, 0.1]);
+        let two_rules = two_rules.snapshot().unwrap();
+        assert_eq!(thresholds(&two_rules.alerts), [0.1, 0.5]);
+
+        let est = Smoothed { alpha: 1.0 };
+        for snap in [shard_snapshots(1, 0.5).remove(0), two_rules] {
+            // A snapshot is already canonical, so the one-leaf fold is the
+            // identity on its serialized form.
+            let merged = merge_many(std::slice::from_ref(&snap), &est).unwrap();
+            assert_eq!(json(&merged), json(&snap));
+        }
+    }
+
+    /// Folding replica snapshots after the shards in one pass (a server
+    /// cut) adds every decayed cell in the same order as folding the
+    /// shards first and then that root with the replicas, so the bytes
+    /// match even at a non-dyadic λ.
+    #[test]
+    fn replicas_after_the_shards_repeat_the_two_stage_float_order() {
+        let snaps = shard_snapshots(6, 0.9);
+        let (shards, replicas) = snaps.split_at(4);
+        let est = Smoothed { alpha: 1.0 };
+        let mut two_stage = vec![merge_many(shards, &est).unwrap()];
+        two_stage.extend_from_slice(replicas);
+        assert_eq!(
+            json(&merge_many(&snaps, &est).unwrap()),
+            json(&merge_many(&two_stage, &est).unwrap())
+        );
+    }
+
+    #[test]
+    fn empty_input_is_refused() {
+        assert!(merge_many(&[], &Smoothed { alpha: 1.0 }).is_err());
+    }
+
+    #[test]
+    fn incompatible_shards_are_refused() {
+        let mut snaps = shard_snapshots(3, 0.5);
+        snaps[2].decay = None;
+        snaps[2].decayed = None;
+        snaps[2].decayed_epsilon = None;
+        assert!(merge_many(&snaps, &Smoothed { alpha: 1.0 }).is_err());
+    }
 
     fn snap(data: Vec<f64>) -> CountsSnapshot {
         CountsSnapshot {
@@ -562,23 +664,7 @@ mod tests {
 
     #[test]
     fn render_covers_all_formats() {
-        use crate::builder::{Audit, Smoothed};
-        use df_prob::partial::{PartialCounts, Tally};
-
-        struct Rows(Vec<[usize; 2]>);
-        impl Tally for Rows {
-            fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-                for idx in &self.0 {
-                    shard.record(idx);
-                }
-                Ok(())
-            }
-        }
-        let axes = vec![
-            Axis::from_strs("y", &["no", "yes"]).unwrap(),
-            Axis::from_strs("g", &["a", "b"]).unwrap(),
-        ];
-        let mut m = Audit::monitor("y", axes)
+        let mut m = Audit::monitor("y", axes())
             .estimator(Smoothed { alpha: 1.0 })
             .window_seconds(60.0)
             .build()

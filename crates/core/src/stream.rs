@@ -121,6 +121,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::tests::axes;
     use df_prob::ProbError;
 
     /// A test chunk: a list of (outcome, group) index pairs.
@@ -133,13 +134,6 @@ mod tests {
             }
             Ok(())
         }
-    }
-
-    fn axes() -> Vec<Axis> {
-        vec![
-            Axis::from_strs("y", &["no", "yes"]).unwrap(),
-            Axis::from_strs("g", &["a", "b"]).unwrap(),
-        ]
     }
 
     fn chunks_of(pairs: &[(usize, usize)], chunk_size: usize) -> Vec<Result<PairChunk>> {

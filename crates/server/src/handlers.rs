@@ -18,6 +18,11 @@ use df_core::{DfError, Result};
 use serde_json::Value;
 use std::time::Duration;
 
+/// Most posterior draws one `/v1/audit` may ask for with `?samples=`
+/// (default 200). The posterior estimator keeps every draw for the whole
+/// request, so a larger value is a 400 before the audit runs.
+const MAX_SAMPLES: u64 = 10_000;
+
 /// Dispatches one request to its handler.
 pub fn route(state: &ServerState, req: &Request) -> Response {
     let params = parse_query(&req.query);
@@ -328,7 +333,12 @@ fn audit_inner(
 
     let mut audit = Audit::of_counts(counts)?;
     let alpha = parse_f64(params, "alpha", 1.0)?;
-    let samples = parse_u64(params, "samples", 200)? as usize;
+    let samples = parse_u64(params, "samples", 200)?;
+    if samples > MAX_SAMPLES {
+        return Err(DfError::Invalid(format!(
+            "`samples` must be at most {MAX_SAMPLES}, got {samples}"
+        )));
+    }
     let seed = parse_u64(params, "seed", 0)?;
     for (_, value) in params.iter().filter(|(k, _)| k == "estimator") {
         audit = match value.as_str() {
@@ -336,7 +346,7 @@ fn audit_inner(
             "smoothed" => audit.estimator(Smoothed { alpha }),
             "posterior" | "posterior-sup" | "posterior_sup" => audit.estimator(PosteriorSup {
                 alpha,
-                samples,
+                samples: samples as usize,
                 seed,
             }),
             other => {

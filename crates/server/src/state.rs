@@ -11,8 +11,9 @@
 //! last resolution, reads reuse the merged snapshot (and the rendered
 //! response bytes) without touching the fleet at all — that is what makes
 //! tens of thousands of audit requests per second cheap between ingest
-//! bursts. The first read after an ingest pays one consistent cut plus
-//! one ε recomputation.
+//! bursts. The first read after an ingest pays one consistent cut, which
+//! folds the shards' counts and the replica snapshots and derives the
+//! statistics once.
 //!
 //! ## Why bad input is refused before it reaches a shard
 //!
@@ -36,7 +37,7 @@ use crate::decode::Catalog;
 use crate::http::Response;
 use crate::obs::{AccessLogFn, ServerObs};
 use df_core::builder::{Audit, EpsilonEstimator, SubsetPolicy};
-use df_core::fleet::{merge_many, FleetIngest, FleetTelemetry, SnapshotDecoder};
+use df_core::fleet::{FleetIngest, FleetTelemetry, SnapshotDecoder};
 use df_core::metric::Metric;
 use df_core::monitor::{
     validate_timestamp, AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot,
@@ -315,19 +316,13 @@ impl ServerState {
         Ok(totals)
     }
 
-    /// The fleet-wide merged snapshot: a consistent cut of the local
-    /// fleet folded with the latest snapshot of every remote replica.
+    /// The fleet-wide merged snapshot: one consistent cut of the local
+    /// fleet, with the latest snapshot of every remote replica folded
+    /// after the shards (in replica-name order) and the statistics
+    /// derived once over the lot.
     fn merged_snapshot(&self, timeout: Duration) -> Result<MonitorSnapshot> {
-        let local = self.fleet.try_snapshot_timeout(timeout)?;
-        let remote = lock_recover(&self.remote);
-        if remote.is_empty() {
-            return Ok(local);
-        }
-        let mut all = Vec::with_capacity(1 + remote.len());
-        all.push(local);
-        all.extend(remote.values().cloned());
-        drop(remote);
-        merge_many(&all, &*self.estimator)
+        let replicas: Vec<MonitorSnapshot> = lock_recover(&self.remote).values().cloned().collect();
+        self.fleet.try_snapshot_timeout(timeout, &replicas)
     }
 
     /// The merged fleet snapshot behind the version-tagged cache: the

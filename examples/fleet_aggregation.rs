@@ -10,9 +10,10 @@
 //! 1. **Concurrent sharded ingestion**: 4 producer threads push into 4
 //!    shard monitors through `FleetIngest`, each shard behind its own
 //!    lock — producers on different shards never wait on each other.
-//! 2. **Merge-tree aggregation**: every 30 s tick, `snapshot_at` locks
-//!    the shards, aligns their clocks, and folds their snapshots into
-//!    the fleet-wide ε over the *union* of traffic.
+//! 2. **One-fold aggregation**: every 30 s tick, `snapshot_at` locks
+//!    the shards, aligns their clocks and copies their counts, then
+//!    folds them and derives the fleet-wide ε over the *union* of
+//!    traffic once.
 //! 3. **Binary snapshot transport**: each fleet tick ships through the
 //!    schema-interning codec — the schema rides once in a full frame,
 //!    then every tick is a small delta frame (sizes printed vs JSON).
@@ -51,7 +52,7 @@ fn main() {
         Axis::from_strs("attr0", &["v0", "v1"]).unwrap(),
         Axis::from_strs("attr1", &["v0", "v1"]).unwrap(),
     ];
-    let fleet: FleetIngest = Audit::monitor("outcome", axes)
+    let fleet: FleetIngest = Audit::monitor("outcome", axes.clone())
         .estimator(Smoothed { alpha: 1.0 })
         .window_seconds(60.0)
         .bucket_seconds(5.0)
@@ -108,19 +109,12 @@ fn main() {
     // The per-silo blind spot: audit each shard alone vs the fleet.
     let finals: Vec<MonitorSnapshot> = (0..4)
         .map(|shard| {
-            let lone: FleetIngest = Audit::monitor(
-                "outcome",
-                vec![
-                    Axis::from_strs("outcome", &["y0", "y1"]).unwrap(),
-                    Axis::from_strs("attr0", &["v0", "v1"]).unwrap(),
-                    Axis::from_strs("attr1", &["v0", "v1"]).unwrap(),
-                ],
-            )
-            .estimator(Smoothed { alpha: 1.0 })
-            .window_seconds(60.0)
-            .bucket_seconds(5.0)
-            .fleet(1)
-            .unwrap();
+            let lone: FleetIngest = Audit::monitor("outcome", axes.clone())
+                .estimator(Smoothed { alpha: 1.0 })
+                .window_seconds(60.0)
+                .bucket_seconds(5.0)
+                .fleet(1)
+                .unwrap();
             for chunk in &feeds[shard] {
                 lone.push(0, chunk, chunk.timestamp).unwrap();
             }

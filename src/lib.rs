@@ -224,8 +224,8 @@ pub mod prelude {
     pub use df_core::data_fairness::{dataset_epsilon, DataModel};
     pub use df_core::equalized::{opportunity_epsilon, EqualizedOddsCounts};
     pub use df_core::fleet::{
-        decode_snapshot, encode_snapshot, merge_many, merge_tree, FleetIngest, FleetTelemetry,
-        ShardTelemetry, SnapshotDecoder, SnapshotEncoder,
+        decode_snapshot, encode_snapshot, merge_many, FleetIngest, FleetTelemetry, ShardTelemetry,
+        SnapshotDecoder, SnapshotEncoder,
     };
     pub use df_core::mechanism::{estimate_group_outcomes, FnMechanism, Mechanism};
     pub use df_core::metric::{

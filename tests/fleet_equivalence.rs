@@ -6,9 +6,8 @@
 //!    delta frames alike — and encoding is byte-stable: the same
 //!    snapshot produces the same bytes on any encoder, and a decoded
 //!    frame re-encodes to the original bytes.
-//! 2. **Tree ≡ pairwise fold.** `merge_many` / `merge_tree` produce
-//!    byte-identical JSON to the sequential pairwise
-//!    `MonitorSnapshot::merge` fold for arbitrary tree arity *and*
+//! 2. **One fold ≡ pairwise fold.** `merge_many` produces byte-identical
+//!    JSON to the sequential pairwise `MonitorSnapshot::merge` fold for
 //!    arbitrary leaf permutations — the commutative-monoid laws of the
 //!    PR 4 suite, exploited at fleet scale.
 //! 3. **Fleet ≡ one monitor.** N concurrent producers feeding a
@@ -44,7 +43,7 @@ fn axes(arity: usize) -> Vec<Axis> {
 /// A wall-clock monitor with every snapshot-visible feature enabled:
 /// subsets, a (dyadic) decayed horizon, an alert rule, both detector
 /// families. λ = 0.5 keeps decayed cells dyadic, so cell sums reassociate
-/// exactly and byte-identity is meaningful for any tree shape.
+/// exactly and byte-identity is meaningful for any leaf order.
 fn rich_monitor(arity: usize, window_buckets: f64) -> FairnessMonitor {
     Audit::monitor("y", axes(arity))
         .estimator(Smoothed { alpha: 1.0 })
@@ -145,14 +144,12 @@ proptest! {
         );
     }
 
-    /// `merge_tree` at any arity over any leaf permutation serializes to
-    /// the same JSON bytes as the sequential pairwise fold in original
-    /// order — tree shape and leaf order are deployment choices, never
-    /// semantic ones.
+    /// `merge_many` over any leaf permutation serializes to the same JSON
+    /// bytes as the sequential pairwise fold in original order — leaf
+    /// order is a deployment choice, never a semantic one.
     #[test]
-    fn merge_tree_is_byte_identical_to_pairwise_fold(
+    fn merge_many_is_byte_identical_to_pairwise_fold(
         arity in 2usize..4,
-        tree_arity in 2usize..7,
         seed in any::<u64>(),
         shards in proptest::collection::vec(
             proptest::collection::vec(
@@ -186,8 +183,6 @@ proptest! {
         }
         let permuted: Vec<MonitorSnapshot> =
             order.iter().map(|&i| snaps[i].clone()).collect();
-        let tree = merge_tree(&permuted, tree_arity, &estimator).unwrap();
-        prop_assert_eq!(serde_json::to_string(&tree).unwrap(), reference.clone());
         let flat = merge_many(&permuted, &estimator).unwrap();
         prop_assert_eq!(serde_json::to_string(&flat).unwrap(), reference);
     }

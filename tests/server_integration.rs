@@ -21,6 +21,8 @@
 use differential_fairness::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -797,6 +799,82 @@ fn former_panic_sites_answer_4xx_not_closed_connection() {
     let audit = c.get("/v1/audit").unwrap();
     assert_eq!(audit.status, 200, "{}", audit.text());
 
+    // `?samples=` sizes the posterior estimator's draw buffer: u64::MAX
+    // once overflowed its capacity and killed the worker. It and anything
+    // else past the 10 000 cap are refused before the audit runs.
+    for samples in [u64::MAX, 10_001] {
+        let resp = c
+            .get(&format!("/v1/audit?estimator=posterior&samples={samples}"))
+            .unwrap();
+        assert_eq!(resp.status, 400, "samples={samples}: {}", resp.text());
+        assert!(
+            resp.text().contains("\"kind\":\"invalid\""),
+            "{}",
+            resp.text()
+        );
+        let ok = c.get("/v1/audit?estimator=posterior&samples=50").unwrap();
+        assert_eq!(ok.status, 200, "{}", ok.text());
+    }
+
+    server.shutdown();
+}
+
+/// `Smoothed { alpha: 1 }` that counts its table evaluations across every
+/// clone (the server, its fleet and each shard hold one).
+#[derive(Clone)]
+struct Counting(Arc<AtomicUsize>);
+
+impl EpsilonEstimator for Counting {
+    fn name(&self) -> String {
+        Smoothed { alpha: 1.0 }.name()
+    }
+
+    fn estimate_table(&self, raw: &GroupOutcomes) -> Result<GroupOutcomes, DfError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Smoothed { alpha: 1.0 }.estimate_table(raw)
+    }
+
+    fn clone_box(&self) -> Box<dyn EpsilonEstimator> {
+        Box::new(self.clone())
+    }
+}
+
+/// A cold `GET /v1/monitor` derives the merged snapshot once: the shards
+/// hand the cut their counts, and the replica snapshots join the same
+/// fold after them.
+#[test]
+fn a_cold_monitor_read_derives_once() {
+    let evaluations = Arc::new(AtomicUsize::new(0));
+    let server = Server::builder("y", axes())
+        .estimator(Counting(Arc::clone(&evaluations)))
+        .window_seconds(1e6)
+        .bucket_seconds(1.0)
+        .shards(4)
+        .workers(2)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let state = server.state();
+    let rows: Vec<Vec<String>> = (0..8).map(row).collect();
+    state.ingest_rows(rows.clone(), 1000.0, None).unwrap();
+    for replica in ["alpha", "beta"] {
+        let mut monitor = replica_monitor();
+        monitor
+            .push_at(&LabelChunk::new(rows.clone()), 1000.0)
+            .unwrap();
+        let snap = monitor.snapshot().unwrap();
+        let frame = SnapshotEncoder::new().encode(&snap).unwrap();
+        state.ingest_snapshot(&frame, replica).unwrap();
+    }
+
+    evaluations.store(0, Ordering::SeqCst);
+    let monitor = Http1Client::connect(server.local_addr())
+        .unwrap()
+        .get("/v1/monitor")
+        .unwrap();
+    assert_eq!(monitor.status, 200, "{}", monitor.text());
+    let text = monitor.text();
+    assert!(text.contains("\"records_seen\":24"), "{text}");
+    assert_eq!(evaluations.load(Ordering::SeqCst), 1);
     server.shutdown();
 }
 
