@@ -42,7 +42,7 @@ use crate::baselines::{
     SubgroupViolation,
 };
 use crate::bootstrap::{bootstrap_epsilon_sharded, BootstrapEpsilon};
-use crate::edf::JointCounts;
+use crate::edf::{GroupLayout, JointCounts, LatticeTables};
 use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::equalized::EqualizedOddsCounts;
 use crate::error::{DfError, Result};
@@ -52,7 +52,7 @@ use crate::privacy::PrivacyRegime;
 use crate::report::{fmt_count, fmt_epsilon, Align, ResponseFormat, TextTable};
 use crate::subsets::SubsetEpsilon;
 use crate::theta::posterior_theta_from_table;
-use df_prob::numerics::exactly_zero;
+use df_prob::numerics::{exactly_zero, log_ratio};
 use df_prob::partial::Tally;
 use df_prob::rng::Pcg32;
 use serde::{Deserialize, Serialize};
@@ -110,6 +110,11 @@ impl EpsilonEstimator for Empirical {
 
     fn estimate_table(&self, raw: &GroupOutcomes) -> Result<GroupOutcomes> {
         Ok(raw.clone())
+    }
+
+    /// ε of the raw table itself, read in place rather than through a copy.
+    fn estimate(&self, raw: &GroupOutcomes) -> Result<EpsilonResult> {
+        Ok(raw.epsilon())
     }
 
     fn clone_box(&self) -> Box<dyn EpsilonEstimator> {
@@ -604,11 +609,6 @@ impl<'a> Audit<'a> {
         if let Some(c) = counts {
             validate_counts(c)?;
         }
-        let raw_full = match (&source, counts) {
-            (_, Some(c)) => c.group_outcomes(0.0)?,
-            (Source::Table(t), None) => t.clone(),
-            _ => unreachable!("counts is Some exactly for counts sources"),
-        };
         let estimators: Vec<Box<dyn EpsilonEstimator>> = if configured_estimators.is_empty() {
             vec![Box::new(Empirical), Box::new(Smoothed { alpha: 1.0 })]
         } else {
@@ -633,42 +633,38 @@ impl<'a> Audit<'a> {
         let attribute_names: Vec<&str> =
             counts.map(JointCounts::attribute_names).unwrap_or_default();
         let subset_attrs = policy.lattice(&attribute_names)?;
-        // Raw tables per subset (marginalized once, shared by every
-        // estimator). The last entry is always the full intersection.
-        let mut raw_subsets: Vec<GroupOutcomes> = Vec::with_capacity(subset_attrs.len());
-        if let Some(c) = counts {
-            for attrs in &subset_attrs {
-                let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                if names.len() == attribute_names.len() {
-                    raw_subsets.push(raw_full.clone());
+        // Raw tables of the full intersection and of every subset, read
+        // through one layout and shared by every estimator. A metric that
+        // reads counts itself marginalizes them on its own.
+        let tables = match (&source, counts) {
+            (_, Some(c)) => {
+                let projected = if metric.requires_counts() {
+                    &[][..]
                 } else {
-                    raw_subsets.push(c.marginal_to(&names)?.group_outcomes(0.0)?);
-                }
+                    &subset_attrs[..]
+                };
+                GroupLayout::new(c.table(), 0)
+                    .with_lattice(projected.iter().map(Vec::as_slice))?
+                    .tables(c.table().data())?
             }
-        }
+            (Source::Table(t), None) => LatticeTables::flat(t.clone()),
+            _ => unreachable!("counts is Some exactly for counts sources"),
+        };
+        let raw_full = &tables.full;
 
         let mut estimator_reports = Vec::with_capacity(estimators.len());
         for est in &estimators {
-            let result = match counts {
-                Some(c) if metric.requires_counts() => metric.evaluate_counts(c, &**est)?,
-                _ => metric.evaluate(&raw_full, &**est)?,
-            };
-            let mut subsets = Vec::with_capacity(subset_attrs.len());
-            for (attrs, raw) in subset_attrs.iter().zip(&raw_subsets) {
-                let sub_result = if attrs.len() == attribute_names.len() {
-                    result.clone()
-                } else if metric.requires_counts() {
-                    let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                    let c = counts.expect("subset lattice implies a counts source");
-                    metric.evaluate_marginal(c, &names, &**est)?
-                } else {
-                    metric.evaluate(raw, &**est)?
-                };
-                subsets.push(SubsetEpsilon {
-                    attributes: attrs.clone(),
-                    result: sub_result,
-                });
-            }
+            let mut subsets: Vec<SubsetEpsilon> = subset_attrs
+                .iter()
+                .map(|attributes| SubsetEpsilon {
+                    attributes: attributes.clone(),
+                    result: EpsilonResult {
+                        epsilon: f64::NAN,
+                        witness: None,
+                    },
+                })
+                .collect();
+            let result = tables.evaluate(&*metric, &**est, counts, &mut subsets)?;
             estimator_reports.push(EstimatorReport {
                 name: est.name(),
                 result,
@@ -677,8 +673,8 @@ impl<'a> Audit<'a> {
         }
 
         let headline_est = estimators.last().expect("at least one estimator");
-        let headline = estimator_reports.last().expect("nonempty").clone();
-        let epsilon = headline.result.clone();
+        let headline = estimator_reports.last().expect("nonempty");
+        let (headline_name, epsilon) = (headline.name.clone(), headline.result.clone());
         let regime = PrivacyRegime::of(epsilon.epsilon);
 
         // Theorem 3.2 bound check on the *empirical* per-subset values
@@ -694,9 +690,8 @@ impl<'a> Audit<'a> {
             // otherwise compute the plug-in ε per subset once.
             let empirical: Vec<f64> = match estimator_reports.iter().find(|e| e.name == "eps-EDF") {
                 Some(e) => e.subsets.iter().map(|s| s.result.epsilon).collect(),
-                None => raw_subsets
-                    .iter()
-                    .map(|raw| raw.epsilon().epsilon)
+                None => (0..subset_attrs.len())
+                    .map(|i| tables.table(i).worst(log_ratio).epsilon)
                     .collect(),
             };
             let full_eps = *empirical.last().expect("full set");
@@ -716,7 +711,7 @@ impl<'a> Audit<'a> {
         // Baselines on the headline estimator's point table, so parity and
         // ε describe the same distribution.
         let baseline_table = if baselines.demographic_parity || baselines.disparate_impact {
-            Some(headline_est.estimate_table(&raw_full)?)
+            Some(headline_est.estimate_table(raw_full)?)
         } else {
             None
         };
@@ -786,7 +781,7 @@ impl<'a> Audit<'a> {
             estimators: estimator_reports,
             metric: metric.tag(),
             epsilon,
-            headline: headline.name,
+            headline: headline_name,
             regime,
             bound_violations,
             demographic_parity,

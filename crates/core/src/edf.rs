@@ -1,4 +1,5 @@
-//! Empirical differential fairness from joint counts.
+//! Empirical differential fairness from joint counts, and the numeric ε
+//! kernel every evaluation runs through.
 //!
 //! [`JointCounts`] holds the joint tally `N[y, s₁, …, s_p]` of outcomes and
 //! protected attributes. From it:
@@ -11,12 +12,26 @@
 //!   attributes; because counts marginalize additively, the resulting
 //!   conditionals are exactly the `P(y|D) = Σ_E P(y|E,D) P(E|D)` of the
 //!   Theorem 3.2 proof.
+//!
+//! `GroupLayout` is the kernel: integer maps from a table's cells to the
+//! `(group, outcome)` pairs of its full intersection and of each subset of
+//! an audited lattice, summed by `df_prob`'s one projection sum, so every
+//! table gives the bits of the marginalized one. Evaluations carry group
+//! indices only; the names live in one table shared by `Arc`, and only a
+//! reported witness (or an explicit [`GroupOutcomes::group_labels`] call)
+//! turns an index into a string. Audits, monitor pushes, snapshot folds
+//! and fleet cuts all read counts through a layout, so they produce the
+//! same tables by construction.
 
-use crate::epsilon::{EpsilonResult, GroupOutcomes};
+use crate::builder::EpsilonEstimator;
+use crate::epsilon::{EpsilonResult, GroupNames, GroupOutcomes, Schema};
 use crate::error::{DfError, Result};
-use df_prob::contingency::{intersection_labels, Axis, ContingencyTable};
+use crate::metric::Metric;
+use crate::subsets::SubsetEpsilon;
+use df_prob::contingency::{add_projected, Axis, ContingencyTable};
 use df_prob::estimate::dirichlet_posterior_predictive;
 use df_prob::numerics::{exactly_zero, stable_sum};
+use std::sync::Arc;
 
 /// Joint counts of `(outcome, protected attributes…)`, canonicalized so the
 /// outcome axis is first.
@@ -30,21 +45,7 @@ impl JointCounts {
     /// table must have at least one protected-attribute axis and two
     /// outcome categories.
     pub fn from_table(table: ContingencyTable, outcome_axis: &str) -> Result<Self> {
-        let pos = table.axis_position(outcome_axis)?;
-        if table.ndim() < 2 {
-            return Err(DfError::NotEnoughCategories {
-                what: "protected attribute axes",
-                needed: 1,
-                present: table.ndim() - 1,
-            });
-        }
-        if table.axes()[pos].len() < 2 {
-            return Err(DfError::NotEnoughCategories {
-                what: "outcomes",
-                needed: 2,
-                present: table.axes()[pos].len(),
-            });
-        }
+        outcome_position(&table, outcome_axis)?;
         // Canonicalize: outcome first, attributes in their existing order.
         let mut keep: Vec<&str> = vec![outcome_axis];
         keep.extend(
@@ -108,18 +109,9 @@ impl JointCounts {
     /// Projects onto a subset of the protected attributes (summing out the
     /// rest). Errors if `attrs` is empty or names an unknown attribute.
     pub fn marginal_to(&self, attrs: &[&str]) -> Result<JointCounts> {
-        if attrs.is_empty() {
-            return Err(DfError::Invalid(
-                "subset of protected attributes must be nonempty".into(),
-            ));
-        }
-        let outcome = self.table.axes()[0].name().to_string();
-        if attrs.iter().any(|a| *a == outcome) {
-            return Err(DfError::Invalid(format!(
-                "`{outcome}` is the outcome axis, not a protected attribute"
-            )));
-        }
-        let mut keep: Vec<&str> = vec![&outcome];
+        let outcome = self.table.axes()[0].name();
+        check_subset(outcome, attrs)?;
+        let mut keep: Vec<&str> = vec![outcome];
         keep.extend(attrs);
         let table = self.table.marginalize(&keep)?;
         Ok(JointCounts { table })
@@ -131,7 +123,7 @@ impl JointCounts {
     /// Group weights are the group totals `N_s`, so unobserved intersections
     /// are excluded from ε exactly as Definition 3.1 prescribes.
     pub fn group_outcomes(&self, alpha: f64) -> Result<GroupOutcomes> {
-        GroupLayout::new(&self.table, 0).group_outcomes(&self.table, alpha)
+        GroupLayout::new(&self.table, 0).group_outcomes(self.table.data(), alpha)
     }
 
     /// Empirical differential fairness (Eq. 6): ε of the MLE conditionals.
@@ -152,98 +144,368 @@ impl JointCounts {
     }
 }
 
-/// Where the intersections of a table live: the outcome labels, the group
-/// labels in mixed-radix order over the attribute axes (outcome axis
-/// removed, last attribute fastest), and the flat cell index of every
-/// `(group, outcome)` pair. [`JointCounts::group_outcomes`] reads its
-/// outcome-first table through a fresh layout; the monitor builds one for
-/// its schema-order window once and reads every push through it, so both
-/// produce the same table by construction.
+/// The schema checks of [`JointCounts::from_table`]: `outcome_axis` names
+/// an axis with at least two labels, and some other axis holds a
+/// protected attribute. Returns the outcome axis's position.
+pub(crate) fn outcome_position(table: &ContingencyTable, outcome_axis: &str) -> Result<usize> {
+    let pos = table.axis_position(outcome_axis)?;
+    if table.ndim() < 2 {
+        return Err(DfError::NotEnoughCategories {
+            what: "protected attribute axes",
+            needed: 1,
+            present: table.ndim() - 1,
+        });
+    }
+    if table.axes()[pos].len() < 2 {
+        return Err(DfError::NotEnoughCategories {
+            what: "outcomes",
+            needed: 2,
+            present: table.axes()[pos].len(),
+        });
+    }
+    Ok(pos)
+}
+
+/// The checks of [`JointCounts::marginal_to`] that precede the
+/// marginalization's own: a nonempty subset that leaves the outcome axis
+/// out.
+fn check_subset(outcome: &str, attrs: &[&str]) -> Result<()> {
+    if attrs.is_empty() {
+        return Err(DfError::Invalid(
+            "subset of protected attributes must be nonempty".into(),
+        ));
+    }
+    if attrs.contains(&outcome) {
+        return Err(DfError::Invalid(format!(
+            "`{outcome}` is the outcome axis, not a protected attribute"
+        )));
+    }
+    Ok(())
+}
+
+/// Where the intersections of a table live: for the full intersection
+/// (groups in mixed-radix order over the attribute axes, outcome axis
+/// removed, last attribute fastest) and for every entry of a subset
+/// lattice, the `(group, outcome)` entry each cell of the table adds
+/// into. Built once per schema by the monitor (and shared with its
+/// fleet), and once per call by audits and folds of wire snapshots;
+/// either way the build is integer work plus one copy of the axes'
+/// vocabularies, which every table it produces shares.
+#[derive(Clone)]
 pub(crate) struct GroupLayout {
-    outcome_labels: Vec<String>,
-    group_labels: Vec<String>,
-    /// `flat[g · |Y| + y]` = flat index of `(group g, outcome y)`.
-    flat: Vec<usize>,
+    outcome_axis: String,
+    schema: Arc<Schema>,
+    full: Projection,
+    /// Per lattice entry, in lattice order: its projection, or `None` for
+    /// an entry naming as many attributes as the schema has, which reads
+    /// the full intersection.
+    lattice: Vec<Option<Projection>>,
+}
+
+/// One table a layout reads: its names, and `entry[cell]`, the
+/// `(group, outcome)` entry (`group · |Y| + outcome`) that cell of the
+/// source table adds into.
+#[derive(Clone)]
+struct Projection {
+    names: Arc<GroupNames>,
+    entry: Vec<usize>,
+}
+
+impl Projection {
+    /// The `(group, outcome)` sums of `data`, added by `add_projected`,
+    /// the sum `ContingencyTable::marginalize` runs: integer, fractional
+    /// and `-0.0` cells all give the bits of the marginalized table.
+    fn sums(&self, data: &[f64]) -> Vec<f64> {
+        let mut sums = vec![0.0; self.names.n_groups() * self.names.n_outcomes()];
+        add_projected(&mut sums, data, |cell| self.entry[cell]);
+        sums
+    }
 }
 
 impl GroupLayout {
     /// The layout of `table`, whose axis at position `outcome` holds the
     /// outcomes and every other axis a protected attribute.
     pub(crate) fn new(table: &ContingencyTable, outcome: usize) -> Self {
-        let axes = table.axes();
-        let attrs = || axes.iter().enumerate().filter(move |&(i, _)| i != outcome);
-        let named: Vec<(&str, &[String])> = attrs().map(|(_, a)| (a.name(), a.labels())).collect();
-        let group_labels = intersection_labels(&named);
+        let mut axes = table.axes().to_vec();
+        let attrs: Vec<usize> = (0..axes.len()).filter(|&i| i != outcome).collect();
         let n_outcomes = axes[outcome].len();
-        let mut flat = Vec::with_capacity(group_labels.len() * n_outcomes);
-        let mut idx = vec![0usize; axes.len()];
-        for g in 0..group_labels.len() {
+        let n_groups: usize = attrs.iter().map(|&i| axes[i].len()).product();
+        let mut entry = vec![0; table.num_cells()];
+        let mut idx = vec![0; axes.len()];
+        for g in 0..n_groups {
             let mut rem = g;
-            for (i, axis) in attrs().rev() {
-                idx[i] = rem % axis.len();
-                rem /= axis.len();
+            for &i in attrs.iter().rev() {
+                idx[i] = rem % axes[i].len();
+                rem /= axes[i].len();
             }
             for y in 0..n_outcomes {
                 idx[outcome] = y;
-                flat.push(table.flat_index(&idx));
+                entry[table.flat_index(&idx)] = g * n_outcomes + y;
             }
         }
+        let outcome = axes.remove(outcome);
+        let schema = Arc::new(Schema {
+            outcomes: outcome.labels().to_vec(),
+            attributes: axes,
+        });
+        let names = GroupNames::of_axes(Arc::clone(&schema), (0..attrs.len()).collect());
         Self {
-            outcome_labels: axes[outcome].labels().to_vec(),
-            group_labels,
-            flat,
+            outcome_axis: outcome.name().to_string(),
+            schema,
+            full: Projection {
+                names: Arc::new(names),
+                entry,
+            },
+            lattice: Vec::new(),
         }
     }
 
-    /// [`JointCounts::group_outcomes`] of `table`, which must have the
-    /// axes this layout was built from. The MLE is inlined (same
-    /// arithmetic as `categorical_mle`: compensated-sum total, per-cell
-    /// division), because the monitor runs it on every push and a Vec per
-    /// group would dominate the cost.
-    pub(crate) fn group_outcomes(
-        &self,
-        table: &ContingencyTable,
-        alpha: f64,
-    ) -> Result<GroupOutcomes> {
-        let data = table.data();
-        let n_outcomes = self.outcome_labels.len();
-        let mut probs = vec![0.0; self.flat.len()];
-        let mut weights = vec![0.0; self.group_labels.len()];
-        let mut counts = vec![0.0; n_outcomes];
-        for ((weight, row), cells) in weights
-            .iter_mut()
-            .zip(probs.chunks_exact_mut(n_outcomes))
-            .zip(self.flat.chunks_exact(n_outcomes))
-        {
-            for (c, &cell) in counts.iter_mut().zip(cells) {
-                *c = data[cell];
-            }
-            *weight = counts.iter().sum();
-            if exactly_zero(alpha) {
-                let total = stable_sum(&counts);
-                // An empty group keeps zero probabilities; a NaN total
-                // propagates, as `categorical_mle`'s does.
-                if total > 0.0 || total.is_nan() {
-                    for (p, &c) in row.iter_mut().zip(&counts) {
-                        *p = c / total;
-                    }
+    /// Adds the projection of every lattice entry (attribute names, in the
+    /// order the subset's groups intersect them), checked as
+    /// [`JointCounts::marginal_to`] checks a subset.
+    pub(crate) fn with_lattice<'a>(
+        mut self,
+        lattice: impl IntoIterator<Item = &'a [String]>,
+    ) -> Result<Self> {
+        let attributes = &self.schema.attributes;
+        let n_attrs = attributes.len();
+        let n_outcomes = self.full.names.n_outcomes();
+        // `digits[g · p + a]`: the label of attribute `a` in full group
+        // `g`, counted up like an odometer (no division per group).
+        let mut digits = vec![0; self.full.names.n_groups() * n_attrs];
+        for g in 1..self.full.names.n_groups() {
+            let (done, row) = digits.split_at_mut(g * n_attrs);
+            row[..n_attrs].copy_from_slice(&done[(g - 1) * n_attrs..]);
+            for a in (0..n_attrs).rev() {
+                row[a] += 1;
+                if row[a] < attributes[a].len() {
+                    break;
                 }
-            } else if let Some(p) = dirichlet_posterior_predictive(&counts, alpha)? {
-                row.copy_from_slice(&p);
-                if exactly_zero(*weight) {
-                    // Smoothing defines a distribution even for empty
-                    // groups, but an unobserved group is still excluded
-                    // from ε (its empirical P(s) is zero).
-                    *weight = 0.0;
+                row[a] = 0;
+            }
+        }
+        for attrs in lattice {
+            if attrs.len() == n_attrs {
+                self.lattice.push(None);
+                continue;
+            }
+            let attrs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+            check_subset(&self.outcome_axis, &attrs)?;
+            let picked = ContingencyTable::positions(attributes, &attrs)?;
+            // The subset group each full group falls in.
+            let group: Vec<usize> = digits
+                .chunks_exact(n_attrs)
+                .map(|d| {
+                    picked
+                        .iter()
+                        .fold(0, |h, &a| h * attributes[a].len() + d[a])
+                })
+                .collect();
+            let entry = self
+                .full
+                .entry
+                .iter()
+                .map(|&e| group[e / n_outcomes] * n_outcomes + e % n_outcomes)
+                .collect();
+            let names = GroupNames::of_axes(Arc::clone(&self.schema), picked);
+            self.lattice.push(Some(Projection {
+                names: Arc::new(names),
+                entry,
+            }));
+        }
+        Ok(self)
+    }
+
+    /// [`JointCounts::group_outcomes`] of `data`, the cells of a table with
+    /// the axes this layout was built from.
+    pub(crate) fn group_outcomes(&self, data: &[f64], alpha: f64) -> Result<GroupOutcomes> {
+        outcomes(&self.full.names, self.full.sums(data), alpha)
+    }
+
+    /// The raw (MLE) tables of `data` over the full intersection and every
+    /// lattice entry, each summed from the table's cells as
+    /// `JointCounts::marginal_to` sums them.
+    pub(crate) fn tables(&self, data: &[f64]) -> Result<LatticeTables> {
+        let subsets = self
+            .lattice
+            .iter()
+            .map(|entry| {
+                entry
+                    .as_ref()
+                    .map(|p| outcomes(&p.names, p.sums(data), 0.0))
+                    .transpose()
+            })
+            .collect::<Result<_>>()?;
+        Ok(LatticeTables {
+            full: self.group_outcomes(data, 0.0)?,
+            subsets,
+            n_attrs: self.schema.attributes.len(),
+        })
+    }
+}
+
+/// The group×outcome table of `cells` (`(group, outcome)` order) under
+/// `names`: per group, the MLE (compensated-sum total, per-cell division)
+/// or, for `alpha > 0`, the Dirichlet posterior predictive. Each row is
+/// turned into probabilities in place, so a table costs one allocation
+/// beyond its cells: the monitor runs this on every push.
+fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>, alpha: f64) -> Result<GroupOutcomes> {
+    let n_outcomes = names.n_outcomes();
+    let mut weights = vec![0.0; cells.len() / n_outcomes];
+    for (weight, row) in weights.iter_mut().zip(cells.chunks_exact_mut(n_outcomes)) {
+        *weight = row.iter().sum();
+        if exactly_zero(alpha) {
+            let total = stable_sum(row);
+            // An empty group keeps zero probabilities; a NaN total
+            // propagates, as `categorical_mle`'s does.
+            if total > 0.0 || total.is_nan() {
+                for p in row.iter_mut() {
+                    *p /= total;
+                }
+            } else {
+                row.fill(0.0);
+            }
+        } else if let Some(p) = dirichlet_posterior_predictive(row, alpha)? {
+            row.copy_from_slice(&p);
+            if exactly_zero(*weight) {
+                // Smoothing defines a distribution even for empty
+                // groups, but an unobserved group is still excluded
+                // from ε (its empirical P(s) is zero).
+                *weight = 0.0;
+            }
+        } else {
+            row.fill(0.0);
+        }
+    }
+    GroupOutcomes::with_names(Arc::clone(names), cells, weights)
+}
+
+/// The raw tables of one counts table through a [`GroupLayout`]: the full
+/// intersection and every lattice entry.
+pub(crate) struct LatticeTables {
+    /// The full intersection's table.
+    pub(crate) full: GroupOutcomes,
+    /// Per lattice entry: its projected table, or `None` where the entry
+    /// reads the full intersection.
+    subsets: Vec<Option<GroupOutcomes>>,
+    n_attrs: usize,
+}
+
+impl LatticeTables {
+    /// The tables of a flat group×outcome table: no attributes, no lattice.
+    pub(crate) fn flat(full: GroupOutcomes) -> Self {
+        Self {
+            full,
+            subsets: Vec::new(),
+            n_attrs: 0,
+        }
+    }
+
+    /// The raw table lattice entry `i` reads.
+    pub(crate) fn table(&self, i: usize) -> &GroupOutcomes {
+        match self.subsets.get(i) {
+            Some(Some(table)) => table,
+            _ => &self.full,
+        }
+    }
+
+    /// `metric` under `estimator` on the full intersection, returned, and
+    /// on every entry of `subsets` (the lattice the layout was built
+    /// with), written into each entry's result: the one lattice evaluation
+    /// behind [`crate::builder::Audit::run`] and every monitor snapshot.
+    /// An entry naming every attribute repeats the full result. A metric
+    /// that reads counts itself ([`Metric::requires_counts`]) evaluates
+    /// `counts` and its marginals instead.
+    pub(crate) fn evaluate(
+        &self,
+        metric: &dyn Metric,
+        estimator: &dyn EpsilonEstimator,
+        counts: Option<&JointCounts>,
+        subsets: &mut [SubsetEpsilon],
+    ) -> Result<EpsilonResult> {
+        let full = match counts {
+            Some(c) if metric.requires_counts() => metric.evaluate_counts(c, estimator)?,
+            _ => metric.evaluate(&self.full, estimator)?,
+        };
+        for (i, subset) in subsets.iter_mut().enumerate() {
+            subset.result = if subset.attributes.len() == self.n_attrs {
+                full.clone()
+            } else if metric.requires_counts() {
+                let names: Vec<&str> = subset.attributes.iter().map(String::as_str).collect();
+                let c = counts.expect("a metric reading counts is evaluated with counts");
+                metric.evaluate_marginal(c, &names, estimator)?
+            } else {
+                let table = self.subsets[i]
+                    .as_ref()
+                    .expect("the layout projects every proper subset of its lattice");
+                metric.evaluate(table, estimator)?
+            };
+        }
+        Ok(full)
+    }
+}
+
+/// The parent path the kernel replaced, kept as the reference of the
+/// differential test: every subset marginalized into its own table, every
+/// group named up front.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use df_prob::contingency::intersection_labels;
+
+    /// The raw MLE table of outcome-first counts, reading each cell in
+    /// place and naming every group through `intersection_labels`.
+    pub(crate) fn group_outcomes(counts: &JointCounts) -> Result<GroupOutcomes> {
+        let axes = counts.table().axes();
+        let named: Vec<(&str, &[String])> =
+            axes[1..].iter().map(|a| (a.name(), a.labels())).collect();
+        let groups = intersection_labels(&named);
+        let (n_groups, n_outcomes) = (groups.len(), axes[0].len());
+        let data = counts.table().data();
+        let mut probs = vec![0.0; n_groups * n_outcomes];
+        let mut weights = vec![0.0; n_groups];
+        for g in 0..n_groups {
+            let cells: Vec<f64> = (0..n_outcomes).map(|y| data[y * n_groups + g]).collect();
+            weights[g] = cells.iter().sum();
+            let total = stable_sum(&cells);
+            if total > 0.0 || total.is_nan() {
+                for (y, &c) in cells.iter().enumerate() {
+                    probs[g * n_outcomes + y] = c / total;
                 }
             }
         }
-        GroupOutcomes::new(
-            self.outcome_labels.clone(),
-            self.group_labels.clone(),
-            probs,
-            weights,
-        )
+        GroupOutcomes::new(axes[0].labels().to_vec(), groups, probs, weights)
+    }
+
+    /// One metric under one estimator over `lattice`: the full result and
+    /// one result per entry, each proper subset through
+    /// `marginal_to(..)` and [`group_outcomes`].
+    pub(crate) fn evaluate(
+        counts: &JointCounts,
+        metric: &dyn Metric,
+        estimator: &dyn EpsilonEstimator,
+        lattice: &[Vec<String>],
+    ) -> Result<(EpsilonResult, Vec<EpsilonResult>)> {
+        let n_attrs = counts.attribute_names().len();
+        let full = if metric.requires_counts() {
+            metric.evaluate_counts(counts, estimator)?
+        } else {
+            metric.evaluate(&group_outcomes(counts)?, estimator)?
+        };
+        let subsets = lattice
+            .iter()
+            .map(|attrs| {
+                let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                if attrs.len() == n_attrs {
+                    Ok(full.clone())
+                } else if metric.requires_counts() {
+                    metric.evaluate_marginal(counts, &names, estimator)
+                } else {
+                    metric.evaluate(&group_outcomes(&counts.marginal_to(&names)?)?, estimator)
+                }
+            })
+            .collect::<Result<_>>()?;
+        Ok((full, subsets))
     }
 }
 
@@ -251,6 +513,7 @@ impl GroupLayout {
 mod tests {
     use super::*;
     use df_prob::numerics::approx_eq;
+    use df_prob::rng::Pcg32;
 
     /// The paper's Table 1 (Simpson's paradox admissions data).
     /// Axes: outcome {admit, decline} × gender {A, B} × race {1, 2}.
@@ -447,5 +710,200 @@ mod tests {
         assert_eq!(go.group_labels()[1], "gender=A, race=2");
         assert_eq!(go.group_labels()[2], "gender=B, race=1");
         assert_eq!(go.group_labels()[3], "gender=B, race=2");
+    }
+
+    /// The bits a kernel result must reproduce: ε and the whole witness.
+    type Bits = (u64, Option<(String, String, String, u64, u64)>);
+
+    fn bits(r: &EpsilonResult) -> Bits {
+        let w = r.witness.as_ref().map(|w| {
+            let (hi, lo) = (w.prob_hi.to_bits(), w.prob_lo.to_bits());
+            (
+                w.outcome.clone(),
+                w.group_hi.clone(),
+                w.group_lo.clone(),
+                hi,
+                lo,
+            )
+        });
+        (r.epsilon.to_bits(), w)
+    }
+
+    /// Labels, probabilities and weights of a table, floats as bits.
+    fn table_bits(t: &GroupOutcomes) -> (Vec<String>, Vec<String>, Vec<u64>, Vec<u64>) {
+        let probs = (0..t.num_groups())
+            .flat_map(|g| (0..t.num_outcomes()).map(move |y| t.prob(g, y).to_bits()))
+            .collect();
+        let weights = t.weights().iter().map(|w| w.to_bits()).collect();
+        (
+            t.outcome_labels().to_vec(),
+            t.group_labels().to_vec(),
+            probs,
+            weights,
+        )
+    }
+
+    /// The outcome of one evaluation, errors compared by message.
+    fn outcome<T>(
+        r: &Result<T>,
+        f: impl Fn(&T) -> Vec<Bits>,
+    ) -> std::result::Result<Vec<Bits>, String> {
+        r.as_ref().map(f).map_err(|e| e.to_string())
+    }
+
+    /// A random schema (1–5 attributes of arity 1–4, 2–3 outcomes, the
+    /// outcome axis `y` at any position) with cells of one `kind`:
+    /// integers, fractions like a decayed horizon's, or integers mixed
+    /// with `-0.0`; every fifth fraction or `-0.0` case is all `-0.0`.
+    fn random_table(rng: &mut Pcg32, case: u32) -> (Vec<Axis>, Vec<f64>) {
+        let n_attrs = 1 + rng.next_below(5) as usize;
+        let label = |prefix: &str, n: u32| (0..n).map(|i| format!("{prefix}{i}")).collect();
+        let mut axes: Vec<Axis> = (0..n_attrs)
+            .map(|a| Axis::new(format!("a{a}"), label("v", 1 + rng.next_below(4))).unwrap())
+            .collect();
+        let at = rng.next_below(n_attrs as u32 + 1) as usize;
+        axes.insert(
+            at,
+            Axis::new("y", label("o", 2 + rng.next_below(2))).unwrap(),
+        );
+        let n_cells: usize = axes.iter().map(Axis::len).product();
+        let all_negative_zero = case % 15 == 14;
+        let data = (0..n_cells)
+            .map(|_| match (case % 3, rng.next_below(4)) {
+                _ if all_negative_zero => -0.0,
+                (2, 0) => -0.0,
+                (_, 0) => 0.0,
+                (1, _) => rng.next_f64() * 9.0 * 0.9f64.powi(rng.next_below(40) as i32),
+                _ => f64::from(rng.next_below(12)),
+            })
+            .collect();
+        (axes, data)
+    }
+
+    /// The kernel against the parent path it replaced, bit for bit, over
+    /// random schemas and cells, every subset policy, every estimator and
+    /// every registry metric: through `Audit::run`, through a wire
+    /// snapshot's derivation, and through a monitor's own layout.
+    #[test]
+    fn lattice_matches_the_parent_path_bit_for_bit() {
+        use crate::builder::{Audit, Empirical, PosteriorSup, Smoothed, SubsetPolicy};
+        use crate::metric::metric_from_tag;
+
+        let mut rng = Pcg32::new(0xd1ff);
+        for case in 0..45 {
+            let (axes, data) = random_table(&mut rng, case);
+            let table = ContingencyTable::from_data(axes.clone(), data.clone()).unwrap();
+            let counts = JointCounts::from_table(table.clone(), "y").unwrap();
+            let n_attrs = axes.len() - 1;
+            let policy = match case % 3 {
+                0 => SubsetPolicy::All,
+                1 => SubsetPolicy::UpTo {
+                    size: 1 + rng.next_below(n_attrs as u32) as usize,
+                },
+                _ => SubsetPolicy::None,
+            };
+            let lattice = policy.lattice(&counts.attribute_names()).unwrap();
+
+            // Group names: the full intersection and every subset table.
+            let layout = GroupLayout::new(counts.table(), 0)
+                .with_lattice(lattice.iter().map(Vec::as_slice))
+                .unwrap();
+            let tables = layout.tables(counts.table().data()).unwrap();
+            let oracle_full = oracle::group_outcomes(&counts).unwrap();
+            assert_eq!(
+                table_bits(&tables.full),
+                table_bits(&oracle_full),
+                "case {case}"
+            );
+            for (i, attrs) in lattice.iter().enumerate() {
+                let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                let expected = oracle::group_outcomes(&counts.marginal_to(&names).unwrap());
+                assert_eq!(
+                    table_bits(tables.table(i)),
+                    table_bits(&expected.unwrap()),
+                    "case {case} subset {attrs:?}"
+                );
+            }
+
+            // The wire snapshot of the same cells, in schema order, with a
+            // decayed horizon holding the same cells too.
+            let monitor = Audit::monitor("y", axes.clone())
+                .subsets(policy)
+                .decay(0.5)
+                .build()
+                .unwrap();
+            let mut snap = monitor.snapshot().unwrap();
+            snap.window.data.clone_from(&data);
+            snap.decayed.as_mut().unwrap().data.clone_from(&data);
+
+            let estimators: [Box<dyn EpsilonEstimator>; 3] = [
+                Box::new(Empirical),
+                Box::new(Smoothed { alpha: 1.0 }),
+                Box::new(PosteriorSup {
+                    alpha: 1.0,
+                    samples: 6,
+                    seed: u64::from(case),
+                }),
+            ];
+            let tags = [
+                "eps-df",
+                "wc-ratio",
+                "wc-diff",
+                "alpha-if(alpha=0.3)",
+                "deo(label=a0)",
+            ];
+            for est in &estimators {
+                for tag in tags {
+                    let metric = metric_from_tag(tag).unwrap();
+                    let ctx = format!("case {case}, {}, {tag}, {policy:?}", est.name());
+                    let expected = oracle::evaluate(&counts, &*metric, &**est, &lattice);
+                    let expected = outcome(&expected, |(full, subsets)| {
+                        std::iter::once(full).chain(subsets).map(bits).collect()
+                    });
+
+                    let report = Audit::of(&counts)
+                        .subsets(policy)
+                        .boxed_estimator(est.clone_box())
+                        .boxed_metric(metric.clone_box())
+                        .run();
+                    let got = outcome(&report, |r| {
+                        let subsets = r.estimators[0].subsets.iter().map(|s| &s.result);
+                        std::iter::once(&r.epsilon)
+                            .chain(subsets)
+                            .map(bits)
+                            .collect()
+                    });
+                    assert_eq!(got, expected, "audit: {ctx}");
+                    if let Ok(r) = &report {
+                        let weight: f64 = oracle_full.weights().iter().sum();
+                        assert_eq!(r.total_weight.to_bits(), weight.to_bits(), "{ctx}");
+                        let n = (exactly_zero(weight.fract())).then_some(weight as u64);
+                        assert_eq!(r.n_records, n, "{ctx}");
+                    }
+
+                    let derived = |layout: Option<&GroupLayout>| {
+                        let mut s = snap.clone();
+                        s.derive(layout, &*metric, &**est).map(|()| s)
+                    };
+                    for (path, s) in [
+                        ("wire", derived(None)),
+                        ("monitor", derived(Some(monitor.layout()))),
+                    ] {
+                        let got = outcome(&s, |s| {
+                            let subsets = s.subsets.iter().map(|s| &s.result);
+                            std::iter::once(&s.epsilon)
+                                .chain(subsets)
+                                .map(bits)
+                                .collect()
+                        });
+                        assert_eq!(got, expected, "{path} derive: {ctx}");
+                        let horizon =
+                            outcome(&s, |s| vec![bits(s.decayed_epsilon.as_ref().unwrap())]);
+                        let full = expected.as_ref().map(|e| e[..1].to_vec());
+                        assert_eq!(horizon, full.map_err(Clone::clone), "{path} horizon: {ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,10 +9,19 @@
 //!
 //! which is computed here in O(|groups| · |outcomes|) by tracking, per
 //! outcome, the extreme log-probabilities rather than scanning all pairs.
+//!
+//! The scan is numeric: a [`GroupOutcomes`] holds probabilities and weights
+//! by group index and shares its names, behind an `Arc`, with every table
+//! read through the same layout or derived from it (smoothed tables,
+//! posterior draws, clones). The scan tracks the witness by index and
+//! formats the names of the one pair it reports.
 
 use crate::error::{DfError, Result};
+use df_prob::contingency::{intersection_label, intersection_labels, Axis};
 use df_prob::numerics::{exactly_zero, log_ratio};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Where the maximal log-ratio was attained: the witness pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,20 +72,113 @@ impl EpsilonResult {
     }
 }
 
+/// The names behind a table's indices: the outcome labels and the
+/// intersections its groups stand for. Every table evaluated through one
+/// [`crate::edf::GroupLayout`], and every table an estimator derives from
+/// it, shares one of these behind an `Arc`, so evaluating copies no
+/// strings. A group's name is formatted from its index on demand (one per
+/// reported witness); [`GroupOutcomes::group_labels`] formats them all
+/// once and keeps them.
+#[derive(Debug)]
+pub(crate) struct GroupNames {
+    schema: Arc<Schema>,
+    /// Positions in `schema.attributes` of the axes the groups intersect,
+    /// in group order (mixed radix, last axis fastest); empty when the
+    /// labels were given explicitly.
+    axes: Vec<usize>,
+    n_groups: usize,
+    labels: OnceLock<Vec<String>>,
+}
+
+/// The vocabularies every lattice table of one layout names its indices
+/// from.
+#[derive(Debug)]
+pub(crate) struct Schema {
+    pub(crate) outcomes: Vec<String>,
+    /// The protected-attribute axes, in group order.
+    pub(crate) attributes: Vec<Axis>,
+}
+
+impl GroupNames {
+    /// Names for the intersections of `axes` (positions into
+    /// `schema.attributes`, in group order).
+    pub(crate) fn of_axes(schema: Arc<Schema>, axes: Vec<usize>) -> Self {
+        let n_groups = axes.iter().map(|&a| schema.attributes[a].len()).product();
+        Self {
+            schema,
+            axes,
+            n_groups,
+            labels: OnceLock::new(),
+        }
+    }
+
+    fn explicit(outcomes: Vec<String>, groups: Vec<String>) -> Self {
+        Self {
+            schema: Arc::new(Schema {
+                outcomes,
+                attributes: Vec::new(),
+            }),
+            axes: Vec::new(),
+            n_groups: groups.len(),
+            labels: OnceLock::from(groups),
+        }
+    }
+
+    /// Number of groups.
+    pub(crate) fn n_groups(&self) -> usize {
+        self.n_groups
+    }
+
+    /// Number of outcomes.
+    pub(crate) fn n_outcomes(&self) -> usize {
+        self.schema.outcomes.len()
+    }
+
+    fn parts(&self) -> impl Iterator<Item = (&str, &[String])> + Clone {
+        self.axes.iter().map(|&a| {
+            let axis = &self.schema.attributes[a];
+            (axis.name(), axis.labels())
+        })
+    }
+
+    /// The name of group `g`.
+    fn group(&self, g: usize) -> String {
+        match self.labels.get() {
+            Some(all) => all[g].clone(),
+            None => intersection_label(self.parts(), g),
+        }
+    }
+
+    fn all(&self) -> &[String] {
+        self.labels.get_or_init(|| {
+            let named: Vec<(&str, &[String])> = self.parts().collect();
+            intersection_labels(&named)
+        })
+    }
+}
+
 /// Group-conditional outcome probabilities `P(y | s)` with group weights
 /// `P(s)`.
 ///
 /// Rows are groups, columns are outcomes; rows with zero weight are excluded
 /// from ε per the `P(s|θ) > 0` side condition of Definition 3.1.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Clone)]
 pub struct GroupOutcomes {
-    outcome_labels: Vec<String>,
-    group_labels: Vec<String>,
+    names: Arc<GroupNames>,
     /// Row-major `groups × outcomes` probabilities.
     probs: Vec<f64>,
     /// Group marginal probabilities (or counts — only positivity matters for
     /// ε; magnitudes are used by the privacy and baseline modules).
     weights: Vec<f64>,
+}
+
+/// The worst outcome of a table by index: the statistic, and the witness
+/// `(outcome, group_hi, group_lo, prob_hi, prob_lo)` that
+/// [`GroupOutcomes::named`] turns into an [`EpsilonResult`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Worst {
+    pub(crate) epsilon: f64,
+    witness: Option<(usize, usize, usize, f64, f64)>,
 }
 
 impl GroupOutcomes {
@@ -88,8 +190,20 @@ impl GroupOutcomes {
         probs: Vec<f64>,
         weights: Vec<f64>,
     ) -> Result<Self> {
-        let n_outcomes = outcome_labels.len();
-        let n_groups = group_labels.len();
+        Self::with_names(
+            Arc::new(GroupNames::explicit(outcome_labels, group_labels)),
+            probs,
+            weights,
+        )
+    }
+
+    /// [`GroupOutcomes::new`] over shared names.
+    pub(crate) fn with_names(
+        names: Arc<GroupNames>,
+        probs: Vec<f64>,
+        weights: Vec<f64>,
+    ) -> Result<Self> {
+        let (n_groups, n_outcomes) = (names.n_groups(), names.n_outcomes());
         if n_outcomes < 2 {
             return Err(DfError::NotEnoughCategories {
                 what: "outcomes",
@@ -134,14 +248,13 @@ impl GroupOutcomes {
                 if (row_sum - 1.0).abs() > 1e-6 {
                     return Err(DfError::Invalid(format!(
                         "group `{}` outcome probabilities sum to {row_sum}, not 1",
-                        group_labels[g]
+                        names.group(g)
                     )));
                 }
             }
         }
         Ok(Self {
-            outcome_labels,
-            group_labels,
+            names,
             probs,
             weights,
         })
@@ -160,28 +273,28 @@ impl GroupOutcomes {
 
     /// Outcome labels.
     pub fn outcome_labels(&self) -> &[String] {
-        &self.outcome_labels
+        &self.names.schema.outcomes
     }
 
     /// Group labels.
     pub fn group_labels(&self) -> &[String] {
-        &self.group_labels
+        self.names.all()
     }
 
     /// Number of groups.
     pub fn num_groups(&self) -> usize {
-        self.group_labels.len()
+        self.names.n_groups()
     }
 
     /// Number of outcomes.
     pub fn num_outcomes(&self) -> usize {
-        self.outcome_labels.len()
+        self.names.n_outcomes()
     }
 
     /// `P(y = outcome | s = group)`.
     #[inline]
     pub fn prob(&self, group: usize, outcome: usize) -> f64 {
-        self.probs[group * self.outcome_labels.len() + outcome]
+        self.probs[group * self.num_outcomes() + outcome]
     }
 
     /// Group weights `P(s)` (unnormalized).
@@ -214,19 +327,25 @@ impl GroupOutcomes {
     /// attached whenever two groups are populated (even at statistic 0);
     /// with fewer, every statistic is vacuously 0.
     pub(crate) fn worst_outcome(&self, stat: impl Fn(f64, f64) -> f64) -> EpsilonResult {
-        let mut best = EpsilonResult {
+        self.named(self.worst(stat))
+    }
+
+    /// [`GroupOutcomes::worst_outcome`] by index, naming nothing.
+    pub(crate) fn worst(&self, stat: impl Fn(f64, f64) -> f64) -> Worst {
+        let mut best = Worst {
             epsilon: 0.0,
             witness: None,
         };
-        let populated = self.populated_groups();
-        if populated.len() < 2 {
+        let populated = || (0..self.num_groups()).filter(|&g| self.weights[g] > 0.0);
+        let mut first_two = populated();
+        let (Some(first), Some(_)) = (first_two.next(), first_two.next()) else {
             return best;
-        }
+        };
         for y in 0..self.num_outcomes() {
             let mut max_p = f64::NEG_INFINITY;
             let mut min_p = f64::INFINITY;
-            let (mut g_hi, mut g_lo) = (populated[0], populated[0]);
-            for &g in &populated {
+            let (mut g_hi, mut g_lo) = (first, first);
+            for g in populated() {
                 let p = self.prob(g, y);
                 if p > max_p {
                     max_p = p;
@@ -239,19 +358,30 @@ impl GroupOutcomes {
             }
             let gap = stat(max_p, min_p);
             if gap > best.epsilon || best.witness.is_none() && gap >= best.epsilon {
-                best = EpsilonResult {
+                best = Worst {
                     epsilon: gap,
-                    witness: Some(EpsilonWitness {
-                        outcome: self.outcome_labels[y].clone(),
-                        group_hi: self.group_labels[g_hi].clone(),
-                        group_lo: self.group_labels[g_lo].clone(),
-                        prob_hi: max_p,
-                        prob_lo: min_p,
-                    }),
+                    witness: Some((y, g_hi, g_lo, max_p, min_p)),
                 };
             }
         }
         best
+    }
+
+    /// Names a [`Worst`] of this table: the outcome label and the two
+    /// witness groups' names, the only strings an evaluation produces.
+    pub(crate) fn named(&self, worst: Worst) -> EpsilonResult {
+        EpsilonResult {
+            epsilon: worst.epsilon,
+            witness: worst
+                .witness
+                .map(|(y, g_hi, g_lo, prob_hi, prob_lo)| EpsilonWitness {
+                    outcome: self.outcome_labels()[y].clone(),
+                    group_hi: self.names.group(g_hi),
+                    group_lo: self.names.group(g_lo),
+                    prob_hi,
+                    prob_lo,
+                }),
+        }
     }
 
     /// All pairwise log-ratios for one outcome — the quantities tabulated in
@@ -305,29 +435,29 @@ impl GroupOutcomes {
         }
         let n_outcomes = self.num_outcomes();
         let k = n_outcomes as f64;
-        let mut probs = vec![0.0; self.num_groups() * n_outcomes];
         // Inlined `dirichlet_posterior_predictive` over the implied counts
         // (same arithmetic: compensated-sum total, `(c + α)/(N + Kα)` per
-        // cell), reusing one scratch buffer — this sits on the monitor's
-        // per-push hot path, where a Vec allocation per group is the
-        // dominant cost.
-        let mut counts = vec![0.0; n_outcomes];
-        for g in 0..self.num_groups() {
-            for (y, c) in counts.iter_mut().enumerate() {
-                *c = self.prob(g, y) * self.weights[g];
+        // cell), computed in place in each output row: this sits on the
+        // monitor's per-push hot path, where a Vec allocation per group
+        // is the dominant cost.
+        let mut probs = self.probs.clone();
+        for (row, &w) in probs.chunks_exact_mut(n_outcomes).zip(&self.weights) {
+            for c in row.iter_mut() {
+                *c *= w;
             }
-            let total = df_prob::numerics::stable_sum(&counts);
-            let denom = total + k * alpha;
-            for (y, &c) in counts.iter().enumerate() {
-                probs[g * n_outcomes + y] = (c + alpha) / denom;
+            let denom = df_prob::numerics::stable_sum(row) + k * alpha;
+            for c in row.iter_mut() {
+                *c = (*c + alpha) / denom;
             }
         }
-        GroupOutcomes::new(
-            self.outcome_labels.clone(),
-            self.group_labels.clone(),
-            probs,
-            self.weights.clone(),
-        )
+        self.with_probs(probs)
+    }
+
+    /// A table with this one's names and weights and new probabilities
+    /// (smoothed, or drawn from a posterior), validated as
+    /// [`GroupOutcomes::new`] validates.
+    pub(crate) fn with_probs(&self, probs: Vec<f64>) -> Result<GroupOutcomes> {
+        GroupOutcomes::with_names(Arc::clone(&self.names), probs, self.weights.clone())
     }
 
     /// Expected utility `E[u(y) | s]` per group for a caller-supplied utility
@@ -347,6 +477,43 @@ impl GroupOutcomes {
                     .sum()
             })
             .collect())
+    }
+}
+
+/// Prints the table as its fields read: outcome and group labels,
+/// probabilities, weights.
+impl fmt::Debug for GroupOutcomes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GroupOutcomes")
+            .field("outcome_labels", &self.outcome_labels())
+            .field("group_labels", &self.group_labels())
+            .field("probs", &self.probs)
+            .field("weights", &self.weights)
+            .finish()
+    }
+}
+
+/// Tables are equal when their labels, probabilities and weights are,
+/// however the names are held.
+impl PartialEq for GroupOutcomes {
+    fn eq(&self, other: &Self) -> bool {
+        self.outcome_labels() == other.outcome_labels()
+            && self.group_labels() == other.group_labels()
+            && self.probs == other.probs
+            && self.weights == other.weights
+    }
+}
+
+/// Serializes the four fields `outcome_labels`, `group_labels`, `probs`
+/// and `weights`, in that order.
+impl Serialize for GroupOutcomes {
+    fn serialize(&self) -> Value {
+        Value::Obj(vec![
+            ("outcome_labels".into(), self.outcome_labels().serialize()),
+            ("group_labels".into(), self.group_labels().serialize()),
+            ("probs".into(), self.probs.serialize()),
+            ("weights".into(), self.weights.serialize()),
+        ])
     }
 }
 

@@ -37,8 +37,11 @@
 //! `Audit::monitor(..).window_seconds(T).bucket_seconds(b).fleet(n)`.
 
 use crate::builder::EpsilonEstimator;
+use crate::edf::GroupLayout;
 use crate::error::{DfError, Result};
 use crate::fleet::telemetry::FleetTelemetry;
+use crate::metric::metric_from_tag;
+use crate::monitor::snapshot::fold;
 use crate::monitor::{FairnessMonitor, MonitorBuilder, MonitorSnapshot};
 use df_prob::partial::Tally;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -64,6 +67,10 @@ fn wall_clock_now() -> Instant {
 /// by [`MonitorBuilder::fleet`].
 pub struct FleetIngest {
     shards: Vec<Mutex<FairnessMonitor>>,
+    /// The shards' layout: every cut derives through it, since the fold
+    /// of same-schema shards and replicas has the shards' axes and
+    /// lattice.
+    layout: GroupLayout,
     estimator: Box<dyn EpsilonEstimator>,
     telemetry: Arc<FleetTelemetry>,
 }
@@ -200,7 +207,12 @@ impl FleetIngest {
         // Pushes resume while the copies fold and derive.
         drop(monitors);
         states.extend_from_slice(replicas);
-        let merged = super::merge_many(&states, &*self.estimator)?;
+        let mut merged = fold(&states)?;
+        merged.derive(
+            Some(&self.layout),
+            &*metric_from_tag(&merged.metric)?,
+            &*self.estimator,
+        )?;
         let took = wall_clock_now().saturating_duration_since(start);
         self.telemetry
             .snapshot_cut_seconds
@@ -311,11 +323,12 @@ impl MonitorBuilder {
             telemetry.monitor = bundle.clone();
         }
         let shard = self.telemetry(telemetry.monitor.clone());
-        let shards = (0..shards)
-            .map(|_| shard.clone().build().map(Mutex::new))
+        let shards: Vec<FairnessMonitor> = (0..shards)
+            .map(|_| shard.clone().build())
             .collect::<Result<_>>()?;
         Ok(FleetIngest {
-            shards,
+            layout: shards[0].layout().clone(),
+            shards: shards.into_iter().map(Mutex::new).collect(),
             estimator,
             telemetry: Arc::new(telemetry),
         })

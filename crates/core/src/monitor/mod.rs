@@ -120,7 +120,7 @@ use crate::metric::{EpsilonDf, Metric};
 use crate::subsets::SubsetEpsilon;
 use changepoint::DetectorState;
 use df_prob::contingency::{Axis, ContingencyTable};
-use df_prob::numerics::exactly_zero;
+use df_prob::numerics::{exactly_zero, log_ratio};
 use df_prob::partial::{PartialCounts, Tally};
 use ring::{Span, Window};
 use serde::{Deserialize, Serialize};
@@ -482,7 +482,8 @@ impl MonitorBuilder {
         let layout = GroupLayout::new(
             window.table(),
             window.table().axis_position(&self.outcome_axis)?,
-        );
+        )
+        .with_lattice(subset_attrs.iter().map(Vec::as_slice))?;
         let states = vec![RuleState::default(); self.rules.len()];
         let detectors = self
             .changepoints
@@ -650,8 +651,10 @@ impl FairnessMonitor {
             .iter()
             .any(|d| d.spec().signal() == ChangeSignal::RawLogRatio);
         let raw_epsilon = if watched {
-            let raw = self.layout.group_outcomes(self.window.table(), 0.0)?;
-            Some(raw.epsilon().epsilon)
+            let raw = self
+                .layout
+                .group_outcomes(self.window.table().data(), 0.0)?;
+            Some(raw.worst(log_ratio).epsilon)
         } else {
             None
         };
@@ -699,8 +702,10 @@ impl FairnessMonitor {
             let jc = JointCounts::from_table(table.clone(), &self.outcome_axis)?;
             self.metric.evaluate_counts(&jc, &*self.estimator)
         } else {
-            self.metric
-                .evaluate(&self.layout.group_outcomes(table, 0.0)?, &*self.estimator)
+            self.metric.evaluate(
+                &self.layout.group_outcomes(table.data(), 0.0)?,
+                &*self.estimator,
+            )
         }
     }
 
@@ -782,8 +787,14 @@ impl FairnessMonitor {
     /// monitor's own metric and estimator.
     pub fn snapshot(&self) -> Result<MonitorSnapshot> {
         let mut snapshot = self.state();
-        snapshot.derive(&*self.metric, &*self.estimator)?;
+        snapshot.derive(Some(&self.layout), &*self.metric, &*self.estimator)?;
         Ok(snapshot)
+    }
+
+    /// The layout this monitor reads every table through (a fleet derives
+    /// its cuts through its first shard's).
+    pub(crate) fn layout(&self) -> &GroupLayout {
+        &self.layout
     }
 
     /// The mergeable half of [`FairnessMonitor::snapshot`]: counts, clock,
@@ -1282,7 +1293,7 @@ pub(crate) mod tests {
         let data = vec![3.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 2.0, 1.0];
         let table = ContingencyTable::from_data(axes, data).unwrap();
         let fast = GroupLayout::new(&table, 1)
-            .group_outcomes(&table, 0.0)
+            .group_outcomes(table.data(), 0.0)
             .unwrap();
         let slow = JointCounts::from_table(table, "y")
             .unwrap()

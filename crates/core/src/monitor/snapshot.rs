@@ -7,14 +7,21 @@
 //! decayed and subset statistics, the estimator echo and the canonical
 //! alert and alarm order — is computed from those counts by `derive`
 //! alone, once per snapshot: by [`crate::monitor::FairnessMonitor::snapshot`]
-//! under the monitor's own metric and estimator, and by [`merge_many`]
-//! (which a fleet cut calls on its shards' counts and replicas) and
+//! under the monitor's own metric and estimator, by a fleet cut after
+//! folding its shards' counts and replicas, and by [`merge_many`] and
 //! [`MonitorSnapshot::merge`] after the last absorb.
+//!
+//! `derive` evaluates the whole subset lattice in one pass through a group
+//! layout. The monitor's and the fleet's own layout read the wire cells in
+//! place, checked as [`CountsSnapshot::to_table`] checks them; a fold of
+//! wire snapshots ([`merge_many`], [`MonitorSnapshot::merge`],
+//! [`MonitorSnapshot::with_metric`]) builds the window's table once and a
+//! layout from it.
 
 use super::changepoint::ChangepointStatus;
 use super::{Alert, ChangepointAlarm};
 use crate::builder::EpsilonEstimator;
-use crate::edf::JointCounts;
+use crate::edf::{outcome_position, GroupLayout, JointCounts};
 use crate::epsilon::EpsilonResult;
 use crate::error::{DfError, Result};
 use crate::metric::{metric_from_tag, Metric};
@@ -55,18 +62,36 @@ impl CountsSnapshot {
     /// that guards [`crate::builder::Audit::of_counts`] — ε over such a
     /// table would silently propagate NaN instead of certifying anything.
     pub fn to_table(&self) -> Result<ContingencyTable> {
-        if let Some(cell) = self.data.iter().position(|v| !v.is_finite() || *v < 0.0) {
-            return Err(DfError::CorruptCounts {
-                cell,
-                value: self.data[cell],
-            });
-        }
+        self.check_cells()?;
         let axes = self
             .axes
             .iter()
             .map(|(name, labels)| Axis::new(name.clone(), labels.clone()))
             .collect::<df_prob::Result<Vec<_>>>()?;
         Ok(ContingencyTable::from_data(axes, self.data.clone())?)
+    }
+
+    /// The layout of these counts with `outcome_axis` as the outcome, read
+    /// from [`CountsSnapshot::to_table`], so checked as it checks them.
+    fn layout(&self, outcome_axis: &str) -> Result<GroupLayout> {
+        let table = self.to_table()?;
+        Ok(GroupLayout::new(
+            &table,
+            outcome_position(&table, outcome_axis)?,
+        ))
+    }
+
+    /// The cell check of [`CountsSnapshot::to_table`]: the first NaN,
+    /// infinite or negative cell is a [`DfError::CorruptCounts`]. A
+    /// derivation through a known layout runs it in place of `to_table`.
+    fn check_cells(&self) -> Result<()> {
+        match self.data.iter().position(|v| !v.is_finite() || *v < 0.0) {
+            Some(cell) => Err(DfError::CorruptCounts {
+                cell,
+                value: self.data[cell],
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Cell-wise adds another snapshot into this one, in place. The two
@@ -213,7 +238,7 @@ impl MonitorSnapshot {
     ) -> Result<MonitorSnapshot> {
         let mut out = self.clone();
         out.absorb_counts(other)?;
-        out.derive(&*metric_from_tag(&out.metric)?, estimator)?;
+        out.derive(None, &*metric_from_tag(&out.metric)?, estimator)?;
         Ok(out)
     }
 
@@ -290,7 +315,7 @@ impl MonitorSnapshot {
         let metric = metric_from_tag(tag)?;
         let mut out = self.clone();
         out.metric = tag.to_string();
-        out.derive(&*metric, estimator)?;
+        out.derive(None, &*metric, estimator)?;
         Ok(out)
     }
 
@@ -331,36 +356,75 @@ impl MonitorSnapshot {
     /// configuration: callers pass the metric it names (a monitor its own
     /// object, a fold the tag's registry entry), so a merge of
     /// min/max-ratio shards recomputes a min/max ratio, never ε.
+    ///
+    /// The counts are read through `known`, the layout of their schema and
+    /// lattice (a monitor's own, or a fleet's shared one), after the cell
+    /// check of [`CountsSnapshot::to_table`]; without one, through a
+    /// layout built from `to_table()` itself.
     pub(crate) fn derive(
         &mut self,
+        known: Option<&GroupLayout>,
         metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<()> {
-        self.alerts.sort_by_key(alert_key);
+        self.alerts.sort_by_cached_key(alert_key);
         for status in &mut self.changepoints {
             status.alarms.sort_by_key(alarm_key);
         }
-        let window = JointCounts::from_table(self.window.to_table()?, &self.outcome_axis)?;
-        self.epsilon = metric.evaluate_counts(&window, estimator)?;
-        self.decayed_epsilon = match &self.decayed {
-            Some(d) => {
-                let horizon = JointCounts::from_table(d.to_table()?, &self.outcome_axis)?;
-                Some(metric.evaluate_counts(&horizon, estimator)?)
+        // A metric that conditions on an axis reads the joint table and
+        // its marginals; every other metric reads the lattice's tables.
+        let projected = if metric.requires_counts() {
+            &[][..]
+        } else {
+            &self.subsets[..]
+        };
+        let built;
+        let layout = match known {
+            Some(layout) => {
+                self.window.check_cells()?;
+                layout
             }
+            None => {
+                built = self
+                    .window
+                    .layout(&self.outcome_axis)?
+                    .with_lattice(projected.iter().map(|s| s.attributes.as_slice()))?;
+                &built
+            }
+        };
+        let joint = |c: &CountsSnapshot| -> Result<Option<JointCounts>> {
+            metric
+                .requires_counts()
+                .then(|| JointCounts::from_table(c.to_table()?, &self.outcome_axis))
+                .transpose()
+        };
+        let window = joint(&self.window)?;
+        self.epsilon = layout.tables(&self.window.data)?.evaluate(
+            metric,
+            estimator,
+            window.as_ref(),
+            &mut self.subsets,
+        )?;
+        self.decayed_epsilon = match &self.decayed {
+            Some(d) => Some(match joint(d)? {
+                Some(horizon) => metric.evaluate_counts(&horizon, estimator)?,
+                None => {
+                    let built;
+                    let layout = match known {
+                        Some(layout) => {
+                            d.check_cells()?;
+                            layout
+                        }
+                        None => {
+                            built = d.layout(&self.outcome_axis)?;
+                            &built
+                        }
+                    };
+                    metric.evaluate(&layout.group_outcomes(&d.data, 0.0)?, estimator)?
+                }
+            }),
             None => None,
         };
-        // The lattice ends with the full intersection, which is the
-        // headline — the exact layout of the builder's
-        // `EstimatorReport::subsets`.
-        let n_attrs = window.attribute_names().len();
-        for subset in &mut self.subsets {
-            subset.result = if subset.attributes.len() == n_attrs {
-                self.epsilon.clone()
-            } else {
-                let names: Vec<&str> = subset.attributes.iter().map(String::as_str).collect();
-                metric.evaluate_marginal(&window, &names, estimator)?
-            };
-        }
         self.estimator = estimator.name();
         Ok(())
     }
@@ -514,6 +578,14 @@ pub fn merge_many(
     snapshots: &[MonitorSnapshot],
     estimator: &dyn EpsilonEstimator,
 ) -> Result<MonitorSnapshot> {
+    let mut root = fold(snapshots)?;
+    root.derive(None, &*metric_from_tag(&root.metric)?, estimator)?;
+    Ok(root)
+}
+
+/// The mergeable half of [`merge_many`]: every snapshot absorbed, in slice
+/// order, into a copy of the first; statistics not yet derived.
+pub(crate) fn fold(snapshots: &[MonitorSnapshot]) -> Result<MonitorSnapshot> {
     let (first, rest) = snapshots
         .split_first()
         .ok_or_else(|| DfError::Invalid("cannot merge an empty set of snapshots".into()))?;
@@ -521,7 +593,6 @@ pub fn merge_many(
     for leaf in rest {
         root.absorb_counts(leaf)?;
     }
-    root.derive(&*metric_from_tag(&root.metric)?, estimator)?;
     Ok(root)
 }
 

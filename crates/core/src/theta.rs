@@ -14,9 +14,10 @@
 //!   model.
 
 use crate::edf::JointCounts;
-use crate::epsilon::{EpsilonResult, GroupOutcomes};
+use crate::epsilon::{EpsilonResult, GroupOutcomes, Worst};
 use crate::error::{DfError, Result};
 use df_prob::mcmc::DirichletPosterior;
+use df_prob::numerics::log_ratio;
 use df_prob::rng::Pcg32;
 use df_prob::summary::credible_interval;
 
@@ -50,18 +51,19 @@ impl ThetaClass {
         match self {
             ThetaClass::Point(t) => Ok(t.epsilon()),
             ThetaClass::Samples(ts) => {
-                if ts.is_empty() {
-                    return Err(DfError::Invalid("empty Θ sample set".into()));
-                }
-                let mut best: Option<EpsilonResult> = None;
+                // The supremum by index; only the winning member's witness
+                // is named.
+                let mut best: Option<(&GroupOutcomes, Worst)> = None;
                 for t in ts {
-                    let e = t.epsilon();
+                    let e = t.worst(log_ratio);
                     match &best {
-                        Some(b) if b.epsilon >= e.epsilon => {}
-                        _ => best = Some(e),
+                        Some((_, b)) if b.epsilon >= e.epsilon => {}
+                        _ => best = Some((t, e)),
                     }
                 }
-                Ok(best.expect("non-empty sample set"))
+                let (t, worst) =
+                    best.ok_or_else(|| DfError::Invalid("empty Θ sample set".into()))?;
+                Ok(t.named(worst))
             }
         }
     }
@@ -70,7 +72,7 @@ impl ThetaClass {
     pub fn epsilon_samples(&self) -> Vec<f64> {
         match self {
             ThetaClass::Point(t) => vec![t.epsilon().epsilon],
-            ThetaClass::Samples(ts) => ts.iter().map(|t| t.epsilon().epsilon).collect(),
+            ThetaClass::Samples(ts) => ts.iter().map(|t| t.worst(log_ratio).epsilon).collect(),
         }
     }
 
@@ -144,12 +146,7 @@ pub fn posterior_theta_from_table(
                 }
             }
         }
-        samples.push(GroupOutcomes::new(
-            base.outcome_labels().to_vec(),
-            base.group_labels().to_vec(),
-            probs,
-            base.weights().to_vec(),
-        )?);
+        samples.push(base.with_probs(probs)?);
     }
     Ok(ThetaClass::Samples(samples))
 }

@@ -10,11 +10,12 @@
 //! integer code (no hashing), following the perf-book guidance for hot data
 //! structures.
 //!
-//! Two free functions keep single copies of decisions the rest of the
-//! workspace shares: [`intersection_labels`] names the intersections of a
-//! set of axes (`"gender=F, race=B"`, in mixed-radix order), and
-//! [`add_cells`] is the one cell-wise count sum behind every table and
-//! snapshot merge.
+//! Free functions keep single copies of decisions the rest of the
+//! workspace shares: [`intersection_label`] names one intersection of a
+//! set of axes (`"gender=F, race=B"`), [`intersection_labels`] all of them
+//! in mixed-radix order, [`add_cells`] is the one cell-wise count sum
+//! behind every table and snapshot merge, and [`add_projected`] the one
+//! projection sum behind every marginal.
 
 use crate::error::{ProbError, Result};
 use crate::numerics::{exactly_zero, stable_sum};
@@ -139,6 +140,29 @@ impl ContingencyTable {
         }
         t.data = data;
         Ok(t)
+    }
+
+    /// The positions in `axes` of the axes named in `keep`, in `keep`
+    /// order: the checks of [`ContingencyTable::marginalize`] (every name
+    /// known, none listed twice).
+    pub fn positions(axes: &[Axis], keep: &[&str]) -> Result<Vec<usize>> {
+        let keep_pos: Vec<usize> = keep
+            .iter()
+            .map(|name| {
+                axes.iter()
+                    .position(|a| a.name == *name)
+                    .ok_or_else(|| ProbError::UnknownAxis(name.to_string()))
+            })
+            .collect::<Result<_>>()?;
+        for (i, p) in keep_pos.iter().enumerate() {
+            if keep_pos[..i].contains(p) {
+                return Err(ProbError::InvalidParameter {
+                    name: "keep",
+                    reason: format!("axis `{}` listed twice", keep[i]),
+                });
+            }
+        }
+        Ok(keep_pos)
     }
 
     /// The table's axes, in storage order.
@@ -381,33 +405,20 @@ impl ContingencyTable {
                 reason: "must keep at least one axis".into(),
             });
         }
-        let keep_pos: Vec<usize> = keep
-            .iter()
-            .map(|name| self.axis_position(name))
-            .collect::<Result<_>>()?;
-        for (i, p) in keep_pos.iter().enumerate() {
-            if keep_pos[..i].contains(p) {
-                return Err(ProbError::InvalidParameter {
-                    name: "keep",
-                    reason: format!("axis `{}` listed twice", keep[i]),
-                });
-            }
-        }
+        let keep_pos = Self::positions(&self.axes, keep)?;
         let out_axes: Vec<Axis> = keep_pos.iter().map(|&p| self.axes[p].clone()).collect();
         let mut out = ContingencyTable::zeros(out_axes)?;
 
         // Walk every source cell once, accumulating into the projected index.
         let mut src_idx = vec![0usize; self.axes.len()];
-        let mut out_idx = vec![0usize; keep_pos.len()];
-        for (flat, &v) in self.data.iter().enumerate() {
-            if !exactly_zero(v) {
-                self.unflatten(flat, &mut src_idx);
-                for (o, &p) in out_idx.iter_mut().zip(&keep_pos) {
-                    *o = src_idx[p];
-                }
-                out.add(&out_idx, v);
-            }
-        }
+        add_projected(&mut out.data, &self.data, |flat| {
+            self.unflatten(flat, &mut src_idx);
+            keep_pos
+                .iter()
+                .zip(&out.strides)
+                .map(|(&p, &stride)| src_idx[p] * stride)
+                .sum()
+        });
         Ok(out)
     }
 
@@ -600,21 +611,34 @@ impl ContingencyTable {
 
 /// The display names of the intersections of `axes`, each given as
 /// `(name, labels)`, in mixed-radix order with the first axis most
-/// significant: `"name=label"` per axis, joined by `", "`. Audits, the
-/// monitor and data-frame group indices all name groups through this one
-/// function, so a group label means the same intersection everywhere.
+/// significant. Each is [`intersection_label`]'s name, so a group label
+/// means the same intersection everywhere.
 pub fn intersection_labels(axes: &[(&str, &[String])]) -> Vec<String> {
-    let mut out = vec![String::new()];
-    for (k, (name, labels)) in axes.iter().enumerate() {
-        out = out
-            .iter()
-            .flat_map(|prefix| {
-                labels.iter().map(move |label| match k {
-                    0 => format!("{name}={label}"),
-                    _ => format!("{prefix}, {name}={label}"),
-                })
-            })
-            .collect();
+    let n: usize = axes.iter().map(|(_, labels)| labels.len()).product();
+    (0..n)
+        .map(|g| intersection_label(axes.iter().copied(), g))
+        .collect()
+}
+
+/// The display name of intersection `g` of `axes` (mixed-radix, first
+/// axis most significant): `"name=label"` per axis, joined by `", "`.
+/// Audits, the monitor and data-frame group indices all name groups
+/// through this one function. `g` must be below the product of the axis
+/// lengths.
+pub fn intersection_label<'a, I>(axes: I, g: usize) -> String
+where
+    I: IntoIterator<Item = (&'a str, &'a [String])> + Clone,
+{
+    let mut stride: usize = axes.clone().into_iter().map(|(_, l)| l.len()).product();
+    let mut out = String::new();
+    for (k, (name, labels)) in axes.into_iter().enumerate() {
+        stride /= labels.len();
+        if k > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(name);
+        out.push('=');
+        out.push_str(&labels[(g / stride) % labels.len()]);
     }
     out
 }
@@ -633,6 +657,19 @@ pub fn add_cells(dst: &mut [f64], src: &[f64]) -> Result<()> {
         *d += s;
     }
     Ok(())
+}
+
+/// Adds every nonzero cell of `src`, in source order, into `dst[to(i)]`:
+/// the one projection sum behind [`ContingencyTable::marginalize`] and the
+/// ε kernel's group tables. Run into `+0.0` buckets, it gives the same
+/// bits whichever of them projects a table, integer and fractional cells
+/// alike; a `-0.0` cell is skipped, so it reads as its bucket's `+0.0`.
+pub fn add_projected(dst: &mut [f64], src: &[f64], mut to: impl FnMut(usize) -> usize) {
+    for (i, &v) in src.iter().enumerate() {
+        if !exactly_zero(v) {
+            dst[to(i)] += v;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -433,6 +433,52 @@ fn corrupt_json_snapshot_is_rejected_with_typed_error() {
         merge_many(&[healthy, corrupt], &est),
         Err(DfError::CorruptCounts { .. })
     ));
+
+    // A fold derives without rebuilding a table, yet checks the wire form
+    // as `to_table` does: each corruption below gets the error `to_table`
+    // gives through `merge` (with an all-zero partner of the same axes),
+    // `merge_many` and `with_metric`.
+    let mut decaying = Audit::monitor("y", axes(2))
+        .estimator(Smoothed { alpha: 1.0 })
+        .window_seconds(4.0)
+        .decay(0.5)
+        .build()
+        .unwrap();
+    decaying.push_at(&Pairs(vec![[0, 0], [1, 1]]), 1.0).unwrap();
+    let base = decaying.snapshot().unwrap();
+    let corrupted = |corrupt: &dyn Fn(&mut MonitorSnapshot)| {
+        let mut snap = base.clone();
+        corrupt(&mut snap);
+        snap
+    };
+    let cases = [
+        corrupted(&|s| s.window.data[0] = f64::NAN),
+        corrupted(&|s| s.decayed.as_mut().unwrap().data[3] = -5.0),
+        corrupted(&|s| s.window.axes[1].1 = vec!["a".into(), "a".into()]),
+        corrupted(&|s| s.window.axes[1].1.clear()),
+        corrupted(&|s| {
+            s.decayed.as_mut().unwrap().data.pop();
+        }),
+    ];
+    for snap in cases {
+        let decayed = snap.decayed.as_ref().unwrap();
+        let expected = snap.window.to_table().and(decayed.to_table()).unwrap_err();
+        let mut zero = snap.clone();
+        zero.window.data.fill(0.0);
+        zero.decayed.as_mut().unwrap().data.fill(0.0);
+        for (path, got) in [
+            ("merge", snap.merge(&zero, &est)),
+            ("merge_many", merge_many(std::slice::from_ref(&snap), &est)),
+            ("with_metric", snap.with_metric("eps-df", &est)),
+            ("with_metric", snap.with_metric("wc-ratio", &est)),
+        ] {
+            assert_eq!(
+                format!("{:?}", got.unwrap_err()),
+                format!("{expected:?}"),
+                "{path}"
+            );
+        }
+    }
 }
 
 /// The binary codec refuses corrupt cells in both directions (encode and
