@@ -45,7 +45,13 @@ impl JointCounts {
     /// table must have at least one protected-attribute axis and two
     /// outcome categories.
     pub fn from_table(table: ContingencyTable, outcome_axis: &str) -> Result<Self> {
-        outcome_position(&table, outcome_axis)?;
+        if outcome_position(&table, outcome_axis)? == 0 {
+            // Already canonical: the marginalization below would keep every
+            // axis where it is.
+            return Ok(Self {
+                table: table.marginalize_all(),
+            });
+        }
         // Canonicalize: outcome first, attributes in their existing order.
         let mut keep: Vec<&str> = vec![outcome_axis];
         keep.extend(
@@ -514,6 +520,33 @@ mod tests {
     use super::*;
     use df_prob::numerics::approx_eq;
     use df_prob::rng::Pcg32;
+
+    /// A table already in canonical order is kept, and reads exactly as
+    /// the marginalization it skips: integer, fractional and `-0.0` cells,
+    /// bit for bit.
+    #[test]
+    fn from_table_keeps_a_canonical_table_bit_for_bit() {
+        let axes = vec![
+            Axis::from_strs("y", &["no", "yes"]).unwrap(),
+            Axis::from_strs("g", &["a", "b", "c"]).unwrap(),
+        ];
+        let data = vec![3.0, -0.0, 0.1 + 0.2, 0.0, 5e-324, 1e15 + 0.5];
+        let table = ContingencyTable::from_data(axes, data).unwrap();
+        let bits = |t: &ContingencyTable| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let marginal = table.marginalize(&["y", "g"]).unwrap();
+        let kept = JointCounts::from_table(table.clone(), "y").unwrap();
+        assert_eq!(bits(kept.table()), bits(&marginal));
+        assert_eq!(kept.table().axes(), table.axes());
+        assert_eq!(
+            bits(kept.table())[1],
+            0.0f64.to_bits(),
+            "-0.0 reads as +0.0"
+        );
+        // The outcome moved to the front goes through the projection.
+        let moved = table.marginalize(&["g", "y"]).unwrap();
+        let canonical = JointCounts::from_table(moved, "y").unwrap();
+        assert_eq!(bits(canonical.table()), bits(&marginal));
+    }
 
     /// The paper's Table 1 (Simpson's paradox admissions data).
     /// Axes: outcome {admit, decline} × gender {A, B} × race {1, 2}.

@@ -19,7 +19,7 @@
 use crate::error::{DfError, Result};
 use df_prob::contingency::{intersection_label, intersection_labels, Axis};
 use df_prob::numerics::{exactly_zero, log_ratio};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -507,13 +507,13 @@ impl PartialEq for GroupOutcomes {
 /// Serializes the four fields `outcome_labels`, `group_labels`, `probs`
 /// and `weights`, in that order.
 impl Serialize for GroupOutcomes {
-    fn serialize(&self) -> Value {
-        Value::Obj(vec![
-            ("outcome_labels".into(), self.outcome_labels().serialize()),
-            ("group_labels".into(), self.group_labels().serialize()),
-            ("probs".into(), self.probs.serialize()),
-            ("weights".into(), self.weights.serialize()),
-        ])
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.begin_object();
+        out.field("outcome_labels", self.outcome_labels());
+        out.field("group_labels", self.group_labels());
+        out.field("probs", &self.probs);
+        out.field("weights", &self.weights);
+        out.end_object();
     }
 }
 

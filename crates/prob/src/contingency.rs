@@ -422,6 +422,19 @@ impl ContingencyTable {
         Ok(out)
     }
 
+    /// The table [`Self::marginalize`] returns when it keeps every axis in
+    /// storage order, without the projection: that sum adds each nonzero
+    /// cell into a `+0.0` bucket, so the nonzero cells keep their bits and
+    /// every zero cell, `-0.0` included, becomes `+0.0`.
+    pub fn marginalize_all(mut self) -> ContingencyTable {
+        for v in &mut self.data {
+            if exactly_zero(*v) {
+                *v = 0.0;
+            }
+        }
+        self
+    }
+
     /// Fixes one axis at a label, returning the slice over the remaining
     /// axes. Fails if the table has only one axis.
     pub fn condition(&self, axis: &str, label: &str) -> Result<ContingencyTable> {

@@ -7,21 +7,20 @@
 
 use crate::http::Response;
 use df_core::DfError;
-use serde_json::Value;
+use serde_json::JsonWriter;
 
 /// Builds the canonical JSON error body.
 pub fn error_body(status: u16, kind: &str, message: &str) -> Vec<u8> {
-    let body = Value::Obj(vec![(
-        "error".to_string(),
-        Value::Obj(vec![
-            ("status".to_string(), Value::Int(i64::from(status))),
-            ("kind".to_string(), Value::Str(kind.to_string())),
-            ("message".to_string(), Value::Str(message.to_string())),
-        ]),
-    )]);
-    serde_json::to_string(&body)
-        .unwrap_or_else(|_| "{\"error\":{}}".to_string())
-        .into_bytes()
+    let mut out = JsonWriter::compact();
+    out.begin_object();
+    out.key("error");
+    out.begin_object();
+    out.field("status", &status);
+    out.field("kind", kind);
+    out.field("message", message);
+    out.end_object();
+    out.end_object();
+    out.finish().into_bytes()
 }
 
 /// An error response with the canonical JSON body.

@@ -106,7 +106,7 @@ pub struct ServerState {
     version: AtomicU64,
     next_shard: AtomicUsize,
     max_seen: Mutex<Option<f64>>,
-    snap_cache: Mutex<Option<(u64, MonitorSnapshot)>>,
+    snap_cache: Mutex<Option<(u64, Arc<MonitorSnapshot>)>>,
     resp_cache: Mutex<(u64, HashMap<String, Response>)>,
     obs: ServerObs,
 }
@@ -326,18 +326,18 @@ impl ServerState {
     }
 
     /// The merged fleet snapshot behind the version-tagged cache: the
-    /// warm path clones the cached merge instead of re-cutting the fleet.
-    pub fn merged_cached(&self, timeout: Duration) -> Result<(u64, MonitorSnapshot)> {
+    /// warm path shares the cached merge instead of re-cutting the fleet.
+    pub fn merged_cached(&self, timeout: Duration) -> Result<(u64, Arc<MonitorSnapshot>)> {
         let version = self.version();
         if let Some((v, snap)) = &*lock_recover(&self.snap_cache) {
             if *v == version {
                 self.obs.snapshot_cache(true);
-                return Ok((version, snap.clone()));
+                return Ok((version, Arc::clone(snap)));
             }
         }
         self.obs.snapshot_cache(false);
-        let snap = self.merged_snapshot(timeout)?;
-        *lock_recover(&self.snap_cache) = Some((version, snap.clone()));
+        let snap = Arc::new(self.merged_snapshot(timeout)?);
+        *lock_recover(&self.snap_cache) = Some((version, Arc::clone(&snap)));
         Ok((version, snap))
     }
 
