@@ -7,8 +7,10 @@
 //!   identical across contenders (the stored counts are metric-agnostic),
 //!   so any spread is the per-step metric evaluation.
 //! - `metrics/evaluate_2x2x4` — the metric kernel alone:
-//!   `Metric::evaluate_counts` on a fixed 2×2×4 joint table, isolating
-//!   each statistic's arithmetic from the streaming machinery.
+//!   `FairnessMonitor::window_epsilon` over a fixed 2×2×4 window (the
+//!   whole replay), which reads the window through the monitor's layout
+//!   and scores it, isolating each statistic's arithmetic from the
+//!   streaming machinery.
 //!
 //! Every metric walks the same per-outcome conditional table; ε-DF takes
 //! pairwise log-ratios (via the estimator), the worst-case pair takes a
@@ -21,7 +23,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use df_core::builder::{Audit, Smoothed};
 use df_core::metric::metric_from_tag;
-use df_core::JointCounts;
 use df_data::chunks::FrameChunks;
 use df_data::frame::DataFrame;
 use df_data::workloads::drift_replay_frame;
@@ -79,16 +80,22 @@ fn bench_monitor_push(c: &mut Criterion) {
 
 fn bench_evaluate(c: &mut Criterion) {
     let frame = workload();
-    let table = frame.contingency(&COLUMNS).expect("contingency");
-    let counts = JointCounts::from_table(table, "outcome").expect("joint counts");
-    let estimator = Smoothed { alpha: 1.0 };
 
     let mut group = c.benchmark_group("metrics/evaluate_2x2x4");
 
     for tag in TAGS {
-        let metric = metric_from_tag(tag).unwrap();
+        let chunks = FrameChunks::new(&frame, &COLUMNS, N_ROWS).unwrap();
+        let mut monitor = Audit::monitor("outcome", chunks.axes().unwrap())
+            .estimator(Smoothed { alpha: 1.0 })
+            .boxed_metric(metric_from_tag(tag).unwrap())
+            .window(N_ROWS)
+            .build()
+            .unwrap();
+        for chunk in chunks {
+            monitor.push(&chunk).unwrap();
+        }
         group.bench_function(tag, |b| {
-            b.iter(|| black_box(metric.evaluate_counts(&counts, &estimator).unwrap().epsilon));
+            b.iter(|| black_box(monitor.window_epsilon().unwrap().epsilon));
         });
     }
     group.finish();

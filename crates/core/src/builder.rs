@@ -634,23 +634,25 @@ impl<'a> Audit<'a> {
             counts.map(JointCounts::attribute_names).unwrap_or_default();
         let subset_attrs = policy.lattice(&attribute_names)?;
         // Raw tables of the full intersection and of every subset, read
-        // through one layout and shared by every estimator. A metric that
-        // reads counts itself marginalizes them on its own.
-        let tables = match (&source, counts) {
-            (_, Some(c)) => {
-                let projected = if metric.requires_counts() {
-                    &[][..]
-                } else {
-                    &subset_attrs[..]
-                };
-                GroupLayout::new(c.table(), 0)
-                    .with_lattice(projected.iter().map(Vec::as_slice))?
-                    .tables(c.table().data())?
-            }
-            (Source::Table(t), None) => LatticeTables::flat(t.clone()),
-            _ => unreachable!("counts is Some exactly for counts sources"),
+        // through one layout built for the metric, which every estimator
+        // and the bootstrap share.
+        let lattice = subset_attrs.iter().map(Vec::as_slice);
+        let layout = counts
+            .map(|c| GroupLayout::new(c.table(), 0).for_metric(&*metric, lattice))
+            .transpose()?;
+        let tables = match (&source, counts, &layout) {
+            (_, Some(c), Some(layout)) => layout.tables(c.table().data())?,
+            (Source::Table(t), ..) => LatticeTables::flat(t.clone()),
+            _ => unreachable!("a layout is built exactly for counts sources"),
         };
-        let raw_full = &tables.full;
+        // The full intersection's raw table (the report's weights, outcomes
+        // and baselines): the headline's own, unless that is strata.
+        let stratified = match (tables.full(), counts.zip(layout.as_ref())) {
+            (None, Some((c, layout))) => Some(layout.group_outcomes(c.table().data(), 0.0)?),
+            _ => None,
+        };
+        let raw_full = stratified.as_ref().or(tables.full());
+        let raw_full = raw_full.expect("a flat table is read whole");
 
         let mut estimator_reports = Vec::with_capacity(estimators.len());
         for est in &estimators {
@@ -664,7 +666,7 @@ impl<'a> Audit<'a> {
                     },
                 })
                 .collect();
-            let result = tables.evaluate(&*metric, &**est, counts, &mut subsets)?;
+            let result = tables.evaluate(&*metric, &**est, &mut subsets)?;
             estimator_reports.push(EstimatorReport {
                 name: est.name(),
                 result,
@@ -691,7 +693,8 @@ impl<'a> Audit<'a> {
             let empirical: Vec<f64> = match estimator_reports.iter().find(|e| e.name == "eps-EDF") {
                 Some(e) => e.subsets.iter().map(|s| s.result.epsilon).collect(),
                 None => (0..subset_attrs.len())
-                    .map(|i| tables.table(i).worst(log_ratio).epsilon)
+                    .map(|i| tables.table(i).expect("ε-DF reads whole tables"))
+                    .map(|table| table.worst(log_ratio).epsilon)
                     .collect(),
             };
             let full_eps = *empirical.last().expect("full set");
@@ -749,8 +752,9 @@ impl<'a> Audit<'a> {
 
         let amplification = reference_epsilon.map(|r| BiasAmplification::new(epsilon.epsilon, r));
 
-        let bootstrap = match (bootstrap_cfg, counts) {
-            (Some((replicates, seed)), Some(c)) => {
+        let bootstrap = match (bootstrap_cfg, counts, &layout) {
+            (Some((replicates, seed)), Some(c), Some(layout)) => {
+                // Each replicate has the source's axes: the layout reads it.
                 let mut rng = Pcg32::new(seed);
                 Some(bootstrap_epsilon_sharded(
                     c,
@@ -758,15 +762,18 @@ impl<'a> Audit<'a> {
                     bootstrap_mass,
                     &mut rng,
                     bootstrap_threads,
-                    &|jc| Ok(metric.evaluate_counts(jc, &**headline_est)?.epsilon),
+                    &|jc| {
+                        let epsilon = layout.evaluate(jc.table().data(), &*metric, &**headline_est);
+                        Ok(epsilon?.epsilon)
+                    },
                 )?)
             }
-            (Some(_), None) => {
+            (Some(_), ..) => {
                 return Err(DfError::Invalid(
                     "bootstrap needs a joint-counts source to resample".into(),
                 ));
             }
-            (None, _) => None,
+            (None, ..) => None,
         };
 
         let total_weight = raw_full.weights().iter().sum::<f64>();

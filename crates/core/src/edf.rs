@@ -16,17 +16,21 @@
 //! `GroupLayout` is the kernel: integer maps from a table's cells to the
 //! `(group, outcome)` pairs of its full intersection and of each subset of
 //! an audited lattice, summed by `df_prob`'s one projection sum, so every
-//! table gives the bits of the marginalized one. Evaluations carry group
-//! indices only; the names live in one table shared by `Arc`, and only a
-//! reported witness (or an explicit [`GroupOutcomes::group_labels`] call)
-//! turns an index into a string. Audits, monitor pushes, snapshot folds
-//! and fleet cuts all read counts through a layout, so they produce the
-//! same tables by construction.
+//! table gives the bits of the marginalized one. For a metric that
+//! conditions on an axis (differential equalized odds' true label), each
+//! cell maps to a `(stratum, group, outcome)` entry, so every stratum is a
+//! table of its own, scored by the same per-table call. Evaluations carry
+//! group indices only; the names live in one table shared by `Arc`, and
+//! only a reported witness (or an explicit [`GroupOutcomes::group_labels`]
+//! call) turns an index into a string. Audits and their bootstrap
+//! replicates, monitor pushes, snapshot folds and fleet cuts all read
+//! counts through a layout, under every metric, so they produce the same
+//! tables by construction.
 
 use crate::builder::EpsilonEstimator;
 use crate::epsilon::{EpsilonResult, GroupNames, GroupOutcomes, Schema};
 use crate::error::{DfError, Result};
-use crate::metric::Metric;
+use crate::metric::{stratum_axis, Metric};
 use crate::subsets::SubsetEpsilon;
 use df_prob::contingency::{add_projected, Axis, ContingencyTable};
 use df_prob::estimate::dirichlet_posterior_predictive;
@@ -197,34 +201,61 @@ fn check_subset(outcome: &str, attrs: &[&str]) -> Result<()> {
 /// fleet), and once per call by audits and folds of wire snapshots;
 /// either way the build is integer work plus one copy of the axes'
 /// vocabularies, which every table it produces shares.
+///
+/// For a metric that conditions on an axis ([`Metric::conditioning`]), the
+/// headline and every entry split into one table per label of the axis,
+/// which stays in every entry: an entry of it alone is vacuously fair.
 #[derive(Clone)]
 pub(crate) struct GroupLayout {
     outcome_axis: String,
     schema: Arc<Schema>,
+    /// The full intersection, unconditioned, and (when the metric
+    /// conditions) the headline's strata.
     full: Projection,
-    /// Per lattice entry, in lattice order: its projection, or `None` for
-    /// an entry naming as many attributes as the schema has, which reads
-    /// the full intersection.
-    lattice: Vec<Option<Projection>>,
+    headline: Option<Projection>,
+    lattice: Vec<Entry>,
 }
 
-/// One table a layout reads: its names, and `entry[cell]`, the
-/// `(group, outcome)` entry (`group · |Y| + outcome`) that cell of the
-/// source table adds into.
+/// One table a layout reads: its names, its number of strata (`None`:
+/// not conditioned), and `entry[cell]`, the entry `(stratum · |G| +
+/// group) · |Y| + outcome` that cell of the source table adds into.
 #[derive(Clone)]
 struct Projection {
     names: Arc<GroupNames>,
+    strata: Option<usize>,
     entry: Vec<usize>,
 }
 
+/// How one lattice entry reads a table: as the headline (it names every
+/// attribute), through its own projection, or not at all (it names the
+/// conditioning axis alone).
+#[derive(Clone)]
+enum Entry {
+    Headline,
+    Projected(Projection),
+    Vacuous,
+}
+
 impl Projection {
-    /// The `(group, outcome)` sums of `data`, added by `add_projected`,
-    /// the sum `ContingencyTable::marginalize` runs: integer, fractional
-    /// and `-0.0` cells all give the bits of the marginalized table.
+    /// The sums of `data`, added by `add_projected`, the sum
+    /// `ContingencyTable::marginalize` runs: integer, fractional and `-0.0`
+    /// cells all give the bits of the marginalized (and sliced) table.
     fn sums(&self, data: &[f64]) -> Vec<f64> {
-        let mut sums = vec![0.0; self.names.n_groups() * self.names.n_outcomes()];
+        let size = self.names.n_groups() * self.names.n_outcomes();
+        let mut sums = vec![0.0; size * self.strata.unwrap_or(1)];
         add_projected(&mut sums, data, |cell| self.entry[cell]);
         sums
+    }
+
+    fn tables(&self, data: &[f64]) -> Result<Tables> {
+        let sums = self.sums(data);
+        if self.strata.is_none() {
+            return Ok(Tables::One(outcomes(&self.names, sums, 0.0)?));
+        }
+        sums.chunks_exact(self.names.n_groups() * self.names.n_outcomes())
+            .map(|cells| outcomes(&self.names, cells.to_vec(), 0.0))
+            .collect::<Result<_>>()
+            .map(Tables::Strata)
     }
 }
 
@@ -260,26 +291,29 @@ impl GroupLayout {
             schema,
             full: Projection {
                 names: Arc::new(names),
+                strata: None,
                 entry,
             },
+            headline: None,
             lattice: Vec::new(),
         }
     }
 
-    /// Adds the projection of every lattice entry (attribute names, in the
-    /// order the subset's groups intersect them), checked as
-    /// [`JointCounts::marginal_to`] checks a subset.
-    pub(crate) fn with_lattice<'a>(
+    /// This layout set up to evaluate `metric` over `lattice` (attribute
+    /// names per entry, in the order the entry's groups intersect them),
+    /// each entry checked as [`JointCounts::marginal_to`] checks a subset.
+    pub(crate) fn for_metric<'a>(
         mut self,
+        metric: &dyn Metric,
         lattice: impl IntoIterator<Item = &'a [String]>,
     ) -> Result<Self> {
         let attributes = &self.schema.attributes;
-        let n_attrs = attributes.len();
-        let n_outcomes = self.full.names.n_outcomes();
+        let (n_attrs, n_groups) = (attributes.len(), self.full.names.n_groups());
+        let stratum = stratum_axis(metric, attributes)?;
         // `digits[g · p + a]`: the label of attribute `a` in full group
         // `g`, counted up like an odometer (no division per group).
-        let mut digits = vec![0; self.full.names.n_groups() * n_attrs];
-        for g in 1..self.full.names.n_groups() {
+        let mut digits = vec![0; n_groups * n_attrs];
+        for g in 1..n_groups {
             let (done, row) = digits.split_at_mut(g * n_attrs);
             row[..n_attrs].copy_from_slice(&done[(g - 1) * n_attrs..]);
             for a in (0..n_attrs).rev() {
@@ -290,63 +324,94 @@ impl GroupLayout {
                 row[a] = 0;
             }
         }
+        let every: Vec<usize> = (0..n_attrs).collect();
+        self.headline = stratum.map(|_| self.projection(&digits, &every, stratum));
         for attrs in lattice {
             if attrs.len() == n_attrs {
-                self.lattice.push(None);
+                self.lattice.push(Entry::Headline);
                 continue;
             }
-            let attrs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+            let mut attrs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+            if let Some(axis) = stratum {
+                let name = attributes[axis].name();
+                if !attrs.contains(&name) {
+                    attrs.push(name);
+                }
+                if attrs.len() < 2 {
+                    self.lattice.push(Entry::Vacuous);
+                    continue;
+                }
+            }
             check_subset(&self.outcome_axis, &attrs)?;
             let picked = ContingencyTable::positions(attributes, &attrs)?;
-            // The subset group each full group falls in.
-            let group: Vec<usize> = digits
-                .chunks_exact(n_attrs)
-                .map(|d| {
-                    picked
-                        .iter()
-                        .fold(0, |h, &a| h * attributes[a].len() + d[a])
-                })
-                .collect();
-            let entry = self
-                .full
-                .entry
-                .iter()
-                .map(|&e| group[e / n_outcomes] * n_outcomes + e % n_outcomes)
-                .collect();
-            let names = GroupNames::of_axes(Arc::clone(&self.schema), picked);
-            self.lattice.push(Some(Projection {
-                names: Arc::new(names),
-                entry,
-            }));
+            let projection = self.projection(&digits, &picked, stratum);
+            self.lattice.push(Entry::Projected(projection));
         }
         Ok(self)
     }
 
+    /// The projection onto the attributes at `picked` (positions in the
+    /// schema's attributes, in group order), in strata of the attribute at
+    /// `axis` when there is one; the other attributes intersect as groups.
+    fn projection(&self, digits: &[usize], picked: &[usize], axis: Option<usize>) -> Projection {
+        let attributes = &self.schema.attributes;
+        let mut groups = picked.to_vec();
+        groups.retain(|&a| Some(a) != axis);
+        let n_outcomes = self.full.names.n_outcomes();
+        // The `(stratum, group)` each full group falls in.
+        let group: Vec<usize> = digits
+            .chunks_exact(attributes.len())
+            .map(|d| {
+                let first = axis.map_or(0, |s| d[s]);
+                groups
+                    .iter()
+                    .fold(first, |h, &a| h * attributes[a].len() + d[a])
+            })
+            .collect();
+        let entry = self
+            .full
+            .entry
+            .iter()
+            .map(|&e| group[e / n_outcomes] * n_outcomes + e % n_outcomes)
+            .collect();
+        Projection {
+            names: Arc::new(GroupNames::of_axes(Arc::clone(&self.schema), groups)),
+            strata: axis.map(|s| attributes[s].len()),
+            entry,
+        }
+    }
+
     /// [`JointCounts::group_outcomes`] of `data`, the cells of a table with
-    /// the axes this layout was built from.
+    /// the axes this layout was built from (unconditioned).
     pub(crate) fn group_outcomes(&self, data: &[f64], alpha: f64) -> Result<GroupOutcomes> {
         outcomes(&self.full.names, self.full.sums(data), alpha)
     }
 
-    /// The raw (MLE) tables of `data` over the full intersection and every
-    /// lattice entry, each summed from the table's cells as
-    /// `JointCounts::marginal_to` sums them.
+    /// The raw (MLE) tables of `data` the layout's metric scores.
     pub(crate) fn tables(&self, data: &[f64]) -> Result<LatticeTables> {
         let subsets = self
             .lattice
             .iter()
-            .map(|entry| {
-                entry
-                    .as_ref()
-                    .map(|p| outcomes(&p.names, p.sums(data), 0.0))
-                    .transpose()
+            .map(|entry| match entry {
+                Entry::Headline => Ok(None),
+                Entry::Projected(p) => p.tables(data).map(Some),
+                Entry::Vacuous => Ok(Some(Tables::Strata(Vec::new()))),
             })
             .collect::<Result<_>>()?;
-        Ok(LatticeTables {
-            full: self.group_outcomes(data, 0.0)?,
-            subsets,
-            n_attrs: self.schema.attributes.len(),
-        })
+        let full = self.headline.as_ref().unwrap_or(&self.full).tables(data)?;
+        Ok(LatticeTables { full, subsets })
+    }
+
+    /// `metric` under `estimator` on the headline of `data` alone: the
+    /// monitor's per-push statistic, and each bootstrap replicate's.
+    pub(crate) fn evaluate(
+        &self,
+        data: &[f64],
+        metric: &dyn Metric,
+        estimator: &dyn EpsilonEstimator,
+    ) -> Result<EpsilonResult> {
+        let headline = self.headline.as_ref().unwrap_or(&self.full);
+        score(metric, &headline.tables(data)?, estimator)
     }
 }
 
@@ -386,65 +451,89 @@ fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>, alpha: f64) -> Result<
     GroupOutcomes::with_names(Arc::clone(names), cells, weights)
 }
 
-/// The raw tables of one counts table through a [`GroupLayout`]: the full
-/// intersection and every lattice entry.
+/// The raw tables one entry is scored on: its one table, or one per label
+/// of the conditioning axis, in label order.
+enum Tables {
+    One(GroupOutcomes),
+    Strata(Vec<GroupOutcomes>),
+}
+
+/// `metric` under `estimator` on one entry's tables: the metric's own call
+/// on one table; on strata, the metric it scores strata with, keeping the
+/// worst (the first maximum in label order; no strata is vacuously fair).
+fn score(
+    metric: &dyn Metric,
+    tables: &Tables,
+    estimator: &dyn EpsilonEstimator,
+) -> Result<EpsilonResult> {
+    let strata = match tables {
+        Tables::One(table) => return metric.evaluate(table, estimator),
+        Tables::Strata(strata) => strata,
+    };
+    let (_, within) = metric
+        .conditioning()
+        .expect("strata are read for a conditioned metric");
+    let vacuous = EpsilonResult {
+        epsilon: 0.0,
+        witness: None,
+    };
+    strata.iter().try_fold(vacuous, |worst, stratum| {
+        let result = within.evaluate(stratum, estimator)?;
+        let worse = result.epsilon > worst.epsilon
+            || worst.witness.is_none() && result.epsilon >= worst.epsilon;
+        Ok(if worse { result } else { worst })
+    })
+}
+
+/// The raw tables of one counts table through a [`GroupLayout`]: the
+/// headline's (the full intersection's) and, per lattice entry, its own
+/// or `None` where it reads the headline's.
 pub(crate) struct LatticeTables {
-    /// The full intersection's table.
-    pub(crate) full: GroupOutcomes,
-    /// Per lattice entry: its projected table, or `None` where the entry
-    /// reads the full intersection.
-    subsets: Vec<Option<GroupOutcomes>>,
-    n_attrs: usize,
+    full: Tables,
+    subsets: Vec<Option<Tables>>,
 }
 
 impl LatticeTables {
     /// The tables of a flat group×outcome table: no attributes, no lattice.
     pub(crate) fn flat(full: GroupOutcomes) -> Self {
         Self {
-            full,
+            full: Tables::One(full),
             subsets: Vec::new(),
-            n_attrs: 0,
         }
     }
 
-    /// The raw table lattice entry `i` reads.
-    pub(crate) fn table(&self, i: usize) -> &GroupOutcomes {
-        match self.subsets.get(i) {
-            Some(Some(table)) => table,
-            _ => &self.full,
+    /// The full intersection's raw table, unless the headline is strata.
+    pub(crate) fn full(&self) -> Option<&GroupOutcomes> {
+        self.table(self.subsets.len())
+    }
+
+    /// The raw table lattice entry `i` reads (past the lattice, the
+    /// headline's), unless it is strata.
+    pub(crate) fn table(&self, i: usize) -> Option<&GroupOutcomes> {
+        let entry = self.subsets.get(i).and_then(Option::as_ref);
+        match entry.unwrap_or(&self.full) {
+            Tables::One(table) => Some(table),
+            Tables::Strata(_) => None,
         }
     }
 
-    /// `metric` under `estimator` on the full intersection, returned, and
-    /// on every entry of `subsets` (the lattice the layout was built
-    /// with), written into each entry's result: the one lattice evaluation
-    /// behind [`crate::builder::Audit::run`] and every monitor snapshot.
-    /// An entry naming every attribute repeats the full result. A metric
-    /// that reads counts itself ([`Metric::requires_counts`]) evaluates
-    /// `counts` and its marginals instead.
+    /// `metric` under `estimator` on the headline, returned, and on every
+    /// entry of `subsets` (the lattice the layout was built with), written
+    /// into each entry's result: the one lattice evaluation behind
+    /// [`crate::builder::Audit::run`] and every monitor snapshot. An entry
+    /// naming every attribute repeats the headline's result.
     pub(crate) fn evaluate(
         &self,
         metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
-        counts: Option<&JointCounts>,
         subsets: &mut [SubsetEpsilon],
     ) -> Result<EpsilonResult> {
-        let full = match counts {
-            Some(c) if metric.requires_counts() => metric.evaluate_counts(c, estimator)?,
-            _ => metric.evaluate(&self.full, estimator)?,
-        };
-        for (i, subset) in subsets.iter_mut().enumerate() {
-            subset.result = if subset.attributes.len() == self.n_attrs {
-                full.clone()
-            } else if metric.requires_counts() {
-                let names: Vec<&str> = subset.attributes.iter().map(String::as_str).collect();
-                let c = counts.expect("a metric reading counts is evaluated with counts");
-                metric.evaluate_marginal(c, &names, estimator)?
-            } else {
-                let table = self.subsets[i]
-                    .as_ref()
-                    .expect("the layout projects every proper subset of its lattice");
-                metric.evaluate(table, estimator)?
+        debug_assert_eq!(subsets.len(), self.subsets.len());
+        let full = score(metric, &self.full, estimator)?;
+        for (subset, tables) in subsets.iter_mut().zip(&self.subsets) {
+            subset.result = match tables {
+                Some(tables) => score(metric, tables, estimator)?,
+                None => full.clone(),
             };
         }
         Ok(full)
@@ -485,7 +574,10 @@ pub(crate) mod oracle {
 
     /// One metric under one estimator over `lattice`: the full result and
     /// one result per entry, each proper subset through
-    /// `marginal_to(..)` and [`group_outcomes`].
+    /// `marginal_to(..)` and [`group_outcomes`]. A metric that conditions
+    /// on an axis takes the parent's stratum loop ([`conditioned`]), and
+    /// a proper subset keeps that axis (appended when the subset leaves
+    /// it out), the axis alone being vacuous.
     pub(crate) fn evaluate(
         counts: &JointCounts,
         metric: &dyn Metric,
@@ -493,25 +585,81 @@ pub(crate) mod oracle {
         lattice: &[Vec<String>],
     ) -> Result<(EpsilonResult, Vec<EpsilonResult>)> {
         let n_attrs = counts.attribute_names().len();
-        let full = if metric.requires_counts() {
-            metric.evaluate_counts(counts, estimator)?
-        } else {
-            metric.evaluate(&group_outcomes(counts)?, estimator)?
+        let label = metric.conditioning().map(|(label, _)| label);
+        let full = match label {
+            Some(label) => conditioned(counts, label, &metric.tag(), estimator)?,
+            None => metric.evaluate(&group_outcomes(counts)?, estimator)?,
         };
         let subsets = lattice
             .iter()
             .map(|attrs| {
-                let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                let mut names: Vec<&str> = attrs.iter().map(String::as_str).collect();
                 if attrs.len() == n_attrs {
-                    Ok(full.clone())
-                } else if metric.requires_counts() {
-                    metric.evaluate_marginal(counts, &names, estimator)
-                } else {
-                    metric.evaluate(&group_outcomes(&counts.marginal_to(&names)?)?, estimator)
+                    return Ok(full.clone());
                 }
+                let Some(label) = label else {
+                    return metric
+                        .evaluate(&group_outcomes(&counts.marginal_to(&names)?)?, estimator);
+                };
+                if !names.contains(&label) {
+                    names.push(label);
+                }
+                if names.len() < 2 {
+                    return Ok(EpsilonResult {
+                        epsilon: 0.0,
+                        witness: None,
+                    });
+                }
+                conditioned(
+                    &counts.marginal_to(&names)?,
+                    label,
+                    &metric.tag(),
+                    estimator,
+                )
             })
             .collect::<Result<_>>()?;
         Ok((full, subsets))
+    }
+
+    /// The parent's differential equalized odds: ε under `estimator`
+    /// within each stratum of `label`, each stratum sliced out with
+    /// `condition` and re-canonicalized, the first maximum winning.
+    fn conditioned(
+        counts: &JointCounts,
+        label: &str,
+        tag: &str,
+        estimator: &dyn EpsilonEstimator,
+    ) -> Result<EpsilonResult> {
+        let table = counts.table();
+        let outcome = table.axes()[0].name().to_string();
+        let axis = table.axes()[1..]
+            .iter()
+            .find(|a| a.name() == label)
+            .ok_or_else(|| {
+                DfError::Invalid(format!(
+                    "deo needs a `{label}` true-label axis among the protected attributes"
+                ))
+            })?
+            .clone();
+        if table.ndim() < 3 {
+            return Err(DfError::Invalid(format!(
+                "{tag} needs at least one protected axis besides the true-label axis"
+            )));
+        }
+        let mut worst = EpsilonResult {
+            epsilon: 0.0,
+            witness: None,
+        };
+        for value in axis.labels() {
+            let stratum = JointCounts::from_table(table.condition(label, value)?, &outcome)?;
+            let result = estimator.estimate(&group_outcomes(&stratum)?)?;
+            if result.epsilon > worst.epsilon
+                || worst.witness.is_none() && result.epsilon >= worst.epsilon
+            {
+                worst = result;
+            }
+        }
+        Ok(worst)
     }
 }
 
@@ -816,11 +964,12 @@ mod tests {
     /// The kernel against the parent path it replaced, bit for bit, over
     /// random schemas and cells, every subset policy, every estimator and
     /// every registry metric: through `Audit::run`, through a wire
-    /// snapshot's derivation, and through a monitor's own layout.
+    /// snapshot's derivation, and through the layout of a monitor built
+    /// under the metric.
     #[test]
     fn lattice_matches_the_parent_path_bit_for_bit() {
         use crate::builder::{Audit, Empirical, PosteriorSup, Smoothed, SubsetPolicy};
-        use crate::metric::metric_from_tag;
+        use crate::metric::{metric_from_tag, EpsilonDf};
 
         let mut rng = Pcg32::new(0xd1ff);
         for case in 0..45 {
@@ -839,12 +988,12 @@ mod tests {
 
             // Group names: the full intersection and every subset table.
             let layout = GroupLayout::new(counts.table(), 0)
-                .with_lattice(lattice.iter().map(Vec::as_slice))
+                .for_metric(&EpsilonDf, lattice.iter().map(Vec::as_slice))
                 .unwrap();
             let tables = layout.tables(counts.table().data()).unwrap();
             let oracle_full = oracle::group_outcomes(&counts).unwrap();
             assert_eq!(
-                table_bits(&tables.full),
+                table_bits(tables.full().unwrap()),
                 table_bits(&oracle_full),
                 "case {case}"
             );
@@ -852,7 +1001,7 @@ mod tests {
                 let names: Vec<&str> = attrs.iter().map(String::as_str).collect();
                 let expected = oracle::group_outcomes(&counts.marginal_to(&names).unwrap());
                 assert_eq!(
-                    table_bits(tables.table(i)),
+                    table_bits(tables.table(i).unwrap()),
                     table_bits(&expected.unwrap()),
                     "case {case} subset {attrs:?}"
                 );
@@ -918,9 +1067,16 @@ mod tests {
                         let mut s = snap.clone();
                         s.derive(layout, &*metric, &**est).map(|()| s)
                     };
+                    // The monitor path reads through a layout built for
+                    // the metric, as a monitor configured with it does.
+                    let own = Audit::monitor("y", axes.clone())
+                        .subsets(policy)
+                        .decay(0.5)
+                        .boxed_metric(metric.clone_box())
+                        .build();
                     for (path, s) in [
                         ("wire", derived(None)),
-                        ("monitor", derived(Some(monitor.layout()))),
+                        ("monitor", own.and_then(|m| derived(Some(m.layout())))),
                     ] {
                         let got = outcome(&s, |s| {
                             let subsets = s.subsets.iter().map(|s| &s.result);

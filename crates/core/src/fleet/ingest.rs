@@ -129,7 +129,7 @@ impl FleetIngest {
     /// the fleet-wide statistics once. Everything pushed before this call
     /// is in it.
     pub fn snapshot(&self) -> Result<MonitorSnapshot> {
-        self.cut(None, None, &[])
+        self.cut(None, None, [])
     }
 
     /// [`FleetIngest::snapshot`] with a bounded wait, folding `replicas`
@@ -141,10 +141,10 @@ impl FleetIngest {
     /// returns [`DfError::Timeout`] instead of blocking — so a stalled
     /// push cannot hang a serving request forever. Nothing is mutated
     /// before every lock is held, so retrying later is safe.
-    pub fn try_snapshot_timeout(
+    pub fn try_snapshot_timeout<'r>(
         &self,
         timeout: Duration,
-        replicas: &[MonitorSnapshot],
+        replicas: impl IntoIterator<Item = &'r MonitorSnapshot>,
     ) -> Result<MonitorSnapshot> {
         self.cut(None, Some(timeout), replicas)
     }
@@ -160,7 +160,7 @@ impl FleetIngest {
                 "fleet snapshot timestamp must be finite, got {now}"
             )));
         }
-        self.cut(Some(now), None, &[])
+        self.cut(Some(now), None, [])
     }
 
     /// Locks every shard in index order, advances each lagging clock once
@@ -174,11 +174,11 @@ impl FleetIngest {
     /// empty windows — nothing to evict — so they are never touched.
     /// Successful cuts record their wall-clock duration into
     /// [`FleetTelemetry::snapshot_cut_seconds`].
-    fn cut(
+    fn cut<'r>(
         &self,
         now: Option<f64>,
         timeout: Option<Duration>,
-        replicas: &[MonitorSnapshot],
+        replicas: impl IntoIterator<Item = &'r MonitorSnapshot>,
     ) -> Result<MonitorSnapshot> {
         let start = wall_clock_now();
         let mut monitors = Vec::with_capacity(self.shards());
@@ -193,7 +193,7 @@ impl FleetIngest {
             .filter_map(|m| m.now_seconds())
             .chain(now)
             .reduce(f64::max);
-        let mut states = monitors
+        let states = monitors
             .iter_mut()
             .map(|monitor| {
                 if let (Some(target), Some(clock)) = (target, monitor.now_seconds()) {
@@ -204,10 +204,13 @@ impl FleetIngest {
                 Ok(monitor.state())
             })
             .collect::<Result<Vec<_>>>()?;
-        // Pushes resume while the copies fold and derive.
+        // Pushes resume while the copies fold and derive; the replicas
+        // are absorbed where they are, after the shards.
         drop(monitors);
-        states.extend_from_slice(replicas);
         let mut merged = fold(&states)?;
+        for replica in replicas {
+            merged.absorb_counts(replica)?;
+        }
         merged.derive(
             Some(&self.layout),
             &*metric_from_tag(&merged.metric)?,

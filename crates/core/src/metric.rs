@@ -14,7 +14,7 @@
 //! replaces) [`EpsilonEstimator`]: the estimator decides how raw counts
 //! become a probability table (MLE, Dirichlet smoothing, posterior
 //! supremum), the metric decides what disparity functional to apply to
-//! it. Four concrete metrics ship:
+//! it. Five concrete metrics ship:
 //!
 //! | tag | definition | range |
 //! |---|---|---|
@@ -23,6 +23,10 @@
 //! | `wc-diff` | `max_y (max_s P(y\|s) − min_s P(y\|s))` (Ghosh et al. 2021) | `[0, 1]` |
 //! | `alpha-if(alpha=A)` | `max_y [A·(1 − min_s P(y\|s)) + (1−A)·(1 − min_s P / max_s P)]` (Maheshwari et al. 2023, arXiv:2305.12495) | `[0, 1]` |
 //! | `deo(label=L)` | worst per-true-label ε over the strata of axis `L` (differential equalized odds, §7.1) | `[0, ∞]` |
+//!
+//! Every metric is scored by one call, [`Metric::evaluate`], on one raw
+//! table at a time; `deo(label=L)` names `L` through
+//! [`Metric::conditioning`], and each label of `L` is one such table.
 //!
 //! Every metric returns an [`EpsilonResult`]: the statistic plus the
 //! witnessing `(outcome, group_hi, group_lo)` triple, so reports,
@@ -48,9 +52,9 @@
 //! [`LevelingDown`] diagnoses per group.
 
 use crate::builder::EpsilonEstimator;
-use crate::edf::JointCounts;
 use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::error::{DfError, Result};
+use df_prob::contingency::Axis;
 use serde::{Deserialize, Serialize};
 
 /// A disparity functional over a group×outcome probability table.
@@ -70,43 +74,21 @@ pub trait Metric: Send + Sync {
     fn tag(&self) -> String;
 
     /// Evaluates the metric on a *raw* table (MLE probabilities with
-    /// group-total weights), applying the estimator first. This is the
-    /// monitor's per-push hot path.
+    /// group-total weights), applying the estimator first: the one
+    /// per-table call of every evaluation, and the monitor's hot path.
     fn evaluate(
         &self,
         raw: &GroupOutcomes,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult>;
 
-    /// Evaluates the metric on joint counts. The default derives the raw
-    /// table and defers to [`Metric::evaluate`]; metrics that need the
-    /// attribute factorization itself (per-label conditioning) override
-    /// this.
-    fn evaluate_counts(
-        &self,
-        counts: &JointCounts,
-        estimator: &dyn EpsilonEstimator,
-    ) -> Result<EpsilonResult> {
-        self.evaluate(&counts.group_outcomes(0.0)?, estimator)
-    }
-
-    /// Evaluates the metric on the marginal of `counts` onto `attrs`
-    /// (the per-subset entry point of the Theorem 3.1 lattice).
-    fn evaluate_marginal(
-        &self,
-        counts: &JointCounts,
-        attrs: &[&str],
-        estimator: &dyn EpsilonEstimator,
-    ) -> Result<EpsilonResult> {
-        self.evaluate_counts(&counts.marginal_to(attrs)?, estimator)
-    }
-
-    /// Whether the metric needs the joint-counts factorization (true for
-    /// per-label conditioning) rather than a flat group×outcome table.
-    /// Callers holding counts should route through
-    /// [`Metric::evaluate_counts`] when this returns true.
-    fn requires_counts(&self) -> bool {
-        false
+    /// The protected axis this metric conditions on and the metric that
+    /// scores each stratum (each label of the axis), or `None` (the
+    /// default) for a metric of the whole table. A conditioned metric is
+    /// worth its worst stratum (the first maximum in label order); audits,
+    /// monitors and snapshots read every table for it split by the axis.
+    fn conditioning(&self) -> Option<(&str, &dyn Metric)> {
+        None
     }
 
     /// Clones the metric behind the trait object (fleet shards must all
@@ -160,14 +142,6 @@ pub fn metric_from_tag(tag: &str) -> Result<Box<dyn Metric>> {
         "unknown metric `{tag}`; known metrics: eps-df, wc-ratio, wc-diff, \
          alpha-if(alpha=A), deo(label=L)"
     )))
-}
-
-/// The vacuous result when fewer than two groups are populated.
-fn vacuous() -> EpsilonResult {
-    EpsilonResult {
-        epsilon: 0.0,
-        witness: None,
-    }
 }
 
 /// `1 − min/max`, with the all-zero outcome column treated as fair (the
@@ -396,10 +370,10 @@ impl LevelingDown {
 /// error-rate extension, generalized to run on any joint-counts source
 /// that carries the true label as an axis).
 ///
-/// Requires the counts factorization ([`Metric::requires_counts`] is
-/// true): conditioning on the label axis is meaningless on a flat
-/// group×outcome table, and evaluating one there is a typed error. The
-/// schema must carry at least one protected axis besides the label.
+/// Its [`Metric::conditioning`] names the label axis and [`EpsilonDf`]
+/// for the strata. A flat group×outcome table cannot be conditioned, so
+/// [`Metric::evaluate`] is a typed error. The schema must carry the label
+/// axis and at least one protected axis besides it.
 #[derive(Debug, Clone)]
 pub struct DifferentialEqualizedOdds {
     label_axis: String,
@@ -441,69 +415,8 @@ impl Metric for DifferentialEqualizedOdds {
         )))
     }
 
-    fn evaluate_counts(
-        &self,
-        counts: &JointCounts,
-        estimator: &dyn EpsilonEstimator,
-    ) -> Result<EpsilonResult> {
-        let table = counts.table();
-        let outcome = table.axes()[0].name().to_string();
-        let axis = table.axes()[1..]
-            .iter()
-            .find(|a| a.name() == self.label_axis)
-            .ok_or_else(|| {
-                DfError::Invalid(format!(
-                    "deo needs a `{}` true-label axis among the protected \
-                     attributes",
-                    self.label_axis
-                ))
-            })?
-            .clone();
-        if table.ndim() < 3 {
-            return Err(DfError::Invalid(format!(
-                "deo(label={}) needs at least one protected axis besides \
-                 the true-label axis",
-                self.label_axis
-            )));
-        }
-        // Worst stratum, first-maximum tie-break — same convention as the
-        // per-outcome fold, so the result is deterministic in label order.
-        let mut worst = vacuous();
-        for label in axis.labels() {
-            let stratum = table.condition(&self.label_axis, label)?;
-            let jc = JointCounts::from_table(stratum, &outcome)?;
-            let result = estimator.estimate(&jc.group_outcomes(0.0)?)?;
-            if result.epsilon > worst.epsilon
-                || worst.witness.is_none() && result.epsilon >= worst.epsilon
-            {
-                worst = result;
-            }
-        }
-        Ok(worst)
-    }
-
-    fn evaluate_marginal(
-        &self,
-        counts: &JointCounts,
-        attrs: &[&str],
-        estimator: &dyn EpsilonEstimator,
-    ) -> Result<EpsilonResult> {
-        // The true-label axis must survive the marginalization for
-        // conditioning to mean anything.
-        let mut keep: Vec<&str> = attrs.to_vec();
-        if !keep.iter().any(|a| *a == self.label_axis) {
-            keep.push(&self.label_axis);
-        }
-        if keep.len() < 2 {
-            // Only the label axis itself: conditioning leaves no protected
-            // axes, so every stratum has a single group — vacuously fair.
-            return Ok(vacuous());
-        }
-        self.evaluate_counts(&counts.marginal_to(&keep)?, estimator)
-    }
-
-    fn requires_counts(&self) -> bool {
-        true
+    fn conditioning(&self) -> Option<(&str, &dyn Metric)> {
+        Some((&self.label_axis, &EpsilonDf))
     }
 
     fn clone_box(&self) -> Box<dyn Metric> {
@@ -511,11 +424,32 @@ impl Metric for DifferentialEqualizedOdds {
     }
 }
 
+/// The position among `attributes` (a schema's protected axes) of the
+/// axis `metric` conditions on, if any: a typed error unless the axis is
+/// there with at least one more to compare groups across.
+pub(crate) fn stratum_axis(metric: &dyn Metric, attributes: &[Axis]) -> Result<Option<usize>> {
+    let Some((label, _)) = metric.conditioning() else {
+        return Ok(None);
+    };
+    let Some(position) = attributes.iter().position(|a| a.name() == label) else {
+        let needs = format!("deo needs a `{label}` true-label axis among the protected attributes");
+        return Err(DfError::Invalid(needs));
+    };
+    if attributes.len() < 2 {
+        return Err(DfError::Invalid(format!(
+            "{} needs at least one protected axis besides the true-label axis",
+            metric.tag()
+        )));
+    }
+    Ok(Some(position))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{Empirical, Smoothed};
-    use df_prob::contingency::{Axis, ContingencyTable};
+    use crate::builder::{Audit, Empirical, Smoothed, SubsetPolicy};
+    use crate::edf::JointCounts;
+    use df_prob::contingency::ContingencyTable;
     use df_prob::numerics::approx_eq;
 
     fn labels(xs: &[&str]) -> Vec<String> {
@@ -684,8 +618,17 @@ mod tests {
             JointCounts::from_table(ContingencyTable::from_data(axes, data).unwrap(), "outcome")
                 .unwrap();
         let deo = DifferentialEqualizedOdds::new("label");
-        assert!(deo.requires_counts());
-        let worst = deo.evaluate_counts(&counts, &Empirical).unwrap();
+        let (axis, within) = deo.conditioning().unwrap();
+        assert_eq!((axis, within.tag().as_str()), ("label", "eps-df"));
+        let audit = |metric: DifferentialEqualizedOdds| {
+            Audit::of(&counts)
+                .estimator(Empirical)
+                .metric(metric)
+                .subsets(SubsetPolicy::None)
+                .run()
+                .map(|report| report.epsilon)
+        };
+        let worst = audit(deo.clone()).unwrap();
         // Stratum t1: P(no|a)=0.25 vs P(no|b)=0.75 → ε = ln 3.
         assert!(approx_eq(worst.epsilon, 3.0_f64.ln(), 1e-12, 0.0));
         // The flat-table entry point is a typed error, not a fallback.
@@ -695,8 +638,7 @@ mod tests {
             Err(DfError::Invalid(_))
         ));
         // An unknown label axis is a typed error too.
-        let bad = DifferentialEqualizedOdds::new("nope");
-        assert!(bad.evaluate_counts(&counts, &Empirical).is_err());
+        assert!(audit(DifferentialEqualizedOdds::new("nope")).is_err());
     }
 
     #[test]
@@ -722,17 +664,24 @@ mod tests {
             t.add(cell, 2.0 + i as f64);
         }
         let counts = JointCounts::from_table(t, "outcome").unwrap();
-        let deo = DifferentialEqualizedOdds::new("label");
+        let audit = |counts: &JointCounts, policy| {
+            Audit::of(counts)
+                .estimator(Empirical)
+                .metric(DifferentialEqualizedOdds::new("label"))
+                .subsets(policy)
+                .run()
+                .unwrap()
+        };
+        let lattice = audit(&counts, SubsetPolicy::All);
         // Marginal to ["g"] must quietly keep "label" for conditioning…
-        let via_marginal = deo.evaluate_marginal(&counts, &["g"], &Empirical).unwrap();
-        let explicit = deo
-            .evaluate_counts(&counts.marginal_to(&["g", "label"]).unwrap(), &Empirical)
-            .unwrap();
-        assert_eq!(via_marginal, explicit);
+        let via_marginal = &lattice.estimators[0].get(&["g"]).unwrap().result;
+        let explicit = audit(
+            &counts.marginal_to(&["g", "label"]).unwrap(),
+            SubsetPolicy::None,
+        );
+        assert_eq!(*via_marginal, explicit.epsilon);
         // …and the label-only subset is vacuous, not an error.
-        let only_label = deo
-            .evaluate_marginal(&counts, &["label"], &Empirical)
-            .unwrap();
+        let only_label = &lattice.estimators[0].get(&["label"]).unwrap().result;
         assert_eq!(only_label.epsilon, 0.0);
         assert!(only_label.witness.is_none());
     }
@@ -750,7 +699,8 @@ mod tests {
             let back = metric_from_tag(&m.tag()).unwrap();
             assert_eq!(back.tag(), m.tag());
             assert_eq!(back.name(), m.name());
-            assert_eq!(back.requires_counts(), m.requires_counts());
+            let axis = |m: &dyn Metric| m.conditioning().map(|(axis, _)| axis.to_string());
+            assert_eq!(axis(&*back), axis(&*m));
             // Clone through the box keeps the tag.
             assert_eq!(m.clone_box().tag(), m.tag());
         }
@@ -786,11 +736,16 @@ mod tests {
         let raw = counts.group_outcomes(0.0).unwrap();
         for tag in ["eps-df", "wc-ratio", "wc-diff", "alpha-if(alpha=0.5)"] {
             let m = metric_from_tag(tag).unwrap();
-            assert!(!m.requires_counts(), "{tag}");
+            assert!(m.conditioning().is_none(), "{tag}");
+            let via_counts = Audit::of(&counts)
+                .estimator(Smoothed { alpha: 1.0 })
+                .boxed_metric(m.clone_box())
+                .subsets(SubsetPolicy::None)
+                .run()
+                .unwrap();
             assert_eq!(
                 m.evaluate(&raw, &Smoothed { alpha: 1.0 }).unwrap(),
-                m.evaluate_counts(&counts, &Smoothed { alpha: 1.0 })
-                    .unwrap(),
+                via_counts.epsilon,
                 "{tag}"
             );
         }

@@ -308,7 +308,9 @@ impl MonitorBuilder {
 
     /// Sets the fairness metric the monitor tracks (default:
     /// [`EpsilonDf`], the paper's ε-DF). Every windowed statistic, subset
-    /// entry, alert, and change-point sample is computed under it.
+    /// entry, alert, and change-point sample is computed under it. A
+    /// metric that conditions on an axis the schema cannot serve (one it
+    /// lacks, or its only attribute) fails [`MonitorBuilder::build`].
     pub fn metric(mut self, metric: impl Metric + 'static) -> Self {
         self.metric = Some(Box::new(metric));
         self
@@ -479,11 +481,12 @@ impl MonitorBuilder {
             }
         };
         let window = Window::new(self.axes.clone(), span)?;
+        let metric = self.metric.unwrap_or_else(Self::default_metric);
         let layout = GroupLayout::new(
             window.table(),
             window.table().axis_position(&self.outcome_axis)?,
         )
-        .with_lattice(subset_attrs.iter().map(Vec::as_slice))?;
+        .for_metric(&*metric, subset_attrs.iter().map(Vec::as_slice))?;
         let states = vec![RuleState::default(); self.rules.len()];
         let detectors = self
             .changepoints
@@ -499,7 +502,7 @@ impl MonitorBuilder {
             layout,
             outcome_axis: self.outcome_axis,
             estimator: self.estimator.unwrap_or_else(Self::default_estimator),
-            metric: self.metric.unwrap_or_else(Self::default_metric),
+            metric,
             subset_attrs,
             decay: self.decay,
             rules: self.rules,
@@ -640,7 +643,7 @@ impl FairnessMonitor {
     fn finish(&mut self, rows: usize) -> Result<MonitorStep> {
         self.records_seen += rows as u64;
         let epsilon = self.window_epsilon()?;
-        let decayed_epsilon = self.decayed.as_ref().map(|d| self.evaluate_table(d));
+        let decayed_epsilon = self.decayed.as_ref().map(|d| self.evaluate(d));
         let decayed_epsilon = decayed_epsilon.transpose()?;
         let now_seconds = self.window.now();
         let fired = self.evaluate_rules(&epsilon, now_seconds);
@@ -691,22 +694,13 @@ impl FairnessMonitor {
     /// would headline, byte for byte (read through the monitor's
     /// `GroupLayout`, the very code behind `JointCounts::group_outcomes`).
     pub fn window_epsilon(&self) -> Result<EpsilonResult> {
-        self.evaluate_table(self.window.table())
+        self.evaluate(self.window.table())
     }
 
-    /// Evaluates the configured metric over one counts table.
-    fn evaluate_table(&self, table: &ContingencyTable) -> Result<EpsilonResult> {
-        if self.metric.requires_counts() {
-            // Label-conditioned metrics (differential equalized odds) need
-            // the full joint table, not the flattened group×outcome view.
-            let jc = JointCounts::from_table(table.clone(), &self.outcome_axis)?;
-            self.metric.evaluate_counts(&jc, &*self.estimator)
-        } else {
-            self.metric.evaluate(
-                &self.layout.group_outcomes(table.data(), 0.0)?,
-                &*self.estimator,
-            )
-        }
+    /// The configured metric's statistic of one counts table.
+    fn evaluate(&self, table: &ContingencyTable) -> Result<EpsilonResult> {
+        self.layout
+            .evaluate(table.data(), &*self.metric, &*self.estimator)
     }
 
     fn evaluate_rules(&mut self, epsilon: &EpsilonResult, now_seconds: Option<f64>) -> Vec<Alert> {

@@ -21,7 +21,7 @@
 use super::changepoint::ChangepointStatus;
 use super::{Alert, ChangepointAlarm};
 use crate::builder::EpsilonEstimator;
-use crate::edf::{outcome_position, GroupLayout, JointCounts};
+use crate::edf::{outcome_position, GroupLayout};
 use crate::epsilon::EpsilonResult;
 use crate::error::{DfError, Result};
 use crate::metric::{metric_from_tag, Metric};
@@ -29,6 +29,7 @@ use crate::report::{fmt_count, fmt_epsilon, Align, ResponseFormat, TextTable};
 use crate::subsets::SubsetEpsilon;
 use df_prob::contingency::{add_cells, Axis, ContingencyTable};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A serializable contingency table: named axes plus row-major cell data.
 /// The wire form of the monitor's window and horizon counts (df-prob's
@@ -71,19 +72,29 @@ impl CountsSnapshot {
         Ok(ContingencyTable::from_data(axes, self.data.clone())?)
     }
 
-    /// The layout of these counts with `outcome_axis` as the outcome, read
-    /// from [`CountsSnapshot::to_table`], so checked as it checks them.
-    fn layout(&self, outcome_axis: &str) -> Result<GroupLayout> {
+    /// The layout these counts are read through, checked as
+    /// [`CountsSnapshot::to_table`] checks them: `known` after the cell
+    /// check, or else one built from `to_table()` with `outcome_axis` as
+    /// the outcome, for `metric` over the lattice of `subsets`.
+    fn layout<'k>(
+        &self,
+        known: Option<&'k GroupLayout>,
+        outcome_axis: &str,
+        metric: &dyn Metric,
+        subsets: &[SubsetEpsilon],
+    ) -> Result<Cow<'k, GroupLayout>> {
+        if let Some(layout) = known {
+            self.check_cells()?;
+            return Ok(Cow::Borrowed(layout));
+        }
         let table = self.to_table()?;
-        Ok(GroupLayout::new(
-            &table,
-            outcome_position(&table, outcome_axis)?,
-        ))
+        GroupLayout::new(&table, outcome_position(&table, outcome_axis)?)
+            .for_metric(metric, subsets.iter().map(|s| s.attributes.as_slice()))
+            .map(Cow::Owned)
     }
 
     /// The cell check of [`CountsSnapshot::to_table`]: the first NaN,
-    /// infinite or negative cell is a [`DfError::CorruptCounts`]. A
-    /// derivation through a known layout runs it in place of `to_table`.
+    /// infinite or negative cell is a [`DfError::CorruptCounts`].
     fn check_cells(&self) -> Result<()> {
         match self.data.iter().position(|v| !v.is_finite() || *v < 0.0) {
             Some(cell) => Err(DfError::CorruptCounts {
@@ -358,9 +369,9 @@ impl MonitorSnapshot {
     /// min/max-ratio shards recomputes a min/max ratio, never ε.
     ///
     /// The counts are read through `known`, the layout of their schema and
-    /// lattice (a monitor's own, or a fleet's shared one), after the cell
-    /// check of [`CountsSnapshot::to_table`]; without one, through a
-    /// layout built from `to_table()` itself.
+    /// lattice built for `metric` (a monitor's own, or a fleet's shared
+    /// one), after the cell check of [`CountsSnapshot::to_table`]; without
+    /// one, through a layout built for `metric` from `to_table()` itself.
     pub(crate) fn derive(
         &mut self,
         known: Option<&GroupLayout>,
@@ -371,60 +382,16 @@ impl MonitorSnapshot {
         for status in &mut self.changepoints {
             status.alarms.sort_by_key(alarm_key);
         }
-        // A metric that conditions on an axis reads the joint table and
-        // its marginals; every other metric reads the lattice's tables.
-        let projected = if metric.requires_counts() {
-            &[][..]
-        } else {
-            &self.subsets[..]
+        let layout = self
+            .window
+            .layout(known, &self.outcome_axis, metric, &self.subsets)?;
+        let tables = layout.tables(&self.window.data)?;
+        self.epsilon = tables.evaluate(metric, estimator, &mut self.subsets)?;
+        let horizon = |d: &CountsSnapshot| {
+            let layout = d.layout(known, &self.outcome_axis, metric, &[])?;
+            layout.evaluate(&d.data, metric, estimator)
         };
-        let built;
-        let layout = match known {
-            Some(layout) => {
-                self.window.check_cells()?;
-                layout
-            }
-            None => {
-                built = self
-                    .window
-                    .layout(&self.outcome_axis)?
-                    .with_lattice(projected.iter().map(|s| s.attributes.as_slice()))?;
-                &built
-            }
-        };
-        let joint = |c: &CountsSnapshot| -> Result<Option<JointCounts>> {
-            metric
-                .requires_counts()
-                .then(|| JointCounts::from_table(c.to_table()?, &self.outcome_axis))
-                .transpose()
-        };
-        let window = joint(&self.window)?;
-        self.epsilon = layout.tables(&self.window.data)?.evaluate(
-            metric,
-            estimator,
-            window.as_ref(),
-            &mut self.subsets,
-        )?;
-        self.decayed_epsilon = match &self.decayed {
-            Some(d) => Some(match joint(d)? {
-                Some(horizon) => metric.evaluate_counts(&horizon, estimator)?,
-                None => {
-                    let built;
-                    let layout = match known {
-                        Some(layout) => {
-                            d.check_cells()?;
-                            layout
-                        }
-                        None => {
-                            built = d.layout(&self.outcome_axis)?;
-                            &built
-                        }
-                    };
-                    metric.evaluate(&layout.group_outcomes(&d.data, 0.0)?, estimator)?
-                }
-            }),
-            None => None,
-        };
+        self.decayed_epsilon = self.decayed.as_ref().map(horizon).transpose()?;
         self.estimator = estimator.name();
         Ok(())
     }

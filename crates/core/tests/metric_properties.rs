@@ -18,7 +18,7 @@
 //!
 //! Case budget: `PROPTEST_CASES` (CI pins 64).
 
-use df_core::builder::Empirical;
+use df_core::builder::{Audit, Empirical, SubsetPolicy};
 use df_core::metric::metric_from_tag;
 use df_core::JointCounts;
 use df_prob::contingency::{Axis, ContingencyTable};
@@ -42,12 +42,18 @@ fn counts_from(data: Vec<f64>) -> JointCounts {
     JointCounts::from_table(ContingencyTable::from_data(axes, data).unwrap(), "y").unwrap()
 }
 
+/// The plug-in audit of `data` under `tag`, over `policy`'s lattice.
+fn audit(tag: &str, data: Vec<f64>, policy: SubsetPolicy) -> df_core::builder::AuditReport {
+    Audit::of(&counts_from(data))
+        .estimator(Empirical)
+        .boxed_metric(metric_from_tag(tag).unwrap())
+        .subsets(policy)
+        .run()
+        .unwrap()
+}
+
 fn statistic(tag: &str, data: Vec<f64>) -> f64 {
-    metric_from_tag(tag)
-        .unwrap()
-        .evaluate_counts(&counts_from(data), &Empirical)
-        .unwrap()
-        .epsilon
+    audit(tag, data, SubsetPolicy::None).epsilon.epsilon
 }
 
 proptest! {
@@ -161,14 +167,10 @@ proptest! {
         cells in proptest::collection::vec(1u32..200, 8),
     ) {
         let data: Vec<f64> = cells.into_iter().map(f64::from).collect();
-        let jc = counts_from(data);
-        let metric = metric_from_tag("eps-df").unwrap();
-        let full = metric.evaluate_counts(&jc, &Empirical).unwrap().epsilon;
+        let report = audit("eps-df", data, SubsetPolicy::All);
+        let full = report.epsilon.epsilon;
         for attrs in [&["a"][..], &["b"][..]] {
-            let sub = metric
-                .evaluate_marginal(&jc, attrs, &Empirical)
-                .unwrap()
-                .epsilon;
+            let sub = report.estimators[0].get(attrs).unwrap().result.epsilon;
             prop_assert!(
                 sub <= 2.0 * full + 1e-9,
                 "subset {attrs:?}: {sub} exceeds 2×{full}"

@@ -102,7 +102,7 @@ pub struct ServerState {
     decoder: Mutex<SnapshotDecoder>,
     /// Latest wire snapshot per remote replica (BTreeMap: deterministic
     /// merge order).
-    remote: Mutex<BTreeMap<String, MonitorSnapshot>>,
+    remote: Mutex<BTreeMap<String, Arc<MonitorSnapshot>>>,
     version: AtomicU64,
     next_shard: AtomicUsize,
     max_seen: Mutex<Option<f64>>,
@@ -311,7 +311,7 @@ impl ServerState {
             ));
         }
         let totals = (snap.records_seen, snap.window_rows);
-        lock_recover(&self.remote).insert(replica.to_string(), snap);
+        lock_recover(&self.remote).insert(replica.to_string(), Arc::new(snap));
         self.bump_version();
         Ok(totals)
     }
@@ -321,8 +321,12 @@ impl ServerState {
     /// after the shards (in replica-name order) and the statistics
     /// derived once over the lot.
     fn merged_snapshot(&self, timeout: Duration) -> Result<MonitorSnapshot> {
-        let replicas: Vec<MonitorSnapshot> = lock_recover(&self.remote).values().cloned().collect();
-        self.fleet.try_snapshot_timeout(timeout, &replicas)
+        // Shared handles: the store's lock is not held during the cut, and
+        // the cut reads each replica where it is.
+        let replicas: Vec<Arc<MonitorSnapshot>> =
+            lock_recover(&self.remote).values().cloned().collect();
+        self.fleet
+            .try_snapshot_timeout(timeout, replicas.iter().map(|r| &**r))
     }
 
     /// The merged fleet snapshot behind the version-tagged cache: the

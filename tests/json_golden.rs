@@ -13,7 +13,12 @@
 //! server's bodies (audit and monitor in every format, schema, ingest
 //! acknowledgements, error bodies); scalars and labels at the edges of
 //! the float and string formats; and a digest list over seeded reports
-//! with random schemas.
+//! with random schemas. Each of the first three also has a
+//! differential-equalized-odds case (`deo(label=…)`: an audit, a
+//! snapshot, the server's bodies and the errors of an impossible
+//! conditioning), whose files hold the bytes of the route that sliced
+//! and re-marginalized the counts per label before the layout split
+//! its tables into strata.
 
 use differential_fairness::prelude::*;
 use differential_fairness::prob::SplitMix64;
@@ -106,6 +111,110 @@ fn full_report() -> AuditReport {
         .unwrap()
 }
 
+/// A differential-equalized-odds audit: the outcome axis stored second,
+/// the true-label axis between two other attributes, fractional and
+/// empty cells, the full lattice, all three estimators and a bootstrap
+/// on two threads.
+fn deo_report() -> AuditReport {
+    let axes = vec![
+        Axis::from_strs("a", &["a0", "a1"]).unwrap(),
+        Axis::from_strs("outcome", &["no", "yes"]).unwrap(),
+        Axis::from_strs("label", &["neg", "pos"]).unwrap(),
+        Axis::from_strs("b", &["b0", "b1", "b2"]).unwrap(),
+    ];
+    let data = (0..24u32)
+        .map(|i| match i % 6 {
+            3 => 0.0,
+            0 => f64::from(i % 7) + 0.1,
+            _ => f64::from((i * 7) % 11 + 1),
+        })
+        .collect();
+    let counts =
+        JointCounts::from_table(ContingencyTable::from_data(axes, data).unwrap(), "outcome")
+            .unwrap();
+    Audit::of(&counts)
+        .estimator(Empirical)
+        .estimator(Smoothed { alpha: 1.0 })
+        .estimator(PosteriorSup {
+            alpha: 1.0,
+            samples: 40,
+            seed: 5,
+        })
+        .metric(DifferentialEqualizedOdds::new("label"))
+        .subsets(SubsetPolicy::All)
+        .bootstrap(20, 11)
+        .bootstrap_threads(2)
+        .run()
+        .unwrap()
+}
+
+/// Index rows for a monitor push.
+struct Rows(Vec<Vec<usize>>);
+
+impl Tally for Rows {
+    fn tally_into(&self, shard: &mut PartialCounts) -> differential_fairness::prob::Result<()> {
+        for idx in &self.0 {
+            shard.record(idx);
+        }
+        Ok(())
+    }
+}
+
+/// The error of each way to evaluate a `deo(label=…)` that cannot hold:
+/// an audit, a monitor (built and fed one row), and an ε-DF monitor's
+/// snapshot re-derived under the tag, over a two- and a three-attribute
+/// schema.
+fn deo_errors() -> String {
+    let outcome = Axis::from_strs("y", &["no", "yes"]).unwrap();
+    let g = Axis::from_strs("g", &["a", "b"]).unwrap();
+    let r = Axis::from_strs("r", &["u", "v"]).unwrap();
+    let two = vec![outcome.clone(), g.clone()];
+    let three = vec![outcome, g, r];
+    let mut text = String::new();
+    for (axes, label) in [
+        (&two, "g"),
+        (&two, "nope"),
+        (&two, "y"),
+        (&three, "nope"),
+        (&three, "y"),
+    ] {
+        let tag = format!("deo(label={label})");
+        let data = (1..=axes.iter().map(Axis::len).product::<usize>())
+            .map(|i| i as f64)
+            .collect();
+        let counts = JointCounts::from_table(
+            ContingencyTable::from_data(axes.clone(), data).unwrap(),
+            "y",
+        )
+        .unwrap();
+        let audit = Audit::of(&counts)
+            .boxed_metric(metric_from_tag(&tag).unwrap())
+            .run()
+            .map(|_| ());
+        let row = Rows(vec![vec![0; axes.len()]]);
+        let monitor = Audit::monitor("y", axes.clone())
+            .boxed_metric(metric_from_tag(&tag).unwrap())
+            .build()
+            .and_then(|mut m| m.push(&row).map(|_| ()));
+        let mut plain = Audit::monitor("y", axes.clone()).build().unwrap();
+        plain.push(&row).unwrap();
+        let rederived = plain
+            .snapshot()
+            .unwrap()
+            .with_metric(&tag, &Smoothed { alpha: 1.0 })
+            .map(|_| ());
+        for (what, result) in [
+            ("audit", audit),
+            ("monitor", monitor),
+            ("with_metric", rederived),
+        ] {
+            let err = result.expect_err("an impossible conditioning is an error");
+            text.push_str(&format!("{} axes, {tag}, {what}: {err}\n", axes.len()));
+        }
+    }
+    text
+}
+
 fn audit_outputs() -> Vec<(&'static str, String)> {
     let report = full_report();
     assert!(report.epsilon.epsilon.is_finite());
@@ -120,6 +229,8 @@ fn audit_outputs() -> Vec<(&'static str, String)> {
             "audit_render.json",
             report.render(ResponseFormat::Json).unwrap(),
         ),
+        ("audit_deo.json", compact(&deo_report())),
+        ("deo_errors.txt", deo_errors()),
     ]
 }
 
@@ -164,6 +275,42 @@ fn drift_snapshot() -> MonitorSnapshot {
     monitor.snapshot().unwrap()
 }
 
+/// A `deo(label=attr1)` monitor over three attributes, with decay, the
+/// singleton lattice, an alert rule and CUSUM detectors on both signals.
+fn deo_snapshot() -> MonitorSnapshot {
+    let mut rng = Pcg32::new(2027);
+    let replay = timestamped_drift_stream(
+        &mut rng,
+        &[2, 2, 3],
+        0.4,
+        &[DriftSegment::new(120.0, 0.0), DriftSegment::new(120.0, 1.5)],
+        ArrivalProcess::Poisson { rate: 40.0 },
+    )
+    .unwrap();
+    let axes = vec![
+        Axis::from_strs("outcome", &["y0", "y1"]).unwrap(),
+        Axis::from_strs("attr0", &["v0", "v1"]).unwrap(),
+        Axis::from_strs("attr1", &["v0", "v1"]).unwrap(),
+        Axis::from_strs("attr2", &["v0", "v1", "v2"]).unwrap(),
+    ];
+    let mut monitor = Audit::monitor("outcome", axes)
+        .estimator(Smoothed { alpha: 1.0 })
+        .metric(DifferentialEqualizedOdds::new("attr1"))
+        .window_seconds(60.0)
+        .bucket_seconds(5.0)
+        .decay(0.9)
+        .subsets(SubsetPolicy::UpTo { size: 1 })
+        .alert(AlertRule::epsilon_above(0.4).for_consecutive(2))
+        .changepoint(Cusum::new(0.25, 0.05, 1.0))
+        .changepoint(Cusum::new(0.25, 0.05, 1.0).over(ChangeSignal::RawLogRatio))
+        .build()
+        .unwrap();
+    for chunk in replay.bucket_chunks(5.0).unwrap() {
+        monitor.push_at(&chunk, chunk.timestamp).unwrap();
+    }
+    monitor.snapshot().unwrap()
+}
+
 fn monitor_outputs() -> Vec<(&'static str, String)> {
     let snap = drift_snapshot();
     assert!(snap.decayed.is_some() && !snap.subsets.is_empty());
@@ -179,6 +326,7 @@ fn monitor_outputs() -> Vec<(&'static str, String)> {
             "monitor_render.json",
             snap.render(ResponseFormat::Json).unwrap(),
         ),
+        ("monitor_deo.json", compact(&deo_snapshot())),
     ]
 }
 
@@ -379,6 +527,25 @@ fn server_outputs() -> Vec<(&'static str, String)> {
     out.push(("server_monitor.csv", get("/v1/monitor?format=csv")));
     out.push(("server_monitor.md", get("/v1/monitor?format=markdown")));
     out.push(("server_monitor.txt", get("/v1/monitor?format=text")));
+    out.push((
+        "server_audit_deo.json",
+        get("/v1/audit?metric=deo(label=r)"),
+    ));
+    out.push((
+        "server_monitor_deo.json",
+        get("/v1/monitor?metric=deo(label=r)"),
+    ));
+    let mut deo_errors = String::new();
+    for target in [
+        "/v1/audit?metric=deo(label=nope)",
+        "/v1/monitor?metric=deo(label=nope)",
+        "/v1/audit?metric=deo(label=y)",
+        "/v1/monitor?metric=deo(label=y)",
+    ] {
+        deo_errors.push_str(&get(target));
+        deo_errors.push('\n');
+    }
+    out.push(("server_deo_errors.txt", deo_errors));
     let mut errors = String::new();
     for target in [
         "/v1/nope",
