@@ -204,10 +204,15 @@ impl FleetIngest {
                 Ok(monitor.state())
             })
             .collect::<Result<Vec<_>>>()?;
-        // Pushes resume while the copies fold and derive; the replicas
-        // are absorbed where they are, after the shards.
+        // Pushes resume while the copies fold and derive. The first copy
+        // is the root the others fold into; the replicas are absorbed
+        // where they are, after the shards.
         drop(monitors);
-        let mut merged = fold(&states)?;
+        let mut states = states.into_iter();
+        let root = states
+            .next()
+            .ok_or_else(|| DfError::Invalid("a fleet needs at least one shard".into()))?;
+        let mut merged = fold(root, states.as_slice())?;
         for replica in replicas {
             merged.absorb_counts(replica)?;
         }

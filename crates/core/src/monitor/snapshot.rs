@@ -545,18 +545,22 @@ pub fn merge_many(
     snapshots: &[MonitorSnapshot],
     estimator: &dyn EpsilonEstimator,
 ) -> Result<MonitorSnapshot> {
-    let mut root = fold(snapshots)?;
+    let (first, rest) = snapshots
+        .split_first()
+        .ok_or_else(|| DfError::Invalid("cannot merge an empty set of snapshots".into()))?;
+    let mut root = fold(first.clone(), rest)?;
     root.derive(None, &*metric_from_tag(&root.metric)?, estimator)?;
     Ok(root)
 }
 
-/// The mergeable half of [`merge_many`]: every snapshot absorbed, in slice
-/// order, into a copy of the first; statistics not yet derived.
-pub(crate) fn fold(snapshots: &[MonitorSnapshot]) -> Result<MonitorSnapshot> {
-    let (first, rest) = snapshots
-        .split_first()
-        .ok_or_else(|| DfError::Invalid("cannot merge an empty set of snapshots".into()))?;
-    let mut root = first.clone();
+/// The mergeable half of [`merge_many`]: every snapshot of `rest`
+/// absorbed, in order, into `root`; statistics not yet derived. The
+/// caller hands over the root, so a caller that owns its snapshots folds
+/// without a copy.
+pub(crate) fn fold<'a>(
+    mut root: MonitorSnapshot,
+    rest: impl IntoIterator<Item = &'a MonitorSnapshot>,
+) -> Result<MonitorSnapshot> {
     for leaf in rest {
         root.absorb_counts(leaf)?;
     }

@@ -5,9 +5,8 @@
 //! every label, and re-validates every field — all to recover `u32` codes
 //! the first pass already computed. A DFRL log stores the interned form
 //! directly: the schema (column names + vocabularies) once in a header, and
-//! rows as packed code/cell columns, so replay is varint decoding straight
-//! into [`ContingencyTable::tally_codes_trusted`] with no string ever
-//! materialized.
+//! rows as packed code/cell columns, so replay counts codes straight from
+//! the log's bytes with no string ever materialized.
 //!
 //! Wire layout (`varint`, `str` and `f64` are the [`df_prob::wire`]
 //! primitives):
@@ -34,10 +33,18 @@
 //! range-checked against their vocabulary once at decode, which is what
 //! licenses the trusted (scan-free) tally downstream.
 //!
-//! Categorical cells decode in bulk through [`Reader::codes`]: at the
+//! One frame validator serves every read path. It reads each chunk frame
+//! into one reused buffer and checks its columns in schema order. At the
 //! arities audits use nearly every code is a one-byte varint, so a
-//! column's bytes are checked 64 at a time, and only the cell at the first
-//! other byte goes through the per-cell varint decode and range check.
+//! categorical column whose bytes are all below `min(arity, 0x80)` is
+//! handed out as the frame's own bytes, checked with one max over the
+//! column ([`Reader::code_bytes`]). Any other column decodes through
+//! [`Reader::codes`] into `u32`s: its bytes are checked 64 at a time, and
+//! only the cell at the first other byte goes through the per-cell varint
+//! decode and range check, so every error keeps the text and offset of a
+//! cell-by-cell decode. [`tally_from_log`] counts the byte columns as
+//! they are, with [`CellCounts`]; [`ReplayChunks`] widens them into a
+//! [`CodeChunk`]'s `u32` columns.
 //!
 //! Entry points:
 //!
@@ -52,7 +59,7 @@
 use crate::csv::CsvOptions;
 use crate::error::{DataError, Result};
 use crate::frame::{Column, ColumnData, DataFrame, Interner};
-use df_prob::contingency::{Axis, ContingencyTable};
+use df_prob::contingency::{Axis, CellCounts, ContingencyTable};
 use df_prob::partial::{PartialCounts, Tally};
 use df_prob::wire::{put_f64, put_str, put_varint, Reader};
 use df_prob::ProbError;
@@ -446,16 +453,23 @@ impl<R: BufRead> FrameSource<R> {
     /// at their offset in the log.
     fn varint(&mut self, what: &str) -> Result<u64> {
         let start = self.offset;
-        let mut bytes = Vec::with_capacity(10);
-        while bytes.len() < 10 && bytes.last().is_none_or(|&b| b >= 0x80) {
-            bytes.push(self.byte(what)?);
+        let mut bytes = [0u8; 10];
+        let mut len = 0;
+        for slot in &mut bytes {
+            *slot = self.byte(what)?;
+            len += 1;
+            if *slot < 0x80 {
+                break;
+            }
         }
-        Ok(Reader::new(&bytes, start).varint(what)?)
+        Ok(Reader::new(bytes.get(..len).unwrap_or_default(), start).varint(what)?)
     }
 
-    /// Reads one length-prefixed frame body, or `None` on the end marker.
-    /// The length is capped by [`MAX_FRAME_BYTES`] before any allocation.
-    fn frame(&mut self, what: &str) -> Result<Option<(u64, Vec<u8>)>> {
+    /// Reads one length-prefixed frame body into `body`, reusing its
+    /// allocation, and returns the body's offset in the log, or `None` on
+    /// the end marker. The length is capped by [`MAX_FRAME_BYTES`] before
+    /// the buffer grows.
+    fn frame(&mut self, what: &str, body: &mut Vec<u8>) -> Result<Option<u64>> {
         let len = self.varint("frame length")?;
         if len == 0 {
             return Ok(None);
@@ -469,9 +483,9 @@ impl<R: BufRead> FrameSource<R> {
         let n = usize::try_from(len)
             .map_err(|_| self.corrupt(format!("{what} frame length does not fit usize")))?
             .min(MAX_FRAME_BYTES);
-        let mut body = vec![0u8; n];
-        self.fill(&mut body, what)?;
-        Ok(Some((start, body)))
+        body.resize(n, 0);
+        self.fill(body, what)?;
+        Ok(Some(start))
     }
 
     /// Requires clean EOF (called after the end marker), retrying an
@@ -492,22 +506,56 @@ impl<R: BufRead> FrameSource<R> {
 }
 
 // ---------------------------------------------------------------------------
-// Low-level log reader: schema + raw decoded chunks.
+// Low-level log reader: schema + validated chunk frames.
 // ---------------------------------------------------------------------------
 
-/// One decoded column of a chunk.
-#[derive(Debug, Clone, PartialEq)]
-enum RawColumn {
-    Codes(Vec<u32>),
-    Values(Vec<f64>),
+/// One categorical column of a validated chunk frame.
+#[derive(Debug, Clone, Copy)]
+enum Codes<'a> {
+    /// `n_rows` complete, in-range one-byte codes: the frame's own bytes.
+    Bytes(&'a [u8]),
+    /// The codes [`Reader::codes`] decoded, for a column with a
+    /// multi-byte or non-canonical cell.
+    Wide(&'a [u32]),
 }
 
-/// One decoded chunk, columns in schema order, codes already range-checked
-/// against their vocabularies.
-#[derive(Debug, Clone, PartialEq)]
-struct RawChunk {
+impl Codes<'_> {
+    /// Appends the codes to `out` as `u32`s.
+    fn append_to(self, out: &mut Vec<u32>) {
+        match self {
+            Codes::Bytes(bytes) => out.extend(bytes.iter().map(|&b| u32::from(b))),
+            Codes::Wide(codes) => out.extend_from_slice(codes),
+        }
+    }
+}
+
+/// One column of a validated chunk frame, as the frame validator hands
+/// it out.
+#[derive(Debug, Clone, Copy)]
+enum Cells<'a> {
+    Codes(Codes<'a>),
+    /// `n_rows` little-endian `f64` bit patterns, as the frame holds them.
+    Values(&'a [u8]),
+}
+
+/// One validated chunk frame: its row count and every column's cells,
+/// in schema order, codes range-checked against their vocabularies.
+#[derive(Debug)]
+struct Chunk<'a> {
     n_rows: usize,
-    columns: Vec<RawColumn>,
+    columns: Vec<Cells<'a>>,
+}
+
+impl<'a> Chunk<'a> {
+    /// The cells of the categorical column at schema position `pos`.
+    fn codes(&self, pos: usize) -> Result<Codes<'a>> {
+        match self.columns.get(pos) {
+            Some(Cells::Codes(codes)) => Ok(*codes),
+            _ => Err(DataError::Invalid(format!(
+                "projected column position {pos} is not categorical"
+            ))),
+        }
+    }
 }
 
 /// Internal streaming decoder shared by every public read path.
@@ -519,6 +567,11 @@ struct LogReader<R: BufRead> {
     /// precomputed so chunk decode never re-derives it.
     arities: Vec<Option<u32>>,
     finished: bool,
+    /// The current frame's body: every frame is read into this buffer.
+    body: Vec<u8>,
+    /// Per schema column, the current chunk's decoded codes when the
+    /// column takes the `u32` route.
+    codes: Vec<Vec<u32>>,
 }
 
 impl<R: BufRead> LogReader<R> {
@@ -535,11 +588,12 @@ impl<R: BufRead> LogReader<R> {
                 "unsupported replay-log version {version} (expected {VERSION})"
             )));
         }
-        let (base, header) = source
-            .frame("schema header")?
+        let mut body = Vec::new();
+        let base = source
+            .frame("schema header", &mut body)?
             .ok_or_else(|| source.corrupt("missing schema header frame".into()))?;
-        let schema = decode_header(&header, base)?;
-        let arities = schema
+        let schema = decode_header(&body, base)?;
+        let arities: Vec<Option<u32>> = schema
             .columns
             .iter()
             .map(|c| match c {
@@ -551,48 +605,65 @@ impl<R: BufRead> LogReader<R> {
         Ok(Self {
             source,
             schema,
+            codes: arities.iter().map(|_| Vec::new()).collect(),
             arities,
             finished: false,
+            body,
         })
     }
 
-    fn next_chunk(&mut self) -> Result<Option<RawChunk>> {
+    /// The frame validator every read path shares: reads the next chunk
+    /// frame into the reused body buffer and checks it, column by column
+    /// in schema order, failing at the first bad byte with the text and
+    /// offset of a cell-by-cell decode. A categorical column whose bytes
+    /// are all complete, in-range one-byte codes is handed out as those
+    /// bytes ([`Reader::code_bytes`]); any other goes through
+    /// [`Reader::codes`] into the column's reused `u32` buffer.
+    fn next_chunk(&mut self) -> Result<Option<Chunk<'_>>> {
         if self.finished {
             return Ok(None);
         }
-        let (base, body) = match self.source.frame("chunk")? {
-            Some(frame) => frame,
-            None => {
-                self.finished = true;
-                self.source.expect_eof()?;
-                return Ok(None);
-            }
+        let Some(base) = self.source.frame("chunk", &mut self.body)? else {
+            self.finished = true;
+            self.source.expect_eof()?;
+            return Ok(None);
         };
-        let mut r = Reader::new(&body, base);
+        let mut r = Reader::new(&self.body, base);
         let n_rows = r.count("chunk row count")?;
         if n_rows == 0 {
             return Err(r.error("chunk frame with zero rows".into()).into());
         }
         let mut columns = Vec::with_capacity(self.arities.len());
-        for (spec, arity) in self.schema.columns.iter().zip(&self.arities) {
-            match arity {
-                Some(arity) => {
-                    let mut codes = Vec::with_capacity(n_rows);
-                    r.codes(n_rows, *arity, spec.name(), &mut codes)?;
-                    columns.push(RawColumn::Codes(codes));
-                }
-                None => {
-                    let mut values = Vec::with_capacity(n_rows);
-                    for _ in 0..n_rows {
-                        values.push(r.f64("numeric cell")?);
+        let specs = self.schema.columns.iter().zip(&self.arities);
+        for ((spec, arity), codes) in specs.zip(&mut self.codes) {
+            columns.push(match arity {
+                Some(arity) => Cells::Codes(match r.code_bytes(n_rows, *arity) {
+                    Some(bytes) => Codes::Bytes(bytes),
+                    None => {
+                        codes.clear();
+                        r.codes(n_rows, *arity, spec.name(), codes)?;
+                        Codes::Wide(codes)
                     }
-                    columns.push(RawColumn::Values(values));
-                }
-            }
+                }),
+                None => Cells::Values(f64_cells(&mut r, n_rows)?),
+            });
         }
         r.done("chunk payload")?;
-        Ok(Some(RawChunk { n_rows, columns }))
+        Ok(Some(Chunk { n_rows, columns }))
     }
+}
+
+/// `n` numeric cells as the frame's bytes: one bounds check when the
+/// frame holds them all, and otherwise the cell-by-cell reads, which fail
+/// at the first cell the frame cuts short.
+fn f64_cells<'a>(r: &mut Reader<'a>, n: usize) -> Result<&'a [u8]> {
+    let len = n.saturating_mul(8);
+    if len > r.remaining() {
+        for _ in 0..n {
+            r.f64("numeric cell")?;
+        }
+    }
+    Ok(r.take(len, "numeric cell")?)
 }
 
 fn decode_header(buf: &[u8], base: u64) -> Result<LogSchema> {
@@ -857,27 +928,19 @@ impl<R: BufRead> ReplayChunks<R> {
     }
 
     fn next_code_chunk(&mut self) -> Result<Option<CodeChunk>> {
-        let mut raw = match self.log.next_chunk()? {
-            Some(raw) => raw,
-            None => return Ok(None),
+        let Some(chunk) = self.log.next_chunk()? else {
+            return Ok(None);
         };
-        // Projected positions are distinct (`with_columns` rejects a
-        // repeat), so each column is moved out at most once.
         let mut columns = Vec::with_capacity(self.projection.len());
         for &pos in &self.projection {
-            match raw.columns.get_mut(pos) {
-                Some(RawColumn::Codes(codes)) => columns.push(std::mem::take(codes)),
-                _ => {
-                    return Err(DataError::Invalid(format!(
-                        "projected column position {pos} is not categorical"
-                    )))
-                }
-            }
+            let mut column = Vec::new();
+            chunk.codes(pos)?.append_to(&mut column);
+            columns.push(column);
         }
         Ok(Some(CodeChunk {
             schema: Arc::clone(&self.schema),
             columns,
-            n_rows: raw.n_rows,
+            n_rows: chunk.n_rows,
         }))
     }
 }
@@ -921,21 +984,54 @@ impl<R: BufRead> Iterator for ReplayChunks<R> {
 }
 
 /// Tallies the named columns of a DFRL log straight into a contingency
-/// table: varint decode → range check → `tally_codes_trusted`, with no
-/// frame materialized, no strings touched after the header, and no
-/// per-chunk schema re-check (the axes are built from the same header the
-/// codes were validated against).
+/// table, with no frame materialized, no strings touched after the
+/// header, and no per-chunk schema re-check (the axes are built from the
+/// same header the codes were validated against).
+///
+/// Each chunk frame is read into one reused buffer and validated exactly
+/// as [`ReplayChunks`] validates it, and the projected columns are then
+/// counted into one [`CellCounts`] for the whole log. A chunk whose
+/// projected columns are all complete, in-range one-byte codes (every
+/// byte below `min(arity, 0x80)`) is counted straight from the frame's
+/// bytes. A chunk with a multi-byte or non-canonical code in a projected
+/// column takes the `u32` route: each projected column is copied out as
+/// `u32`s (the decoded codes as they are, the byte columns widened) and
+/// goes through the same counting loop. The counts become the table's
+/// `f64` cells once, at the end, bit for bit the table a chunk-by-chunk
+/// [`PartialCounts::record_codes_trusted`] tally builds.
 ///
 /// This is the replay fast path the `replay` bench pins at ≥5× the
 /// `CsvChunks` tally on identical data.
 pub fn tally_from_log<R: BufRead>(reader: R, columns: &[&str]) -> Result<ContingencyTable> {
     let mut chunks = ReplayChunks::new(reader)?.with_columns(columns)?;
-    let axes = chunks.axes()?;
-    let mut shard = PartialCounts::zeros(axes)?;
-    while let Some(chunk) = chunks.next_code_chunk()? {
-        shard.record_codes_trusted(&chunk.column_slices())?;
+    let mut counts = CellCounts::zeros(chunks.axes()?)?;
+    // The projected columns of a chunk on the `u32` route.
+    let mut wide = vec![Vec::new(); chunks.projection.len()];
+    while let Some(chunk) = chunks.log.next_chunk()? {
+        let codes = chunks
+            .projection
+            .iter()
+            .map(|&pos| chunk.codes(pos))
+            .collect::<Result<Vec<_>>>()?;
+        let bytes: Option<Vec<&[u8]>> = codes
+            .iter()
+            .map(|codes| match codes {
+                Codes::Bytes(bytes) => Some(*bytes),
+                Codes::Wide(_) => None,
+            })
+            .collect();
+        if let Some(bytes) = bytes {
+            counts.tally_trusted(&bytes)?;
+            continue;
+        }
+        for (wide, codes) in wide.iter_mut().zip(codes) {
+            wide.clear();
+            codes.append_to(wide);
+        }
+        let columns: Vec<&[u32]> = wide.iter().map(Vec::as_slice).collect();
+        counts.tally_trusted(&columns)?;
     }
-    Ok(shard.into_table())
+    Ok(counts.into_table())
 }
 
 // ---------------------------------------------------------------------------
@@ -989,6 +1085,11 @@ pub fn write_frame_log<W: Write>(frame: &DataFrame, chunk_rows: usize, out: W) -
 /// [`write_frame_log`]): categorical codes and vocabularies land exactly
 /// as written, numeric cells bit-for-bit.
 pub fn read_frame_log<R: BufRead>(reader: R) -> Result<DataFrame> {
+    /// One column of the log, read back whole.
+    enum RawColumn {
+        Codes(Vec<u32>),
+        Values(Vec<f64>),
+    }
     let mut log = LogReader::new(reader)?;
     let mut accumulators: Vec<RawColumn> = log
         .schema
@@ -1000,10 +1101,17 @@ pub fn read_frame_log<R: BufRead>(reader: R) -> Result<DataFrame> {
         })
         .collect();
     while let Some(chunk) = log.next_chunk()? {
-        for (acc, col) in accumulators.iter_mut().zip(chunk.columns) {
-            match (acc, col) {
-                (RawColumn::Codes(acc), RawColumn::Codes(codes)) => acc.extend(codes),
-                (RawColumn::Values(acc), RawColumn::Values(values)) => acc.extend(values),
+        for (acc, cells) in accumulators.iter_mut().zip(chunk.columns) {
+            match (acc, cells) {
+                (RawColumn::Codes(acc), Cells::Codes(codes)) => codes.append_to(acc),
+                (RawColumn::Values(acc), Cells::Values(bytes)) => {
+                    for cell in bytes.chunks_exact(8) {
+                        let bits = cell.try_into().map_err(|_| {
+                            DataError::Invalid("a numeric cell is not 8 bytes".into())
+                        })?;
+                        acc.push(f64::from_le_bytes(bits));
+                    }
+                }
                 _ => {
                     return Err(DataError::Invalid(
                         "decoded chunk column kind diverged from the schema".into(),

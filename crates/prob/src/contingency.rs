@@ -245,11 +245,15 @@ impl ContingencyTable {
     /// code slice per axis, all of equal length, each code indexing that
     /// axis's labels. Every record gets weight 1.
     ///
-    /// This is the streaming hot path. It runs columnar on purpose — one
-    /// multiply-add sweep per axis accumulating flat indices, then one
-    /// scatter pass — which the compiler vectorizes, unlike the per-row
-    /// `increment` loop that re-derives the stride arithmetic (and its
-    /// bounds checks) for every record.
+    /// This is the streaming hot path of batches that are tallied one at a
+    /// time into a table: df-data's `CodeChunk` (the server's ingest, and
+    /// replay chunks fed to audits and monitors), its frame and CSV chunks,
+    /// and frame views. A whole replay log tallies through [`CellCounts`]
+    /// instead. It runs columnar on purpose — one multiply-add sweep per
+    /// axis accumulating flat indices, then one scatter pass — which the
+    /// compiler vectorizes, unlike the per-row `increment` loop that
+    /// re-derives the stride arithmetic (and its bounds checks) for every
+    /// record.
     pub fn tally_codes(&mut self, columns: &[&[u32]]) -> Result<()> {
         if columns.len() != self.axes.len() {
             return Err(ProbError::ShapeMismatch {
@@ -619,6 +623,183 @@ impl ContingencyTable {
             *v += alpha;
         }
         Ok(out)
+    }
+}
+
+/// A categorical code as [`CellCounts::tally_trusted`] reads it: `u8`
+/// for a column of one-byte codes kept as the bytes they were stored as,
+/// `u32` for any code.
+pub trait Code: Copy {
+    /// The code as an index into its axis's labels.
+    fn index(self) -> usize;
+    /// The code's low 16 bits: the whole code in a table of at most
+    /// `u16::MAX` cells.
+    fn low16(self) -> u16;
+}
+
+impl Code for u8 {
+    #[inline]
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+    #[inline]
+    fn low16(self) -> u16 {
+        u16::from(self)
+    }
+}
+
+impl Code for u32 {
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+    #[inline]
+    fn low16(self) -> u16 {
+        self as u16
+    }
+}
+
+/// A flat cell index as a block of [`CellCounts::tally_trusted`] holds
+/// it: `u16` in a table of at most `u16::MAX` cells, where a column sweep
+/// widens and multiplies eight indices per SSE2 instruction against two
+/// `usize`s, and `usize` in any table.
+trait Flat: Copy + Default + std::ops::AddAssign + std::ops::Mul<Output = Self> {
+    fn of_code<C: Code>(code: C) -> Self;
+    fn of_stride(stride: usize) -> Self;
+    fn cell(self) -> usize;
+}
+
+impl Flat for u16 {
+    #[inline]
+    fn of_code<C: Code>(code: C) -> Self {
+        code.low16()
+    }
+    #[inline]
+    fn of_stride(stride: usize) -> Self {
+        stride as u16
+    }
+    #[inline]
+    fn cell(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Flat for usize {
+    #[inline]
+    fn of_code<C: Code>(code: C) -> Self {
+        code.index()
+    }
+    #[inline]
+    fn of_stride(stride: usize) -> Self {
+        stride
+    }
+    #[inline]
+    fn cell(self) -> usize {
+        self
+    }
+}
+
+/// Records per block of [`CellCounts::tally_trusted`]: their flat
+/// indices fit one stack buffer, built one column at a time.
+const TALLY_BLOCK: usize = 1024;
+
+/// Integer cell counts for one long tally of coded records, such as every
+/// chunk of a replay log: the joint counts `N[y, s₁, …, s_p]` kept as
+/// `u64`s for the whole tally, and turned into a table's `f64` cells once,
+/// by [`CellCounts::into_table`].
+///
+/// Against [`ContingencyTable::tally_codes_trusted`] per batch, a batch
+/// costs no allocation, no widening of its codes to `u32`, no flat-index
+/// buffer sized by the batch and no float add per record. The table comes
+/// out bit for bit the same: a record-by-record tally starts every cell
+/// at `+0.0` and adds `1.0`, which is exact up to 2⁵³ and stays at 2⁵³
+/// after, and `into_table` converts each count with that same cap.
+#[derive(Debug, Clone)]
+pub struct CellCounts {
+    /// A zero table over the axes; `into_table` fills its cells.
+    table: ContingencyTable,
+    /// One count per cell, in the table's row-major order.
+    counts: Vec<u64>,
+}
+
+impl CellCounts {
+    /// Zero counts over the given axes; the checks of
+    /// [`ContingencyTable::zeros`].
+    pub fn zeros(axes: Vec<Axis>) -> Result<Self> {
+        let table = ContingencyTable::zeros(axes)?;
+        let counts = vec![0; table.data.len()];
+        Ok(Self { table, counts })
+    }
+
+    /// Tallies a column-major batch of coded records: one code slice per
+    /// axis, all of one length, every code below its axis's length. The
+    /// contract and the shape checks of
+    /// [`ContingencyTable::tally_codes_trusted`]; a code out of range is
+    /// memory-safe but may count in a wrong cell or panic on an index.
+    ///
+    /// A block of records at a time, each column adds its codes times its
+    /// stride into the block's flat indices, and then each record counts
+    /// once.
+    pub fn tally_trusted<C: Code>(&mut self, columns: &[&[C]]) -> Result<()> {
+        let strides = &self.table.strides;
+        if columns.len() != strides.len() {
+            return Err(ProbError::ShapeMismatch {
+                context: "tally_codes: one code column per axis",
+                expected: strides.len(),
+                actual: columns.len(),
+            });
+        }
+        let n = columns[0].len();
+        if let Some(col) = columns.iter().find(|col| col.len() != n) {
+            return Err(ProbError::ShapeMismatch {
+                context: "tally_codes: column lengths",
+                expected: n,
+                actual: col.len(),
+            });
+        }
+        debug_assert!(columns
+            .iter()
+            .zip(&self.table.axes)
+            .all(|(col, axis)| col.iter().all(|&c| c.index() < axis.len())));
+        if self.counts.len() <= usize::from(u16::MAX) {
+            tally_blocks::<C, u16>(columns, strides, &mut self.counts);
+        } else {
+            tally_blocks::<C, usize>(columns, strides, &mut self.counts);
+        }
+        Ok(())
+    }
+
+    /// The table of the counts: each count capped at 2⁵³ and converted to
+    /// `f64`.
+    pub fn into_table(self) -> ContingencyTable {
+        let Self { mut table, counts } = self;
+        table.data = counts
+            .into_iter()
+            .map(|count| count.min(1 << 53) as f64)
+            .collect();
+        table
+    }
+}
+
+/// [`CellCounts::tally_trusted`]'s loop, for equal-length columns.
+fn tally_blocks<C: Code, F: Flat>(columns: &[&[C]], strides: &[usize], counts: &mut [u64]) {
+    let n = columns.first().map_or(0, |col| col.len());
+    let mut flats = [F::default(); TALLY_BLOCK];
+    let mut start = 0;
+    while start < n {
+        let end = n.min(start + TALLY_BLOCK);
+        let block = &mut flats[..end - start];
+        block.fill(F::default());
+        for (col, &stride) in columns.iter().zip(strides) {
+            let stride = F::of_stride(stride);
+            for (flat, &code) in block.iter_mut().zip(&col[start..end]) {
+                *flat += F::of_code(code) * stride;
+            }
+        }
+        for flat in block.iter() {
+            counts[flat.cell()] += 1;
+        }
+        start = end;
     }
 }
 

@@ -215,6 +215,24 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// The next `n` cells of one categorical column as the buffer's own
+    /// bytes, when each is a complete, in-range one-byte code: every byte
+    /// below `min(arity, 0x80)`. Otherwise `None`, with nothing consumed,
+    /// so [`Reader::codes`] can decode the column from the same position.
+    /// Where this returns bytes, `codes` would have decoded the same
+    /// values and ended at the same position.
+    #[inline]
+    pub fn code_bytes(&mut self, n: usize, arity: u32) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let bytes = self.buf.get(self.pos..end)?;
+        let max = bytes.iter().fold(0, |m, &b| m.max(b));
+        if !bytes.is_empty() && u32::from(max) >= arity.min(0x80) {
+            return None;
+        }
+        self.pos = end;
+        Some(bytes)
+    }
+
     /// A varint used as an element count: rejected when it exceeds the
     /// bytes still in the buffer (every element costs ≥ 1 byte), so a
     /// hostile count can never size an allocation beyond held input.
@@ -341,6 +359,28 @@ mod tests {
     }
 
     #[test]
+    fn code_bytes_takes_only_complete_in_range_one_byte_codes() {
+        let buf = [0x00, 0x02, 0x7f, 0x01];
+        for (n, arity, want) in [
+            (4, 128, Some(&buf[..])),
+            (4, 70_000, Some(&buf[..])),
+            (2, 3, Some(&buf[..2])),
+            // Out of range: 0x7f for 127 labels, 0x02 for 2.
+            (4, 127, None),
+            (4, 2, None),
+            // Past the end of the buffer.
+            (5, 128, None),
+        ] {
+            let mut r = Reader::new(&buf, BASE);
+            assert_eq!(r.code_bytes(n, arity), want, "n {n}, arity {arity}");
+            assert_eq!(r.pos, want.map_or(0, <[u8]>::len));
+        }
+        // A byte from 0x80 up opens a longer varint, here a non-canonical 1.
+        let two_byte = [0x05, 0x81, 0x00];
+        assert_eq!(Reader::new(&two_byte, BASE).code_bytes(2, 300), None);
+    }
+
+    #[test]
     fn an_out_of_range_code_fails_alike_at_every_offset() {
         // Offsets 0..=130 cross the first two 64-byte block edges.
         for arity in ARITIES {
@@ -384,6 +424,16 @@ mod tests {
             }
             let (bulk, oracle) = decode_both(&buf, cells.len(), arity);
             proptest::prop_assert_eq!(&bulk, &oracle);
+            // Where the cells are one byte each, `code_bytes` hands them
+            // out as they are, ending where the bulk decode ends.
+            let mut r = Reader::new(&buf, BASE);
+            r.pos = LEAD;
+            if let Some(bytes) = r.code_bytes(cells.len(), arity) {
+                let codes = bytes.iter().map(|&b| u32::from(b)).collect();
+                proptest::prop_assert_eq!(&bulk, &Ok((codes, r.pos)));
+            } else {
+                proptest::prop_assert_eq!(r.pos, LEAD);
+            }
             if bad_at < cells.len() {
                 proptest::prop_assert!(bulk.is_err());
             } else {
