@@ -2,7 +2,7 @@
 //!
 //! The replay fast path — `tally_from_log`, which validates each chunk
 //! frame in one reused buffer and counts one-byte codes straight from its
-//! bytes into integer cell counts — must beat re-parsing the equivalent
+//! bytes through `tally_codes_trusted` — must beat re-parsing the equivalent
 //! CSV by at least `MIN_SPEEDUP`× on a 1M-row tally. The gate runs before
 //! the criterion groups and panics if the floor is missed, so a regression
 //! fails the bench run itself (CI compiles this bench; the gate runs on

@@ -557,10 +557,7 @@ pub fn merge_many(
 /// absorbed, in order, into `root`; statistics not yet derived. The
 /// caller hands over the root, so a caller that owns its snapshots folds
 /// without a copy.
-pub(crate) fn fold<'a>(
-    mut root: MonitorSnapshot,
-    rest: impl IntoIterator<Item = &'a MonitorSnapshot>,
-) -> Result<MonitorSnapshot> {
+pub(crate) fn fold(mut root: MonitorSnapshot, rest: &[MonitorSnapshot]) -> Result<MonitorSnapshot> {
     for leaf in rest {
         root.absorb_counts(leaf)?;
     }

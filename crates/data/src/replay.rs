@@ -43,8 +43,8 @@
 //! only the cell at the first other byte goes through the per-cell varint
 //! decode and range check, so every error keeps the text and offset of a
 //! cell-by-cell decode. [`tally_from_log`] counts the byte columns as
-//! they are, with [`CellCounts`]; [`ReplayChunks`] widens them into a
-//! [`CodeChunk`]'s `u32` columns.
+//! they are, through [`ContingencyTable::tally_codes_trusted`];
+//! [`ReplayChunks`] widens them into a [`CodeChunk`]'s `u32` columns.
 //!
 //! Entry points:
 //!
@@ -59,7 +59,7 @@
 use crate::csv::CsvOptions;
 use crate::error::{DataError, Result};
 use crate::frame::{Column, ColumnData, DataFrame, Interner};
-use df_prob::contingency::{Axis, CellCounts, ContingencyTable};
+use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::partial::{PartialCounts, Tally};
 use df_prob::wire::{put_f64, put_str, put_varint, Reader};
 use df_prob::ProbError;
@@ -570,7 +570,7 @@ struct LogReader<R: BufRead> {
     /// The current frame's body: every frame is read into this buffer.
     body: Vec<u8>,
     /// Per schema column, the current chunk's decoded codes when the
-    /// column takes the `u32` route.
+    /// column takes the `u32` route ([`ReplayChunks`] moves them out).
     codes: Vec<Vec<u32>>,
 }
 
@@ -641,6 +641,7 @@ impl<R: BufRead> LogReader<R> {
                     Some(bytes) => Codes::Bytes(bytes),
                     None => {
                         codes.clear();
+                        codes.reserve(n_rows);
                         r.codes(n_rows, *arity, spec.name(), codes)?;
                         Codes::Wide(codes)
                     }
@@ -931,16 +932,31 @@ impl<R: BufRead> ReplayChunks<R> {
         let Some(chunk) = self.log.next_chunk()? else {
             return Ok(None);
         };
+        let n_rows = chunk.n_rows;
+        // Byte columns are widened here. Decoded columns are moved out of
+        // the reader's buffers once the chunk is done with them.
         let mut columns = Vec::with_capacity(self.projection.len());
+        let mut decoded = Vec::new();
         for &pos in &self.projection {
             let mut column = Vec::new();
-            chunk.codes(pos)?.append_to(&mut column);
+            match chunk.codes(pos)? {
+                codes @ Codes::Bytes(_) => {
+                    column.reserve_exact(n_rows);
+                    codes.append_to(&mut column);
+                }
+                Codes::Wide(_) => decoded.push((columns.len(), pos)),
+            }
             columns.push(column);
+        }
+        for (i, pos) in decoded {
+            if let (Some(column), Some(codes)) = (columns.get_mut(i), self.log.codes.get_mut(pos)) {
+                std::mem::swap(column, codes);
+            }
         }
         Ok(Some(CodeChunk {
             schema: Arc::clone(&self.schema),
             columns,
-            n_rows: chunk.n_rows,
+            n_rows,
         }))
     }
 }
@@ -990,23 +1006,23 @@ impl<R: BufRead> Iterator for ReplayChunks<R> {
 ///
 /// Each chunk frame is read into one reused buffer and validated exactly
 /// as [`ReplayChunks`] validates it, and the projected columns are then
-/// counted into one [`CellCounts`] for the whole log. A chunk whose
+/// counted by [`PartialCounts::record_codes_trusted`]. A chunk whose
 /// projected columns are all complete, in-range one-byte codes (every
 /// byte below `min(arity, 0x80)`) is counted straight from the frame's
 /// bytes. A chunk with a multi-byte or non-canonical code in a projected
-/// column takes the `u32` route: each projected column is copied out as
-/// `u32`s (the decoded codes as they are, the byte columns widened) and
-/// goes through the same counting loop. The counts become the table's
-/// `f64` cells once, at the end, bit for bit the table a chunk-by-chunk
-/// [`PartialCounts::record_codes_trusted`] tally builds.
+/// column takes the `u32` route: its decoded columns are counted as they
+/// are, and its byte columns are widened to `u32`s first. Either way the
+/// table is bit for bit the one a tally of [`ReplayChunks`]' chunks
+/// builds: the same `+1.0` per record into the same cell, in record
+/// order.
 ///
 /// This is the replay fast path the `replay` bench pins at ≥5× the
 /// `CsvChunks` tally on identical data.
 pub fn tally_from_log<R: BufRead>(reader: R, columns: &[&str]) -> Result<ContingencyTable> {
     let mut chunks = ReplayChunks::new(reader)?.with_columns(columns)?;
-    let mut counts = CellCounts::zeros(chunks.axes()?)?;
-    // The projected columns of a chunk on the `u32` route.
-    let mut wide = vec![Vec::new(); chunks.projection.len()];
+    let mut shard = PartialCounts::zeros(chunks.axes()?)?;
+    // The byte columns of a chunk on the `u32` route, widened.
+    let mut widened = vec![Vec::new(); chunks.projection.len()];
     while let Some(chunk) = chunks.log.next_chunk()? {
         let codes = chunks
             .projection
@@ -1021,17 +1037,26 @@ pub fn tally_from_log<R: BufRead>(reader: R, columns: &[&str]) -> Result<Conting
             })
             .collect();
         if let Some(bytes) = bytes {
-            counts.tally_trusted(&bytes)?;
+            shard.record_codes_trusted(&bytes)?;
             continue;
         }
-        for (wide, codes) in wide.iter_mut().zip(codes) {
-            wide.clear();
-            codes.append_to(wide);
+        for (widened, codes) in widened.iter_mut().zip(&codes) {
+            if let Codes::Bytes(_) = codes {
+                widened.clear();
+                codes.append_to(widened);
+            }
         }
-        let columns: Vec<&[u32]> = wide.iter().map(Vec::as_slice).collect();
-        counts.tally_trusted(&columns)?;
+        let columns: Vec<&[u32]> = codes
+            .iter()
+            .zip(&widened)
+            .map(|(codes, widened)| match codes {
+                Codes::Bytes(_) => widened.as_slice(),
+                Codes::Wide(codes) => codes,
+            })
+            .collect();
+        shard.record_codes_trusted(&columns)?;
     }
-    Ok(counts.into_table())
+    Ok(shard.into_table())
 }
 
 // ---------------------------------------------------------------------------

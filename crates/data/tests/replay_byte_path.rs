@@ -2,15 +2,19 @@
 //!
 //! `tally_from_log` counts a chunk straight from the frame's bytes when
 //! every projected column holds complete, in-range one-byte codes, and
-//! from the decoded `u32`s otherwise, into integer cell counts that become
-//! the table's `f64` cells once. The chunk route — `ReplayChunks` yielding
-//! `CodeChunk`s into `PartialCounts::record_codes_trusted` — builds the
-//! table one chunk at a time with a float add per record. Over hand-built
-//! seeded logs (every arity class, numeric columns between categorical
-//! ones, non-canonical one-byte varints, projections that skip and reorder
-//! columns, chunks of 1 to 5,000 rows) both routes must give the table a
-//! record-by-record count of the logged codes gives, bit for bit; on
-//! corrupt logs both must fail with the same error text and offset.
+//! from the decoded `u32`s otherwise. The chunk route — `ReplayChunks`
+//! yielding `CodeChunk`s into `PartialCounts::record_codes_trusted` —
+//! widens every column to `u32`s first. Over hand-built seeded logs (every
+//! arity class, numeric columns between categorical ones, non-canonical
+//! one-byte varints, projections that skip and reorder columns, chunks of
+//! 1 to 5,000 rows) both routes must give the table a record-by-record
+//! count of the logged codes gives, bit for bit.
+//!
+//! On corrupt logs both routes must fail with the same error. Since both
+//! read through one frame validator, the errors are also checked against
+//! texts and offsets that do not come from it: messages built from where
+//! the test put the fault, and messages and digests recorded from the
+//! cell-by-cell decoder the byte path replaced (the reader before it).
 
 use df_data::error::DataError;
 use df_data::replay::{tally_from_log, ReplayChunks, MAGIC, VERSION};
@@ -30,9 +34,17 @@ enum Col {
     Num,
 }
 
-/// A cell to write in place of a drawn one: `(chunk, column, row, raw
-/// varint value)`.
-type Poison = (usize, usize, usize, u64);
+/// Faults `build` writes into a log.
+#[derive(Debug, Clone, Copy, Default)]
+struct Faults<'a> {
+    /// A cell to write in place of a drawn one: `(chunk, column, row, raw
+    /// varint value)`.
+    poison: Option<(usize, usize, usize, u64)>,
+    /// Bytes appended to the body of the chunk named.
+    trailing: Option<(usize, &'a [u8])>,
+    /// A row count written for the chunk named in place of its own.
+    rows: Option<(usize, u64)>,
+}
 
 /// A hand-built log: its bytes, every categorical column's codes in row
 /// order (empty for numeric columns), and where the poisoned cell ended.
@@ -50,16 +62,8 @@ fn name(col: usize) -> String {
 /// ten are below `min(arity, 0x80)`, so one-byte runs form at every
 /// arity; the rest are anywhere in range. `non_canonical` codes in a
 /// thousand are written with a redundant `0x80 … 0x00` tail (1 as
-/// `[0x81, 0x00]`). `poison` replaces one cell with a raw varint, and
-/// `trailing` appends bytes to the body of the chunk it names.
-fn build(
-    cols: &[Col],
-    chunk_rows: &[usize],
-    seed: u64,
-    non_canonical: u32,
-    poison: Option<Poison>,
-    trailing: Option<(usize, &[u8])>,
-) -> Log {
+/// `[0x81, 0x00]`). `faults` are written as they say.
+fn build(cols: &[Col], chunk_rows: &[usize], seed: u64, non_canonical: u32, faults: Faults) -> Log {
     let mut rng = Pcg32::new(seed);
     let mut bytes = MAGIC.to_vec();
     bytes.push(VERSION);
@@ -85,10 +89,11 @@ fn build(
     for (chunk, &n) in chunk_rows.iter().enumerate() {
         let mut body = Vec::new();
         let mut poisoned_at = None;
-        put_varint(&mut body, n as u64);
+        let claimed = faults.rows.filter(|&(c, _)| c == chunk);
+        put_varint(&mut body, claimed.map_or(n as u64, |(_, rows)| rows));
         for (i, col) in cols.iter().enumerate() {
             for row in 0..n {
-                if let Some((c, k, r, raw)) = poison {
+                if let Some((c, k, r, raw)) = faults.poison {
                     if (c, k, r) == (chunk, i, row) {
                         put_varint(&mut body, raw);
                         poisoned_at = Some(body.len());
@@ -114,7 +119,7 @@ fn build(
                 }
             }
         }
-        if let Some((c, extra)) = trailing {
+        if let Some((c, extra)) = faults.trailing {
             if c == chunk {
                 body.extend_from_slice(extra);
             }
@@ -133,6 +138,30 @@ fn build(
     }
 }
 
+/// The `(start, end)` offsets of every frame body of a well-formed log,
+/// the header's first.
+fn frame_bodies(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut bodies = Vec::new();
+    let mut pos = MAGIC.len() + 1;
+    loop {
+        let (mut len, mut shift) = (0, 0);
+        loop {
+            let b = bytes[pos];
+            pos += 1;
+            len |= usize::from(b & 0x7f) << shift;
+            shift += 7;
+            if b < 0x80 {
+                break;
+            }
+        }
+        if len == 0 {
+            return bodies;
+        }
+        bodies.push((pos, pos + len));
+        pos += len;
+    }
+}
+
 /// A tally's axes and cell bits, or its error as displayed (which names
 /// the offset).
 type Outcome = Result<(Vec<Axis>, Vec<u64>), String>;
@@ -146,6 +175,26 @@ fn outcome(result: Result<ContingencyTable, DataError>) -> Outcome {
             )
         })
         .map_err(|e| e.to_string())
+}
+
+/// An outcome as one line: the cell bits, or the error text.
+fn text(outcome: &Outcome) -> String {
+    match outcome {
+        Ok((_, bits)) => format!("ok {bits:x?}"),
+        Err(message) => message.clone(),
+    }
+}
+
+/// FNV-1a over the outcomes' lines.
+fn digest(outcomes: &[Outcome]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for outcome in outcomes {
+        for &b in text(outcome).as_bytes().iter().chain(b"\n") {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 /// The chunk route: every `CodeChunk` into a shard through the trusted
@@ -248,7 +297,7 @@ fn byte_path_matches_the_chunk_route_and_a_record_count_bit_for_bit() {
     let mut rng = Pcg32::new(2026);
     for (seed, non_canonical) in [(1, 0), (2, 5), (3, 200)] {
         let rows = chunk_sizes(&mut rng, 16_000);
-        let log = build(&cols, &rows, seed, non_canonical, None, None);
+        let log = build(&cols, &rows, seed, non_canonical, Faults::default());
         for projection in &projections {
             let got = both(&log.bytes, projection);
             assert!(got.is_ok(), "{got:?}");
@@ -268,43 +317,68 @@ fn small_log() -> (Vec<Col>, Log) {
         Col::Num,
         Col::Cat(1),
     ];
-    let log = build(&cols, &[1, 5, 3], 7, 150, None, None);
+    let log = build(&cols, &[1, 5, 3], 7, 150, Faults::default());
     (cols, log)
 }
 
 #[test]
 fn every_truncation_fails_alike_on_both_routes() {
     let (cols, log) = small_log();
+    let len = log.bytes.len();
+    let mut outcomes = Vec::new();
     for projection in [vec![0], vec![3, 0, 5], vec![2, 3]] {
         let whole = both(&log.bytes, &projection);
         assert_eq!(whole, oracle(&log, &cols, &projection));
-        for cut in 0..log.bytes.len() {
+        for cut in 0..len {
             let got = both(&log.bytes[..cut], &projection);
             assert!(got.is_err(), "a prefix of {cut} bytes decoded");
+            outcomes.push(got);
         }
     }
+    // A cut inside the last chunk's frame, and one before the end marker.
+    assert_eq!(
+        outcomes[len - 3],
+        Err(format!(
+            "corrupt replay log at byte {}: log truncated reading chunk: needed 2 more bytes",
+            len - 3
+        ))
+    );
+    assert_eq!(
+        outcomes[len - 1],
+        Err(format!(
+            "corrupt replay log at byte {}: log truncated reading frame length: needed 1 more bytes",
+            len - 1
+        ))
+    );
+    // Every prefix's error, as the cell-by-cell decoder reported it.
+    assert_eq!(digest(&outcomes), TRUNCATION_DIGEST);
 }
+
+/// [`digest`] of `every_truncation_fails_alike_on_both_routes`' errors,
+/// recorded from the cell-by-cell decoder.
+const TRUNCATION_DIGEST: u64 = 0x5912_dc63_4c56_2e17;
 
 #[test]
 fn seeded_bit_flips_fail_or_tally_alike_on_both_routes() {
     let (_, log) = small_log();
     let mut rng = Pcg32::new(11);
-    let (mut failed, mut tallied) = (0, 0);
+    let mut outcomes = Vec::new();
     for _ in 0..2000 {
         let mut bytes = log.bytes.clone();
         let pos = rng.next_below(bytes.len() as u32) as usize;
         bytes[pos] ^= 1 << rng.next_below(8);
-        match both(&bytes, &[3, 0]) {
-            Ok(_) => tallied += 1,
-            Err(_) => failed += 1,
-        }
+        outcomes.push(both(&bytes, &[3, 0]));
     }
     // Flips land in codes that stay in range as well as in structure.
-    assert!(
-        failed > 0 && tallied > 0,
-        "{failed} failed, {tallied} tallied"
-    );
+    let failed = outcomes.iter().filter(|o| o.is_err()).count();
+    assert!(failed > 0 && failed < 2000, "{failed} of 2000 failed");
+    // Every flip's table or error, as the cell-by-cell decoder gave it.
+    assert_eq!(digest(&outcomes), BIT_FLIP_DIGEST);
 }
+
+/// [`digest`] of `seeded_bit_flips_fail_or_tally_alike_on_both_routes`'
+/// outcomes, recorded from the cell-by-cell decoder.
+const BIT_FLIP_DIGEST: u64 = 0xfecb_366d_75fb_865c;
 
 #[test]
 fn an_out_of_range_code_fails_alike_projected_or_not() {
@@ -313,8 +387,11 @@ fn an_out_of_range_code_fails_alike_projected_or_not() {
     let rows = [4, 200, 3];
     for (col, arity) in [(0, 2u64), (2, 127), (3, 300)] {
         for row in [0, 199] {
-            let poison = (1, col, row, arity);
-            let log = build(&cols, &rows, 5, 0, Some(poison), None);
+            let faults = Faults {
+                poison: Some((1, col, row, arity)),
+                ..Faults::default()
+            };
+            let log = build(&cols, &rows, 5, 0, faults);
             let want = format!(
                 "corrupt replay log at byte {}: code {arity} out of range for column `c{col}` \
                  ({arity} labels)",
@@ -333,10 +410,57 @@ fn an_out_of_range_code_fails_alike_projected_or_not() {
 fn trailing_bytes_inside_a_frame_fail_alike() {
     let cols = vec![Col::Cat(2), Col::Num, Col::Cat(129)];
     for extra in [&[0u8][..], &[0x01, 0x02, 0x03]] {
-        let log = build(&cols, &[6, 2, 9], 3, 0, None, Some((1, extra)));
-        let got = both(&log.bytes, &[2, 0]);
-        let message = got.unwrap_err();
-        let want = format!("{} trailing bytes after chunk payload", extra.len());
-        assert!(message.ends_with(&want), "{message}");
+        let faults = Faults {
+            trailing: Some((1, extra)),
+            ..Faults::default()
+        };
+        let log = build(&cols, &[6, 2, 9], 3, 0, faults);
+        // The payload ends where the extra bytes start.
+        let payload_end = frame_bodies(&log.bytes)[2].1 - extra.len();
+        let want = format!(
+            "corrupt replay log at byte {payload_end}: {} trailing bytes after chunk payload",
+            extra.len()
+        );
+        assert_eq!(both(&log.bytes, &[2, 0]), Err(want));
+    }
+}
+
+#[test]
+fn a_row_count_past_the_cells_fails_alike() {
+    // The last chunk claims one row more than it holds, so a column runs
+    // out of frame: numeric cells (whose bulk read falls back to the
+    // cell-by-cell reads to find the cell cut short), or one-byte codes
+    // after the numeric column took eight of their bytes (which fall back
+    // from the byte path to the decode). Each case: the schema, the rows
+    // the chunk holds, how many bytes before the frame's end the error is
+    // reported, and its text.
+    let cases = [
+        (
+            vec![Col::Num, Col::Cat(2)],
+            5,
+            5,
+            "frame truncated reading numeric cell: needed 8 bytes, have 5",
+        ),
+        (
+            vec![Col::Num, Col::Cat(127)],
+            10,
+            0,
+            "frame truncated reading cell code: needed 1 bytes, have 0",
+        ),
+    ];
+    for (cols, rows, back, want) in cases {
+        let faults = Faults {
+            rows: Some((1, rows as u64 + 1)),
+            ..Faults::default()
+        };
+        let log = build(&cols, &[4, rows], 9, 0, faults);
+        let projection = [cols.iter().position(|c| matches!(c, Col::Cat(_))).unwrap()];
+        let frame_end = frame_bodies(&log.bytes)[2].1;
+        let at = frame_end - back;
+        assert_eq!(
+            both(&log.bytes, &projection),
+            Err(format!("corrupt replay log at byte {at}: {want}")),
+            "{cols:?}"
+        );
     }
 }

@@ -245,15 +245,16 @@ impl ContingencyTable {
     /// code slice per axis, all of equal length, each code indexing that
     /// axis's labels. Every record gets weight 1.
     ///
-    /// This is the streaming hot path of batches that are tallied one at a
-    /// time into a table: df-data's `CodeChunk` (the server's ingest, and
-    /// replay chunks fed to audits and monitors), its frame and CSV chunks,
-    /// and frame views. A whole replay log tallies through [`CellCounts`]
-    /// instead. It runs columnar on purpose — one multiply-add sweep per
-    /// axis accumulating flat indices, then one scatter pass — which the
-    /// compiler vectorizes, unlike the per-row `increment` loop that
-    /// re-derives the stride arithmetic (and its bounds checks) for every
-    /// record.
+    /// This is the streaming hot path, through
+    /// [`ContingencyTable::tally_codes_trusted`]: df-data's
+    /// `tally_from_log` (a replay log's code bytes), its `CodeChunk` (the
+    /// server's ingest, and replay chunks fed to audits and monitors), its
+    /// frame and CSV chunks, and frame views all count here. It runs
+    /// columnar on purpose — a block of records at a time, one
+    /// multiply-add sweep per axis accumulating flat indices, then one
+    /// scatter pass — which the compiler vectorizes, unlike the per-row
+    /// `increment` loop that re-derives the stride arithmetic (and its
+    /// bounds checks) for every record.
     pub fn tally_codes(&mut self, columns: &[&[u32]]) -> Result<()> {
         if columns.len() != self.axes.len() {
             return Err(ProbError::ShapeMismatch {
@@ -288,11 +289,15 @@ impl ContingencyTable {
     /// from), where re-reading every code just to validate it would double
     /// the memory traffic of the hot path.
     ///
+    /// Codes come as `u32`s or, for a column of one-byte codes kept as the
+    /// bytes they were stored as, as `u8`s ([`Code`]), so a byte column
+    /// is counted without being widened first.
+    ///
     /// Shape requirements (one column per axis, equal lengths) are still
     /// checked. A contract violation — a code not indexing its axis — is
     /// memory-safe but may tally a wrong cell or panic on a slice bounds
     /// check; it is never undefined behavior.
-    pub fn tally_codes_trusted(&mut self, columns: &[&[u32]]) -> Result<()> {
+    pub fn tally_codes_trusted<C: Code>(&mut self, columns: &[&[C]]) -> Result<()> {
         if columns.len() != self.axes.len() {
             return Err(ProbError::ShapeMismatch {
                 context: "tally_codes: one code column per axis",
@@ -313,43 +318,11 @@ impl ContingencyTable {
         debug_assert!(columns
             .iter()
             .zip(&self.axes)
-            .all(|(col, axis)| col.iter().all(|&c| (c as usize) < axis.len())));
-        // Columnar flat-index accumulation, flat[r] = Σ_k codes[k][r]·stride[k],
-        // with axes processed in fused *pairs* to halve the sweeps over the
-        // flat-index buffer.
-        let ndim = self.axes.len();
-        let mut flats: Vec<usize> = Vec::with_capacity(n);
-        if ndim >= 2 {
-            let (s0, s1) = (self.strides[0], self.strides[1]);
-            flats.extend(
-                columns[0]
-                    .iter()
-                    .zip(columns[1])
-                    .map(|(&a, &b)| a as usize * s0 + b as usize * s1),
-            );
+            .all(|(col, axis)| col.iter().all(|&c| c.index() < axis.len())));
+        if self.data.len() <= usize::from(u16::MAX) {
+            tally_blocks::<C, u16>(columns, &self.strides, &mut self.data);
         } else {
-            let stride = self.strides[0];
-            flats.extend(columns[0].iter().map(|&a| a as usize * stride));
-        }
-        let mut k = 2;
-        while k < ndim {
-            if k + 1 < ndim {
-                let (sa, sb) = (self.strides[k], self.strides[k + 1]);
-                for (flat, (&a, &b)) in flats.iter_mut().zip(columns[k].iter().zip(columns[k + 1]))
-                {
-                    *flat += a as usize * sa + b as usize * sb;
-                }
-                k += 2;
-            } else {
-                let stride = self.strides[k];
-                for (flat, &a) in flats.iter_mut().zip(columns[k]) {
-                    *flat += a as usize * stride;
-                }
-                k += 1;
-            }
-        }
-        for &flat in &flats {
-            self.data[flat] += 1.0;
+            tally_blocks::<C, usize>(columns, &self.strides, &mut self.data);
         }
         Ok(())
     }
@@ -626,9 +599,9 @@ impl ContingencyTable {
     }
 }
 
-/// A categorical code as [`CellCounts::tally_trusted`] reads it: `u8`
-/// for a column of one-byte codes kept as the bytes they were stored as,
-/// `u32` for any code.
+/// A categorical code as [`ContingencyTable::tally_codes_trusted`] reads
+/// it: `u8` for a column of one-byte codes kept as the bytes they were
+/// stored as, `u32` for any code.
 pub trait Code: Copy {
     /// The code as an index into its axis's labels.
     fn index(self) -> usize;
@@ -659,10 +632,10 @@ impl Code for u32 {
     }
 }
 
-/// A flat cell index as a block of [`CellCounts::tally_trusted`] holds
-/// it: `u16` in a table of at most `u16::MAX` cells, where a column sweep
-/// widens and multiplies eight indices per SSE2 instruction against two
-/// `usize`s, and `usize` in any table.
+/// A flat cell index as a block of [`tally_blocks`] holds it: `u16` in a
+/// table of at most `u16::MAX` cells, where a column sweep widens and
+/// multiplies eight indices per SSE2 instruction against two `usize`s,
+/// and `usize` in any table.
 trait Flat: Copy + Default + std::ops::AddAssign + std::ops::Mul<Output = Self> {
     fn of_code<C: Code>(code: C) -> Self;
     fn of_stride(stride: usize) -> Self;
@@ -699,90 +672,16 @@ impl Flat for usize {
     }
 }
 
-/// Records per block of [`CellCounts::tally_trusted`]: their flat
-/// indices fit one stack buffer, built one column at a time.
+/// Records per block of [`tally_blocks`]: their flat indices fit one
+/// stack buffer, built one column at a time.
 const TALLY_BLOCK: usize = 1024;
 
-/// Integer cell counts for one long tally of coded records, such as every
-/// chunk of a replay log: the joint counts `N[y, s₁, …, s_p]` kept as
-/// `u64`s for the whole tally, and turned into a table's `f64` cells once,
-/// by [`CellCounts::into_table`].
-///
-/// Against [`ContingencyTable::tally_codes_trusted`] per batch, a batch
-/// costs no allocation, no widening of its codes to `u32`, no flat-index
-/// buffer sized by the batch and no float add per record. The table comes
-/// out bit for bit the same: a record-by-record tally starts every cell
-/// at `+0.0` and adds `1.0`, which is exact up to 2⁵³ and stays at 2⁵³
-/// after, and `into_table` converts each count with that same cap.
-#[derive(Debug, Clone)]
-pub struct CellCounts {
-    /// A zero table over the axes; `into_table` fills its cells.
-    table: ContingencyTable,
-    /// One count per cell, in the table's row-major order.
-    counts: Vec<u64>,
-}
-
-impl CellCounts {
-    /// Zero counts over the given axes; the checks of
-    /// [`ContingencyTable::zeros`].
-    pub fn zeros(axes: Vec<Axis>) -> Result<Self> {
-        let table = ContingencyTable::zeros(axes)?;
-        let counts = vec![0; table.data.len()];
-        Ok(Self { table, counts })
-    }
-
-    /// Tallies a column-major batch of coded records: one code slice per
-    /// axis, all of one length, every code below its axis's length. The
-    /// contract and the shape checks of
-    /// [`ContingencyTable::tally_codes_trusted`]; a code out of range is
-    /// memory-safe but may count in a wrong cell or panic on an index.
-    ///
-    /// A block of records at a time, each column adds its codes times its
-    /// stride into the block's flat indices, and then each record counts
-    /// once.
-    pub fn tally_trusted<C: Code>(&mut self, columns: &[&[C]]) -> Result<()> {
-        let strides = &self.table.strides;
-        if columns.len() != strides.len() {
-            return Err(ProbError::ShapeMismatch {
-                context: "tally_codes: one code column per axis",
-                expected: strides.len(),
-                actual: columns.len(),
-            });
-        }
-        let n = columns[0].len();
-        if let Some(col) = columns.iter().find(|col| col.len() != n) {
-            return Err(ProbError::ShapeMismatch {
-                context: "tally_codes: column lengths",
-                expected: n,
-                actual: col.len(),
-            });
-        }
-        debug_assert!(columns
-            .iter()
-            .zip(&self.table.axes)
-            .all(|(col, axis)| col.iter().all(|&c| c.index() < axis.len())));
-        if self.counts.len() <= usize::from(u16::MAX) {
-            tally_blocks::<C, u16>(columns, strides, &mut self.counts);
-        } else {
-            tally_blocks::<C, usize>(columns, strides, &mut self.counts);
-        }
-        Ok(())
-    }
-
-    /// The table of the counts: each count capped at 2⁵³ and converted to
-    /// `f64`.
-    pub fn into_table(self) -> ContingencyTable {
-        let Self { mut table, counts } = self;
-        table.data = counts
-            .into_iter()
-            .map(|count| count.min(1 << 53) as f64)
-            .collect();
-        table
-    }
-}
-
-/// [`CellCounts::tally_trusted`]'s loop, for equal-length columns.
-fn tally_blocks<C: Code, F: Flat>(columns: &[&[C]], strides: &[usize], counts: &mut [u64]) {
+/// [`ContingencyTable::tally_codes_trusted`]'s loop, for equal-length
+/// columns. A block of records at a time, each column adds its codes
+/// times its stride into the block's flat indices,
+/// `flat[r] = Σ_k codes[k][r]·stride[k]`, and then each record adds `1.0`
+/// to its cell, in record order.
+fn tally_blocks<C: Code, F: Flat>(columns: &[&[C]], strides: &[usize], cells: &mut [f64]) {
     let n = columns.first().map_or(0, |col| col.len());
     let mut flats = [F::default(); TALLY_BLOCK];
     let mut start = 0;
@@ -797,7 +696,7 @@ fn tally_blocks<C: Code, F: Flat>(columns: &[&[C]], strides: &[usize], counts: &
             }
         }
         for flat in block.iter() {
-            counts[flat.cell()] += 1;
+            cells[flat.cell()] += 1.0;
         }
         start = end;
     }
@@ -1035,8 +934,7 @@ mod tests {
 
     #[test]
     fn tally_codes_matches_per_row_increments() {
-        // Three axes of arities 2, 3, 2 — exercises the fused-pair sweep
-        // plus the trailing odd column.
+        // Three axes of arities 2, 3, 2.
         let axes = vec![
             Axis::from_strs("y", &["0", "1"]).unwrap(),
             Axis::from_strs("a", &["p", "q", "r"]).unwrap(),
@@ -1064,6 +962,58 @@ mod tests {
     }
 
     #[test]
+    fn tally_codes_trusted_counts_bytes_and_wide_codes_across_blocks() {
+        // 2,500 records cross two block edges; the byte columns and their
+        // `u32` widening land in the same cells as per-row increments, in
+        // a table of u16 flat indices (2·3·5 cells) and one of `usize`
+        // flat indices (2·40,000 cells).
+        for arities in [[2, 3, 5], [2, 40_000, 1]] {
+            let axes: Vec<Axis> = arities
+                .iter()
+                .enumerate()
+                .map(|(k, &n)| {
+                    let labels = (0..n).map(|i| i.to_string()).collect();
+                    Axis::new(format!("a{k}"), labels).unwrap()
+                })
+                .collect();
+            let mut state = 0x2545_f491_4f6c_dd1d_u64;
+            let wide: Vec<Vec<u32>> = arities
+                .iter()
+                .map(|&n| {
+                    (0..2_500)
+                        .map(|_| {
+                            state = state
+                                .wrapping_mul(6_364_136_223_846_793_005)
+                                .wrapping_add(1);
+                            // A byte-sized code where every byte column
+                            // can hold it, any code of the axis otherwise.
+                            let bound = if n <= 256 { n } else { 200 };
+                            ((state >> 33) % bound) as u32
+                        })
+                        .collect()
+                })
+                .collect();
+            let bytes: Vec<Vec<u8>> = wide
+                .iter()
+                .map(|col| col.iter().map(|&c| c as u8).collect())
+                .collect();
+            let mut slow = ContingencyTable::zeros(axes.clone()).unwrap();
+            for r in 0..2_500 {
+                let idx: Vec<usize> = wide.iter().map(|col| col[r] as usize).collect();
+                slow.increment(&idx);
+            }
+            let wide_slices: Vec<&[u32]> = wide.iter().map(Vec::as_slice).collect();
+            let mut from_wide = ContingencyTable::zeros(axes.clone()).unwrap();
+            from_wide.tally_codes_trusted(&wide_slices).unwrap();
+            assert_eq!(from_wide, slow, "arities {arities:?}");
+            let byte_slices: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+            let mut from_bytes = ContingencyTable::zeros(axes).unwrap();
+            from_bytes.tally_codes_trusted(&byte_slices).unwrap();
+            assert_eq!(from_bytes, slow, "arities {arities:?}");
+        }
+    }
+
+    #[test]
     fn tally_codes_validates() {
         let axes = vec![
             Axis::from_strs("y", &["0", "1"]).unwrap(),
@@ -1072,15 +1022,15 @@ mod tests {
         let mut t = ContingencyTable::zeros(axes).unwrap();
         // Wrong column count.
         assert!(t.tally_codes(&[&[0, 1][..]]).is_err());
-        assert!(t.tally_codes_trusted(&[&[0, 1][..]]).is_err());
+        assert!(t.tally_codes_trusted(&[&[0u32, 1][..]]).is_err());
         // Mismatched lengths.
         assert!(t.tally_codes(&[&[0, 1][..], &[0][..]]).is_err());
-        assert!(t.tally_codes_trusted(&[&[0, 1][..], &[0][..]]).is_err());
+        assert!(t.tally_codes_trusted(&[&[0u32, 1][..], &[0][..]]).is_err());
         // Out-of-range code caught by the validated path before any cell
         // is touched.
         assert!(t.tally_codes(&[&[0, 2][..], &[0, 1][..]]).is_err());
         assert_eq!(t.total(), 0.0);
-        // Single-axis table takes the non-paired init path.
+        // A single-axis table.
         let mut one =
             ContingencyTable::zeros(vec![Axis::from_strs("y", &["0", "1", "2"]).unwrap()]).unwrap();
         one.tally_codes(&[&[2, 2, 0][..]]).unwrap();

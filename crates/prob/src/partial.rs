@@ -22,7 +22,7 @@
 //! (a slice of a data frame, a batch of parsed CSV rows, …) knows how to
 //! tally itself into a shard.
 
-use crate::contingency::{Axis, ContingencyTable};
+use crate::contingency::{Axis, Code, ContingencyTable};
 use crate::error::Result;
 
 /// A shard of joint counts: one worker's partial tally over a fixed set of
@@ -80,9 +80,10 @@ impl PartialCounts {
     }
 
     /// [`PartialCounts::record_codes`] without the per-code range scan, for
-    /// sources whose codes are in-range by construction; see
+    /// sources whose codes are in-range by construction, as `u32`s or as
+    /// one-byte codes kept as bytes; see
     /// [`ContingencyTable::tally_codes_trusted`] for the contract.
-    pub fn record_codes_trusted(&mut self, columns: &[&[u32]]) -> Result<()> {
+    pub fn record_codes_trusted<C: Code>(&mut self, columns: &[&[C]]) -> Result<()> {
         self.table.tally_codes_trusted(columns)
     }
 
