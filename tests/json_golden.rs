@@ -9,8 +9,10 @@
 //! clients read.
 //!
 //! The cases: an audit report with every optional stage; a monitor
-//! snapshot with decay, subsets, alerts and change-point alarms; the
-//! server's bodies (audit and monitor in every format, schema, ingest
+//! snapshot with decay, subsets, alerts and change-point alarms, and its
+//! twin with a CUSUM on each signal (`monitor_raw.json`, the bytes of the
+//! route that built the raw log-ratio's table apart from the headline's);
+//! the server's bodies (audit and monitor in every format, schema, ingest
 //! acknowledgements, error bodies); scalars and labels at the edges of
 //! the float and string formats; and a digest list over seeded reports
 //! with random schemas. Each of the first three also has a
@@ -243,7 +245,9 @@ fn audit_report_matches_golden() {
 // A monitor snapshot with decay, subsets, alerts and change-point alarms.
 // ---------------------------------------------------------------------------
 
-fn drift_snapshot() -> MonitorSnapshot {
+/// The drift stream's ε-DF monitor, smoothed, with decay, the full
+/// lattice, an alert rule and the detectors `changepoints` adds.
+fn drift_monitor(changepoints: impl FnOnce(MonitorBuilder) -> MonitorBuilder) -> MonitorSnapshot {
     let mut rng = Pcg32::new(2026);
     let replay = timestamped_drift_stream(
         &mut rng,
@@ -258,21 +262,34 @@ fn drift_snapshot() -> MonitorSnapshot {
         Axis::from_strs("attr0", &["v0", "v1"]).unwrap(),
         Axis::from_strs("attr1", &["v0", "v1"]).unwrap(),
     ];
-    let mut monitor = Audit::monitor("outcome", axes)
+    let builder = Audit::monitor("outcome", axes)
         .estimator(Smoothed { alpha: 1.0 })
         .window_seconds(60.0)
         .bucket_seconds(5.0)
         .decay(0.9)
         .subsets(SubsetPolicy::All)
-        .alert(AlertRule::epsilon_above(0.4).for_consecutive(2))
-        .changepoint(Cusum::new(0.25, 0.05, 1.0))
-        .changepoint(PageHinkley::new(0.25, 0.05, 1.0))
-        .build()
-        .unwrap();
+        .alert(AlertRule::epsilon_above(0.4).for_consecutive(2));
+    let mut monitor = changepoints(builder).build().unwrap();
     for chunk in replay.bucket_chunks(5.0).unwrap() {
         monitor.push_at(&chunk, chunk.timestamp).unwrap();
     }
     monitor.snapshot().unwrap()
+}
+
+fn drift_snapshot() -> MonitorSnapshot {
+    drift_monitor(|m| {
+        m.changepoint(Cusum::new(0.25, 0.05, 1.0))
+            .changepoint(PageHinkley::new(0.25, 0.05, 1.0))
+    })
+}
+
+/// The drift monitor with one CUSUM per signal: under `Smoothed`, the raw
+/// log-ratio the second watches is not the headline the first watches.
+fn raw_signal_snapshot() -> MonitorSnapshot {
+    drift_monitor(|m| {
+        m.changepoint(Cusum::new(0.25, 0.05, 1.0))
+            .changepoint(Cusum::new(0.25, 0.05, 1.0).over(ChangeSignal::RawLogRatio))
+    })
 }
 
 /// A `deo(label=attr1)` monitor over three attributes, with decay, the
@@ -319,6 +336,16 @@ fn monitor_outputs() -> Vec<(&'static str, String)> {
         snap.changepoints.iter().any(|c| !c.alarms.is_empty()),
         "the planted drift raises an alarm"
     );
+    let raw = raw_signal_snapshot();
+    let signals: Vec<Vec<u64>> = raw
+        .changepoints
+        .iter()
+        .map(|c| c.alarms.iter().map(|a| a.signal.to_bits()).collect())
+        .collect();
+    assert!(
+        !signals[1].is_empty() && signals[0] != signals[1],
+        "the raw detector alarms on samples of its own"
+    );
     vec![
         ("monitor.json", compact(&snap)),
         ("monitor_pretty.json", pretty(&snap)),
@@ -327,6 +354,7 @@ fn monitor_outputs() -> Vec<(&'static str, String)> {
             snap.render(ResponseFormat::Json).unwrap(),
         ),
         ("monitor_deo.json", compact(&deo_snapshot())),
+        ("monitor_raw.json", compact(&raw)),
     ]
 }
 
