@@ -1,8 +1,8 @@
-//! Criterion bench: the 2^p subset audit — Table 2's computation — as the
-//! number of protected attributes grows.
+//! Criterion bench: the 2^p subset audit — Table 2's computation, through
+//! the `Audit` lattice — as the number of protected attributes grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use df_core::subsets::subset_audit;
+use df_core::builder::{Audit, Smoothed};
 use df_core::JointCounts;
 use df_data::workloads::random_joint_counts;
 use df_prob::rng::Pcg32;
@@ -17,7 +17,10 @@ fn bench_subset_audit(c: &mut Criterion) {
         let jc = JointCounts::from_table(table, "outcome").unwrap();
         group.throughput(Throughput::Elements((1u64 << p) - 1));
         group.bench_with_input(BenchmarkId::from_parameter(p), &jc, |b, jc| {
-            b.iter(|| black_box(subset_audit(jc, 1.0).unwrap()));
+            b.iter(|| {
+                let audit = Audit::of(jc).estimator(Smoothed { alpha: 1.0 });
+                black_box(audit.run().unwrap())
+            });
         });
     }
     group.finish();

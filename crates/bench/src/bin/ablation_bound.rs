@@ -9,10 +9,12 @@
 //! factor `e^ε` of each other for the same outcome, so the marginal ratio is
 //! bounded by `e^ε` directly. The paper's factor 2 comes from bounding the
 //! numerator and denominator against a shared anchor cell, which is looser.
+//! Every table is audited through the `Audit` lattice with the plug-in
+//! (Eq. 6) estimator; the 2ε check is the report's `bound_violations`.
 //!
 //! Run with `cargo run -p df-bench --release --bin ablation_bound`.
 
-use df_core::subsets::subset_audit;
+use df_core::builder::{Audit, AuditReport, Empirical};
 use df_core::JointCounts;
 use df_data::workloads::random_joint_counts;
 use df_prob::contingency::{Axis, ContingencyTable};
@@ -32,9 +34,10 @@ fn main() {
     for _ in 0..2000 {
         let table = random_joint_counts(&mut rng, 2, &[2, 3, 2], 400).expect("workload");
         let jc = JointCounts::from_table(table, "outcome").expect("joint counts");
-        let audit = subset_audit(&jc, 0.0).expect("audit");
-        violations_2eps += audit.verify_bound(1e-9).len();
-        if let Some(t) = audit.bound_tightness() {
+        let report = Audit::of(&jc).estimator(Empirical).run().expect("audit");
+        let violations = report.bound_violations.as_ref().expect("full lattice");
+        violations_2eps += violations.len();
+        if let Some(t) = bound_tightness(&report) {
             tightness.push(t);
             if t > 1.0 + 1e-9 {
                 violations_1eps += 1;
@@ -60,9 +63,9 @@ fn main() {
     println!("adversarial family (skew -> 1 approaches ratio = 1):");
     for &skew in &[0.5, 0.8, 0.9, 0.99, 0.999] {
         let jc = adversarial_table(0.02, skew);
-        let audit = subset_audit(&jc, 0.0).expect("audit");
-        let full = audit.full_intersection().result.epsilon;
-        let t = audit.bound_tightness().expect("nontrivial");
+        let report = Audit::of(&jc).estimator(Empirical).run().expect("audit");
+        let full = report.epsilon.epsilon;
+        let t = bound_tightness(&report).expect("nontrivial");
         println!("  skew = {skew:<6}: eps_full = {full:.4}, max eps_subset/eps_full = {t:.4}");
     }
     println!(
@@ -71,6 +74,21 @@ fn main() {
          argument (see df-core::subsets docs), and Table-1-like real data sits\n\
          far below even that."
     );
+}
+
+/// The worst `eps_subset / eps_full` over the proper subsets: how tight the
+/// factor-2 bound is (at most 2 always, at most 1 by convexity). `None`
+/// when eps_full is 0 or infinite.
+fn bound_tightness(report: &AuditReport) -> Option<f64> {
+    let (full, proper) = report.estimators[0].subsets.split_last()?;
+    let full = full.result.epsilon;
+    if full <= 0.0 || !full.is_finite() {
+        return None;
+    }
+    proper
+        .iter()
+        .map(|s| s.result.epsilon / full)
+        .reduce(f64::max)
 }
 
 /// Joint where each S1 value concentrates its S2-conditional mass on the

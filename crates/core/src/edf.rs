@@ -34,7 +34,7 @@ use crate::metric::{stratum_axis, Metric};
 use crate::subsets::SubsetEpsilon;
 use df_prob::contingency::{add_projected, Axis, ContingencyTable};
 use df_prob::estimate::dirichlet_posterior_predictive;
-use df_prob::numerics::{exactly_zero, stable_sum};
+use df_prob::numerics::{exactly_zero, log_ratio, stable_sum};
 use std::sync::Arc;
 
 /// Joint counts of `(outcome, protected attributes…)`, canonicalized so the
@@ -145,12 +145,6 @@ impl JointCounts {
     /// concentration `alpha` per outcome.
     pub fn edf_smoothed(&self, alpha: f64) -> Result<EpsilonResult> {
         Ok(self.group_outcomes(alpha)?.epsilon())
-    }
-
-    /// EDF of a subset of the protected attributes (marginalizing the rest),
-    /// with optional smoothing.
-    pub fn edf_subset(&self, attrs: &[&str], alpha: f64) -> Result<EpsilonResult> {
-        self.marginal_to(attrs)?.edf_smoothed(alpha)
     }
 }
 
@@ -410,8 +404,30 @@ impl GroupLayout {
         metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult> {
-        let headline = self.headline.as_ref().unwrap_or(&self.full);
-        score(metric, &headline.tables(data)?, estimator)
+        Ok(self.evaluate_with_raw(data, metric, estimator, false)?.0)
+    }
+
+    /// [`GroupLayout::evaluate`] and, when `raw` is set, the worst-pair
+    /// log-ratio of the unconditioned MLE table (a monitor's raw
+    /// change-point signal): read off the headline's own table when the
+    /// metric does not condition, built apart when it does.
+    pub(crate) fn evaluate_with_raw(
+        &self,
+        data: &[f64],
+        metric: &dyn Metric,
+        estimator: &dyn EpsilonEstimator,
+        raw: bool,
+    ) -> Result<(EpsilonResult, Option<f64>)> {
+        let tables = self.headline.as_ref().unwrap_or(&self.full).tables(data)?;
+        let result = score(metric, &tables, estimator)?;
+        let raw = match (raw, &tables) {
+            (false, _) => None,
+            (true, Tables::One(table)) => Some(table.worst(log_ratio).epsilon),
+            (true, Tables::Strata(_)) => {
+                Some(self.group_outcomes(data, 0.0)?.worst(log_ratio).epsilon)
+            }
+        };
+        Ok((result, raw))
     }
 }
 
@@ -782,14 +798,14 @@ mod tests {
     #[test]
     fn table1_gender_marginal_matches_paper() {
         // Paper: ε = 0.2329 for A = Gender.
-        let eps = table1().edf_subset(&["gender"], 0.0).unwrap();
+        let eps = table1().marginal_to(&["gender"]).unwrap().edf().unwrap();
         assert!(approx_eq(eps.epsilon, 0.2329, 1e-3, 0.0), "{}", eps.epsilon);
     }
 
     #[test]
     fn table1_race_marginal_matches_paper() {
         // Paper: ε = 0.8667 for A = Race.
-        let eps = table1().edf_subset(&["race"], 0.0).unwrap();
+        let eps = table1().marginal_to(&["race"]).unwrap().edf().unwrap();
         assert!(approx_eq(eps.epsilon, 0.8667, 1e-3, 0.0), "{}", eps.epsilon);
     }
 
@@ -799,7 +815,7 @@ mod tests {
         let jc = table1();
         let full = jc.edf().unwrap().epsilon;
         for attrs in [&["gender"][..], &["race"][..]] {
-            let sub = jc.edf_subset(attrs, 0.0).unwrap().epsilon;
+            let sub = jc.marginal_to(attrs).unwrap().edf().unwrap().epsilon;
             assert!(
                 sub <= 2.0 * full + 1e-12,
                 "{attrs:?}: {sub} vs {}",

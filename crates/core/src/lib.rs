@@ -17,8 +17,8 @@
 //! - [`epsilon`]: the ε kernel over group×outcome probability tables.
 //! - [`edf`]: empirical DF from joint counts (Eq. 6) and Dirichlet-smoothed
 //!   DF (Eq. 7), with per-subset marginalization.
-//! - [`subsets`]: the intersectionality property (Theorem 3.1 / 3.2) — ε on
-//!   every nonempty subset of the protected attributes, plus bound checks.
+//! - [`subsets`]: the intersectionality property (Theorem 3.1 / 3.2) — the
+//!   per-subset ε an audit's lattice reports, and the theorem's bound.
 //! - [`theta`]: distribution classes Θ (point estimates, posterior samples)
 //!   and the supremum ε over Θ.
 //! - [`mechanism`]: the mechanism abstraction and estimation of

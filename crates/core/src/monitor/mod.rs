@@ -120,7 +120,7 @@ use crate::metric::{EpsilonDf, Metric};
 use crate::subsets::SubsetEpsilon;
 use changepoint::DetectorState;
 use df_prob::contingency::{Axis, ContingencyTable};
-use df_prob::numerics::{exactly_zero, log_ratio};
+use df_prob::numerics::exactly_zero;
 use df_prob::partial::{PartialCounts, Tally};
 use ring::{Span, Window};
 use serde::{Deserialize, Serialize};
@@ -642,25 +642,23 @@ impl FairnessMonitor {
     /// alert rules and change-point detectors, assemble the step.
     fn finish(&mut self, rows: usize) -> Result<MonitorStep> {
         self.records_seen += rows as u64;
-        let epsilon = self.window_epsilon()?;
-        let decayed_epsilon = self.decayed.as_ref().map(|d| self.evaluate(d));
-        let decayed_epsilon = decayed_epsilon.transpose()?;
-        let now_seconds = self.window.now();
-        let fired = self.evaluate_rules(&epsilon, now_seconds);
         // The raw worst-pair log-ratio is only computed when a detector
-        // actually watches it (one extra ε kernel pass).
+        // actually watches it: one more pass over the headline's table, or
+        // over a table of its own under a metric that conditions.
         let watched = self
             .detectors
             .iter()
             .any(|d| d.spec().signal() == ChangeSignal::RawLogRatio);
-        let raw_epsilon = if watched {
-            let raw = self
-                .layout
-                .group_outcomes(self.window.table().data(), 0.0)?;
-            Some(raw.worst(log_ratio).epsilon)
-        } else {
-            None
-        };
+        let (epsilon, raw_epsilon) = self.layout.evaluate_with_raw(
+            self.window.table().data(),
+            &*self.metric,
+            &*self.estimator,
+            watched,
+        )?;
+        let decayed_epsilon = self.decayed.as_ref().map(|d| self.evaluate(d));
+        let decayed_epsilon = decayed_epsilon.transpose()?;
+        let now_seconds = self.window.now();
+        let fired = self.evaluate_rules(&epsilon, now_seconds);
         let mut alarms = Vec::new();
         for detector in &mut self.detectors {
             let sample = match detector.spec().signal() {

@@ -16,7 +16,7 @@
 use crate::edf::JointCounts;
 use crate::epsilon::{EpsilonResult, GroupOutcomes, Worst};
 use crate::error::{DfError, Result};
-use df_prob::mcmc::DirichletPosterior;
+use df_prob::estimate::DirichletPosterior;
 use df_prob::numerics::log_ratio;
 use df_prob::rng::Pcg32;
 use df_prob::summary::credible_interval;

@@ -5,7 +5,7 @@
 //! for protecting intersections explicitly.
 
 use df_core::baselines::{demographic_parity_distance, subgroup_fairness_violation};
-use df_core::subsets::subset_audit;
+use df_core::builder::{Audit, Empirical};
 use df_core::JointCounts;
 use df_prob::contingency::{Axis, ContingencyTable};
 
@@ -34,18 +34,18 @@ fn gerrymandered(leak: f64) -> JointCounts {
 #[test]
 fn marginals_look_fair_but_intersection_is_not() {
     let jc = gerrymandered(0.05);
-    let audit = subset_audit(&jc, 0.0).unwrap();
+    let report = Audit::of(&jc).estimator(Empirical).run().unwrap();
 
     // Each marginal alone: exactly fair (ε = 0).
     for attrs in [&["g1"][..], &["g2"][..]] {
-        let eps = audit.get(attrs).unwrap().result.epsilon;
+        let eps = report.estimators[0].get(attrs).unwrap().result.epsilon;
         assert!(
             eps.abs() < 1e-10,
             "marginal {attrs:?} should look perfectly fair, got {eps}"
         );
     }
     // The intersection: ln(0.95/0.05) ≈ 2.944 — flagrant.
-    let full = audit.full_intersection().result.epsilon;
+    let full = report.epsilon.epsilon;
     assert!((full - (0.95_f64 / 0.05).ln()).abs() < 1e-9);
 
     // Demographic parity over the intersections also sees it, but
@@ -81,10 +81,10 @@ fn theorem_bound_direction_is_the_useful_one() {
     // gerrymandered table realizes the extreme of that asymmetry, which is
     // exactly why the paper defines fairness at the intersection.
     let jc = gerrymandered(0.05);
-    let audit = subset_audit(&jc, 0.0).unwrap();
-    let full = audit.full_intersection().result.epsilon;
+    let report = Audit::of(&jc).estimator(Empirical).run().unwrap();
+    let full = report.epsilon.epsilon;
     // Downward: every subset within 2ε (trivially, they're 0).
-    assert!(audit.verify_bound(1e-9).is_empty());
+    assert_eq!(report.bound_violations, Some(vec![]));
     // Upward would be false: subsets at 0 while the intersection is 2.94.
     assert!(full > 2.9);
 }

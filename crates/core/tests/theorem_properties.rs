@@ -3,7 +3,7 @@
 //! no longer applies directly and the paper's 2ε statement is the
 //! operative guarantee).
 
-use df_core::subsets::subset_audit;
+use df_core::builder::{Audit, AuditReport, Empirical, EpsilonEstimator, Smoothed};
 use df_core::theta::posterior_theta;
 use df_core::JointCounts;
 use df_prob::contingency::{Axis, ContingencyTable};
@@ -17,6 +17,12 @@ fn counts_from(data: Vec<f64>) -> JointCounts {
         Axis::from_strs("b", &["b0", "b1"]).unwrap(),
     ];
     JointCounts::from_table(ContingencyTable::from_data(axes, data).unwrap(), "y").unwrap()
+}
+
+/// ε under `estimator` of every subset of the attributes, full
+/// intersection last.
+fn audit(jc: &JointCounts, estimator: impl EpsilonEstimator + 'static) -> AuditReport {
+    Audit::of(jc).estimator(estimator).run().unwrap()
 }
 
 proptest! {
@@ -88,32 +94,44 @@ proptest! {
         let alpha = f64::from(alpha_x10) / 10.0;
         let data: Vec<f64> = cells.into_iter().map(f64::from).collect();
         let jc = counts_from(data);
-        let audit = subset_audit(&jc, alpha).unwrap();
+        let report = audit(&jc, Smoothed { alpha });
         // Paper guarantee (2ε) with smoothing slack.
-        let full = audit.full_intersection().result.epsilon;
-        for s in &audit.subsets {
+        let full = report.epsilon.epsilon;
+        for s in &report.estimators[0].subsets {
             prop_assert!(s.result.epsilon <= 2.0 * full + 0.5);
         }
         // In the heavy-smoothing limit everything vanishes (ε(α) is not
         // globally monotone in α, so only the limit is asserted).
-        let limit = subset_audit(&jc, 1e7).unwrap();
-        prop_assert!(limit.full_intersection().result.epsilon < 1e-4);
+        let limit = audit(&jc, Smoothed { alpha: 1e7 });
+        prop_assert!(limit.epsilon.epsilon < 1e-4);
     }
 
     /// Theorem 3.1/3.2 lattice law on the plug-in estimator: for arbitrary
-    /// strictly positive tables, every proper subset's ε is at most twice
-    /// the full intersection's — and, for exact marginalization, at most
-    /// the full ε itself (the sharpened convexity bound).
+    /// strictly positive tables over two and three attributes, every
+    /// proper subset's ε is at most twice the full intersection's — and,
+    /// for exact marginalization, at most the full ε itself (the sharpened
+    /// convexity bound).
     #[test]
     fn every_subset_respects_the_2eps_bound(
-        cells in proptest::collection::vec(1u32..200, 8),
+        cells in proptest::collection::vec(1u32..200, 16),
     ) {
         let data: Vec<f64> = cells.into_iter().map(f64::from).collect();
-        let audit = subset_audit(&counts_from(data), 0.0).unwrap();
-        prop_assert!(audit.verify_bound(1e-9).is_empty());
-        prop_assert!(audit.verify_sharpened_bound(1e-9).is_empty());
-        if let Some(t) = audit.bound_tightness() {
-            prop_assert!(t <= 2.0 + 1e-9, "tightness {t} exceeds the theorem");
+        let two = counts_from(data[..8].to_vec());
+        let mut axes = two.table().axes().to_vec();
+        axes.push(Axis::from_strs("c", &["c0", "c1"]).unwrap());
+        let three = ContingencyTable::from_data(axes, data).unwrap();
+        for jc in [two, JointCounts::from_table(three, "y").unwrap()] {
+            let report = audit(&jc, Empirical);
+            prop_assert_eq!(&report.bound_violations, &Some(vec![]));
+            let full = report.epsilon.epsilon;
+            for s in &report.estimators[0].subsets {
+                prop_assert!(
+                    s.result.epsilon <= full + 1e-9,
+                    "subset {:?}: eps {} exceeds the full eps {full}",
+                    s.attributes,
+                    s.result.epsilon
+                );
+            }
         }
     }
 
@@ -131,8 +149,8 @@ proptest! {
                 data.push(f64::from(y) * f64::from(g));
             }
         }
-        let audit = subset_audit(&counts_from(data), 0.0).unwrap();
-        for s in &audit.subsets {
+        let report = audit(&counts_from(data), Empirical);
+        for s in &report.estimators[0].subsets {
             prop_assert!(
                 s.result.epsilon.abs() < 1e-12,
                 "subset {:?}: eps {} should vanish on a product table",
@@ -152,13 +170,13 @@ proptest! {
         cells in proptest::collection::vec(1u32..120, 8),
     ) {
         let data: Vec<f64> = cells.into_iter().map(f64::from).collect();
-        let base = subset_audit(&counts_from(data.clone()), 0.0).unwrap();
+        let base = audit(&counts_from(data.clone()), Empirical);
 
         // Swap the outcome labels: data layout [y][a][b] → swap the two
         // y-planes of 4 cells each.
         let mut y_swapped = data.clone();
         y_swapped.rotate_left(4);
-        let y_audit = subset_audit(&counts_from(y_swapped), 0.0).unwrap();
+        let y_audit = audit(&counts_from(y_swapped), Empirical);
 
         // Swap attribute a's labels: swap cells within each y-plane.
         let mut a_swapped = data.clone();
@@ -167,10 +185,11 @@ proptest! {
                 a_swapped.swap(plane * 4 + j, plane * 4 + 2 + j);
             }
         }
-        let a_audit = subset_audit(&counts_from(a_swapped), 0.0).unwrap();
+        let a_audit = audit(&counts_from(a_swapped), Empirical);
 
         for (label, permuted) in [("outcome", &y_audit), ("attribute", &a_audit)] {
-            for (s, p) in base.subsets.iter().zip(&permuted.subsets) {
+            let subsets = base.estimators[0].subsets.iter();
+            for (s, p) in subsets.zip(&permuted.estimators[0].subsets) {
                 prop_assert!(
                     (s.result.epsilon - p.result.epsilon).abs() < 1e-12,
                     "{label} relabeling changed eps for {:?}: {} vs {}",

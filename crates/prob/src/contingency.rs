@@ -355,19 +355,6 @@ impl ContingencyTable {
         stable_sum(&self.data)
     }
 
-    /// Returns a copy normalized to sum to 1. Fails on an all-zero table.
-    pub fn to_probabilities(&self) -> Result<ContingencyTable> {
-        let total = self.total();
-        if total <= 0.0 {
-            return Err(ProbError::EmptyTable("to_probabilities"));
-        }
-        let mut out = self.clone();
-        for v in &mut out.data {
-            *v /= total;
-        }
-        Ok(out)
-    }
-
     /// Sums out every axis *not* named in `keep`, preserving the order in
     /// which the kept axes appear in `keep`.
     ///
@@ -581,21 +568,6 @@ impl ContingencyTable {
             table.merge_from(shard.table())?;
         }
         Ok(table)
-    }
-
-    /// Adds `alpha` to every cell (Dirichlet/Laplace smoothing of counts).
-    pub fn smooth_additive(&self, alpha: f64) -> Result<ContingencyTable> {
-        if !(alpha.is_finite() && alpha >= 0.0) {
-            return Err(ProbError::InvalidParameter {
-                name: "alpha",
-                reason: format!("must be finite and non-negative, got {alpha}"),
-            });
-        }
-        let mut out = self.clone();
-        for v in &mut out.data {
-            *v += alpha;
-        }
-        Ok(out)
     }
 }
 
@@ -833,25 +805,6 @@ mod tests {
             t.unflatten(flat, &mut idx);
             assert_eq!(t.flat_index(&idx), flat);
         }
-    }
-
-    #[test]
-    fn total_and_normalize() {
-        let t = table_2x3();
-        assert!(approx_eq(t.total(), 21.0, 1e-14, 0.0));
-        let p = t.to_probabilities().unwrap();
-        assert!(approx_eq(p.total(), 1.0, 1e-14, 0.0));
-        assert!(approx_eq(p.get(&[1, 2]), 6.0 / 21.0, 1e-14, 0.0));
-    }
-
-    #[test]
-    fn normalize_empty_fails() {
-        let axes = vec![Axis::from_strs("g", &["a", "b"]).unwrap()];
-        let t = ContingencyTable::zeros(axes).unwrap();
-        assert!(matches!(
-            t.to_probabilities(),
-            Err(ProbError::EmptyTable(_))
-        ));
     }
 
     #[test]
@@ -1128,14 +1081,6 @@ mod tests {
             ContingencyTable::from_partials(std::iter::empty()),
             Err(ProbError::EmptyTable(_))
         ));
-    }
-
-    #[test]
-    fn smoothing_adds_alpha_everywhere() {
-        let t = table_2x3();
-        let s = t.smooth_additive(0.5).unwrap();
-        assert!(approx_eq(s.total(), 21.0 + 0.5 * 6.0, 1e-12, 0.0));
-        assert!(t.smooth_additive(-1.0).is_err());
     }
 
     #[test]

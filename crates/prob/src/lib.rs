@@ -14,12 +14,10 @@
 //! - [`contingency`]: N-dimensional contingency tables with marginalization
 //!   and conditioning — the data structure behind empirical differential
 //!   fairness.
-//! - [`ipf`]: iterative proportional fitting for calibrating joint tables to
-//!   target marginals.
 //! - [`estimate`]: categorical MLE and Dirichlet-multinomial posterior
-//!   estimators (the smoothing model of Eq. 7 in the paper).
-//! - [`mcmc`]: posterior samplers and chain diagnostics used to build the
-//!   distribution class Θ from data.
+//!   estimators (the smoothing model of Eq. 7 in the paper), and the exact
+//!   Dirichlet posterior sampler that builds the distribution class Θ from
+//!   data.
 //! - [`partial`]: mergeable partial counts — the commutative monoid behind
 //!   sharded/streaming tallying of joint counts.
 //! - [`summary`]: streaming moments and quantiles.
@@ -36,8 +34,6 @@ pub mod contingency;
 pub mod dist;
 pub mod error;
 pub mod estimate;
-pub mod ipf;
-pub mod mcmc;
 pub mod numerics;
 pub mod partial;
 pub mod rng;

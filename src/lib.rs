@@ -87,7 +87,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | `core` (df_core) | the DF criterion: ε kernels, EDF (Eq. 6), smoothing (Eq. 7), subset guarantees, privacy interpretation, bias amplification, baselines, the `Audit` builder |
-//! | `prob` (df_prob) | distributions, special functions, RNGs, contingency tables, IPF, posterior samplers |
+//! | `prob` (df_prob) | distributions, special functions, RNGs, contingency tables, Dirichlet posterior sampling |
 //! | `data` (df_data) | data frames, CSV, encoders, the calibrated synthetic Adult benchmark, Table 1 data |
 //! | `learn` (df_learn) | logistic regression (plain and DF-regularized), naive Bayes, trees, metrics, threshold mechanisms |
 //! | `server` (df_server) | the ε-DF audit query service: HTTP/1.1 ingest + audit/monitor endpoints over a long-lived fleet, with content negotiation |
@@ -239,7 +239,6 @@ pub mod prelude {
     };
     pub use df_core::privacy::{PrivacyRegime, RANDOMIZED_RESPONSE_EPSILON};
     pub use df_core::report::ResponseFormat;
-    pub use df_core::subsets::{subset_audit, SubsetAudit};
     pub use df_core::theta::{posterior_theta, ThetaClass};
     pub use df_core::{DfError, EpsilonResult, EpsilonWitness, GroupOutcomes, JointCounts};
     pub use df_data::adult;

@@ -69,17 +69,16 @@ proptest! {
     #[test]
     fn subset_bounds_hold(data in joint_counts_strategy()) {
         let jc = counts_from(data);
-        let audit = subset_audit(&jc, 0.0).unwrap();
-        let full = audit.full_intersection().result.epsilon;
-        for s in &audit.subsets {
+        let report = Audit::of(&jc).estimator(Empirical).run().unwrap();
+        let full = report.epsilon.epsilon;
+        for s in &report.estimators[0].subsets {
             // Holds with infinities: subset ∞ implies full ∞.
             prop_assert!(
                 s.result.epsilon <= full + 1e-9 || (s.result.epsilon.is_infinite() && full.is_infinite()),
                 "subset {:?} eps {} > full {}", s.attributes, s.result.epsilon, full
             );
         }
-        prop_assert!(audit.verify_bound(1e-9).is_empty());
-        prop_assert!(audit.verify_sharpened_bound(1e-9).is_empty());
+        prop_assert_eq!(report.bound_violations, Some(vec![]));
     }
 
     /// Smoothing: ε is finite for any α > 0 and vanishes as α → ∞ (every
