@@ -404,30 +404,27 @@ impl GroupLayout {
         metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult> {
-        Ok(self.evaluate_with_raw(data, metric, estimator, false)?.0)
+        let headline = self.headline.as_ref().unwrap_or(&self.full);
+        score(metric, &headline.tables(data)?, estimator)
     }
 
-    /// [`GroupLayout::evaluate`] and, when `raw` is set, the worst-pair
-    /// log-ratio of the unconditioned MLE table (a monitor's raw
-    /// change-point signal): read off the headline's own table when the
-    /// metric does not condition, built apart when it does.
+    /// [`GroupLayout::evaluate`] and the worst-pair log-ratio of the
+    /// unconditioned MLE table (a monitor's raw change-point signal): read
+    /// off the headline's own table when the metric does not condition,
+    /// built apart when it does.
     pub(crate) fn evaluate_with_raw(
         &self,
         data: &[f64],
         metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
-        raw: bool,
-    ) -> Result<(EpsilonResult, Option<f64>)> {
+    ) -> Result<(EpsilonResult, f64)> {
         let tables = self.headline.as_ref().unwrap_or(&self.full).tables(data)?;
         let result = score(metric, &tables, estimator)?;
-        let raw = match (raw, &tables) {
-            (false, _) => None,
-            (true, Tables::One(table)) => Some(table.worst(log_ratio).epsilon),
-            (true, Tables::Strata(_)) => {
-                Some(self.group_outcomes(data, 0.0)?.worst(log_ratio).epsilon)
-            }
+        let raw = match &tables {
+            Tables::One(table) => table.worst(log_ratio),
+            Tables::Strata(_) => self.group_outcomes(data, 0.0)?.worst(log_ratio),
         };
-        Ok((result, raw))
+        Ok((result, raw.epsilon))
     }
 }
 

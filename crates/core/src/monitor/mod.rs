@@ -649,12 +649,14 @@ impl FairnessMonitor {
             .detectors
             .iter()
             .any(|d| d.spec().signal() == ChangeSignal::RawLogRatio);
-        let (epsilon, raw_epsilon) = self.layout.evaluate_with_raw(
-            self.window.table().data(),
-            &*self.metric,
-            &*self.estimator,
-            watched,
-        )?;
+        let (epsilon, raw_epsilon) = if watched {
+            let data = self.window.table().data();
+            let (metric, estimator) = (&*self.metric, &*self.estimator);
+            let (epsilon, raw) = self.layout.evaluate_with_raw(data, metric, estimator)?;
+            (epsilon, Some(raw))
+        } else {
+            (self.window_epsilon()?, None)
+        };
         let decayed_epsilon = self.decayed.as_ref().map(|d| self.evaluate(d));
         let decayed_epsilon = decayed_epsilon.transpose()?;
         let now_seconds = self.window.now();
