@@ -289,18 +289,6 @@ impl Baselines {
         self
     }
 
-    /// Toggles the demographic-parity distance.
-    pub fn with_demographic_parity(mut self, on: bool) -> Self {
-        self.demographic_parity = on;
-        self
-    }
-
-    /// Toggles the disparate-impact ratio.
-    pub fn with_disparate_impact(mut self, on: bool) -> Self {
-        self.disparate_impact = on;
-        self
-    }
-
     /// Toggles the Kearns-style subgroup parity audit (needs joint counts
     /// and a positive outcome; the most expensive baseline).
     pub fn with_subgroups(mut self, on: bool) -> Self {
@@ -336,7 +324,6 @@ pub struct Audit<'a> {
     metric: Option<Box<dyn Metric>>,
     subsets: Option<SubsetPolicy>,
     bootstrap: Option<(usize, u64)>,
-    bootstrap_mass: f64,
     bootstrap_threads: usize,
     baselines: Baselines,
     equalized: Option<(EqualizedOddsCounts, f64)>,
@@ -370,7 +357,6 @@ impl<'a> Audit<'a> {
             metric: None,
             subsets: None,
             bootstrap: None,
-            bootstrap_mass: 0.95,
             bootstrap_threads: 1,
             baselines: Baselines::none(),
             equalized: None,
@@ -548,12 +534,6 @@ impl<'a> Audit<'a> {
         self
     }
 
-    /// Adjusts the bootstrap interval mass (default 0.95).
-    pub fn bootstrap_mass(mut self, mass: f64) -> Self {
-        self.bootstrap_mass = mass;
-        self
-    }
-
     /// Runs the bootstrap replicates on `threads` worker threads
     /// (default 1). Per-replicate RNG streams are forked deterministically
     /// from the bootstrap seed, so every thread count produces the
@@ -593,7 +573,6 @@ impl<'a> Audit<'a> {
             metric,
             subsets: subset_policy,
             bootstrap: bootstrap_cfg,
-            bootstrap_mass,
             bootstrap_threads,
             baselines,
             equalized,
@@ -606,7 +585,7 @@ impl<'a> Audit<'a> {
         };
         // Owned sources were validated at construction; borrowed counts may
         // have been mutated since, so re-check before computing ε.
-        if let Some(c) = counts {
+        if let Source::Counts(c) = &source {
             validate_counts(c)?;
         }
         let estimators: Vec<Box<dyn EpsilonEstimator>> = if configured_estimators.is_empty() {
@@ -648,7 +627,7 @@ impl<'a> Audit<'a> {
         // The full intersection's raw table (the report's weights, outcomes
         // and baselines): the headline's own, unless that is strata.
         let stratified = match (tables.full(), counts.zip(layout.as_ref())) {
-            (None, Some((c, layout))) => Some(layout.group_outcomes(c.table().data(), 0.0)?),
+            (None, Some((c, layout))) => Some(layout.group_outcomes(c.table().data())?),
             _ => None,
         };
         let raw_full = stratified.as_ref().or(tables.full());
@@ -688,15 +667,12 @@ impl<'a> Audit<'a> {
         let lattice_complete = !attribute_names.is_empty()
             && subset_attrs.len() == (1usize << attribute_names.len()) - 1;
         let bound_violations = if lattice_complete && metric.tag() == "eps-df" {
-            // Reuse the Empirical estimator's results when configured;
-            // otherwise compute the plug-in ε per subset once.
-            let empirical: Vec<f64> = match estimator_reports.iter().find(|e| e.name == "eps-EDF") {
-                Some(e) => e.subsets.iter().map(|s| s.result.epsilon).collect(),
-                None => (0..subset_attrs.len())
-                    .map(|i| tables.table(i).expect("ε-DF reads whole tables"))
-                    .map(|table| table.worst(log_ratio).epsilon)
-                    .collect(),
-            };
+            // The plug-in ε of every subset, read off its raw table (what
+            // `Empirical` returns), whatever estimators are configured.
+            let empirical: Vec<f64> = (0..subset_attrs.len())
+                .map(|i| tables.table(i).expect("ε-DF reads whole tables"))
+                .map(|table| table.worst(log_ratio).epsilon)
+                .collect();
             let full_eps = *empirical.last().expect("full set");
             let bound = 2.0 * full_eps + 1e-9;
             Some(
@@ -759,7 +735,7 @@ impl<'a> Audit<'a> {
                 Some(bootstrap_epsilon_sharded(
                     c,
                     replicates,
-                    bootstrap_mass,
+                    0.95,
                     &mut rng,
                     bootstrap_threads,
                     &|jc| {
@@ -1083,23 +1059,76 @@ mod tests {
         assert_eq!(report.bound_violations, Some(vec![]));
     }
 
+    /// ε and the witness probabilities, as bits.
+    fn result_bits(r: &EpsilonResult) -> (u64, Option<(u64, u64)>) {
+        let witness = r.witness.as_ref();
+        let probs = witness.map(|w| (w.prob_hi.to_bits(), w.prob_lo.to_bits()));
+        (r.epsilon.to_bits(), probs)
+    }
+
     #[test]
     fn smoothed_estimator_matches_edf_smoothed_path() {
-        let counts = table1();
-        let report = Audit::of(&counts)
-            .estimator(Smoothed { alpha: 1.0 })
+        // Table 1, and a = (10 no, 13 yes), b = (1 no, 0 yes), whose
+        // implied counts (p·w) differ from its raw counts in the last bit.
+        let axes = vec![
+            Axis::from_strs("y", &["no", "yes"]).unwrap(),
+            Axis::from_strs("g", &["a", "b"]).unwrap(),
+        ];
+        let data = vec![10.0, 1.0, 13.0, 0.0];
+        let odd =
+            JointCounts::from_table(ContingencyTable::from_data(axes, data).unwrap(), "y").unwrap();
+        for counts in [table1(), odd] {
+            let report = Audit::of(&counts)
+                .estimator(Smoothed { alpha: 1.0 })
+                .run()
+                .unwrap();
+            let direct = counts.edf_smoothed(1.0).unwrap();
+            assert_eq!(result_bits(&report.epsilon), result_bits(&direct));
+            assert_eq!(report.epsilon.witness, direct.witness);
+            // Only one estimator configured → one column, every subset.
+            assert_eq!(report.estimators.len(), 1);
+            let p = counts.attribute_names().len();
+            assert_eq!(report.estimators[0].subsets.len(), (1 << p) - 1);
+        }
+    }
+
+    /// An estimator that takes `Empirical`'s display name but reads 5.0 on
+    /// two-group tables and 1.0 on four-group ones.
+    struct NamedLikeEmpirical;
+
+    impl EpsilonEstimator for NamedLikeEmpirical {
+        fn name(&self) -> String {
+            "eps-EDF".to_string()
+        }
+
+        fn estimate_table(&self, raw: &GroupOutcomes) -> Result<GroupOutcomes> {
+            Ok(raw.clone())
+        }
+
+        fn estimate(&self, raw: &GroupOutcomes) -> Result<EpsilonResult> {
+            let epsilon = if raw.num_groups() == 2 { 5.0 } else { 1.0 };
+            Ok(EpsilonResult {
+                epsilon,
+                witness: None,
+            })
+        }
+
+        fn clone_box(&self) -> Box<dyn EpsilonEstimator> {
+            Box::new(NamedLikeEmpirical)
+        }
+    }
+
+    #[test]
+    fn bound_check_reads_the_plug_in_tables_not_a_name() {
+        let report = Audit::of(&table1())
+            .estimator(NamedLikeEmpirical)
             .run()
             .unwrap();
-        let direct = counts.edf_smoothed(1.0).unwrap();
-        assert!(approx_eq(
-            report.epsilon.epsilon,
-            direct.epsilon,
-            1e-12,
-            1e-12
-        ));
-        // Only one estimator configured → one column.
-        assert_eq!(report.estimators.len(), 1);
-        assert_eq!(report.estimators[0].subsets.len(), 3);
+        let named = report.estimator("eps-EDF").unwrap();
+        assert_eq!(named.get(&["gender"]).unwrap().result.epsilon, 5.0);
+        assert_eq!(named.result.epsilon, 1.0);
+        // Its values break 2ε, but Table 1's plug-in ε does not.
+        assert_eq!(report.bound_violations, Some(vec![]));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! - [`JointCounts::edf`] computes Eq. 6 of the paper:
 //!   `e^-ε ≤ (N_{y,sᵢ}/N_{sᵢ}) · (N_{sⱼ}/N_{y,sⱼ}) ≤ e^ε`,
 //! - [`JointCounts::edf_smoothed`] computes Eq. 7, the Dirichlet-multinomial
-//!   posterior predictive `(N_{y,s} + α) / (N_s + |Y|α)`,
+//!   posterior predictive `(N_{y,s} + α) / (N_s + |Y|α)`, by smoothing the
+//!   raw table with [`GroupOutcomes::smoothed`], the one Eq. 7 that the
+//!   `Smoothed` estimator, monitors and the server run too,
 //! - [`JointCounts::marginal_to`] projects onto a subset `D` of the
 //!   attributes; because counts marginalize additively, the resulting
 //!   conditionals are exactly the `P(y|D) = Σ_E P(y|E,D) P(E|D)` of the
@@ -33,8 +35,7 @@ use crate::error::{DfError, Result};
 use crate::metric::{stratum_axis, Metric};
 use crate::subsets::SubsetEpsilon;
 use df_prob::contingency::{add_projected, Axis, ContingencyTable};
-use df_prob::estimate::dirichlet_posterior_predictive;
-use df_prob::numerics::{exactly_zero, log_ratio, stable_sum};
+use df_prob::numerics::{log_ratio, stable_sum};
 use std::sync::Arc;
 
 /// Joint counts of `(outcome, protected attributes…)`, canonicalized so the
@@ -128,12 +129,15 @@ impl JointCounts {
     }
 
     /// Group-conditional outcome probabilities, with Dirichlet smoothing
-    /// `alpha ≥ 0` (0 = MLE / Eq. 6; α > 0 = Eq. 7).
+    /// `alpha ≥ 0` (0 = MLE / Eq. 6; α > 0 = Eq. 7): the raw table,
+    /// [`GroupOutcomes::smoothed`].
     ///
     /// Group weights are the group totals `N_s`, so unobserved intersections
     /// are excluded from ε exactly as Definition 3.1 prescribes.
     pub fn group_outcomes(&self, alpha: f64) -> Result<GroupOutcomes> {
-        GroupLayout::new(&self.table, 0).group_outcomes(self.table.data(), alpha)
+        GroupLayout::new(&self.table, 0)
+            .group_outcomes(self.table.data())?
+            .smoothed(alpha)
     }
 
     /// Empirical differential fairness (Eq. 6): ε of the MLE conditionals.
@@ -244,10 +248,10 @@ impl Projection {
     fn tables(&self, data: &[f64]) -> Result<Tables> {
         let sums = self.sums(data);
         if self.strata.is_none() {
-            return Ok(Tables::One(outcomes(&self.names, sums, 0.0)?));
+            return Ok(Tables::One(outcomes(&self.names, sums)?));
         }
         sums.chunks_exact(self.names.n_groups() * self.names.n_outcomes())
-            .map(|cells| outcomes(&self.names, cells.to_vec(), 0.0))
+            .map(|cells| outcomes(&self.names, cells.to_vec()))
             .collect::<Result<_>>()
             .map(Tables::Strata)
     }
@@ -375,10 +379,10 @@ impl GroupLayout {
         }
     }
 
-    /// [`JointCounts::group_outcomes`] of `data`, the cells of a table with
-    /// the axes this layout was built from (unconditioned).
-    pub(crate) fn group_outcomes(&self, data: &[f64], alpha: f64) -> Result<GroupOutcomes> {
-        outcomes(&self.full.names, self.full.sums(data), alpha)
+    /// The raw (MLE) table of `data`, the cells of a table with the axes
+    /// this layout was built from (unconditioned).
+    pub(crate) fn group_outcomes(&self, data: &[f64]) -> Result<GroupOutcomes> {
+        outcomes(&self.full.names, self.full.sums(data))
     }
 
     /// The raw (MLE) tables of `data` the layout's metric scores.
@@ -422,40 +426,27 @@ impl GroupLayout {
         let result = score(metric, &tables, estimator)?;
         let raw = match &tables {
             Tables::One(table) => table.worst(log_ratio),
-            Tables::Strata(_) => self.group_outcomes(data, 0.0)?.worst(log_ratio),
+            Tables::Strata(_) => self.group_outcomes(data)?.worst(log_ratio),
         };
         Ok((result, raw.epsilon))
     }
 }
 
-/// The group×outcome table of `cells` (`(group, outcome)` order) under
-/// `names`: per group, the MLE (compensated-sum total, per-cell division)
-/// or, for `alpha > 0`, the Dirichlet posterior predictive. Each row is
+/// The raw (MLE, Eq. 6) group×outcome table of `cells` (`(group, outcome)`
+/// order) under `names`: per group, the compensated-sum total and a
+/// division per cell; an empty group keeps zero probabilities. Each row is
 /// turned into probabilities in place, so a table costs one allocation
 /// beyond its cells: the monitor runs this on every push.
-fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>, alpha: f64) -> Result<GroupOutcomes> {
+pub(crate) fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>) -> Result<GroupOutcomes> {
     let n_outcomes = names.n_outcomes();
     let mut weights = vec![0.0; cells.len() / n_outcomes];
     for (weight, row) in weights.iter_mut().zip(cells.chunks_exact_mut(n_outcomes)) {
         *weight = row.iter().sum();
-        if exactly_zero(alpha) {
-            let total = stable_sum(row);
-            // An empty group keeps zero probabilities; a NaN total
-            // propagates, as `categorical_mle`'s does.
-            if total > 0.0 || total.is_nan() {
-                for p in row.iter_mut() {
-                    *p /= total;
-                }
-            } else {
-                row.fill(0.0);
-            }
-        } else if let Some(p) = dirichlet_posterior_predictive(row, alpha)? {
-            row.copy_from_slice(&p);
-            if exactly_zero(*weight) {
-                // Smoothing defines a distribution even for empty
-                // groups, but an unobserved group is still excluded
-                // from ε (its empirical P(s) is zero).
-                *weight = 0.0;
+        let total = stable_sum(row);
+        // A NaN total propagates.
+        if total > 0.0 || total.is_nan() {
+            for p in row.iter_mut() {
+                *p /= total;
             }
         } else {
             row.fill(0.0);
@@ -679,7 +670,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_prob::numerics::approx_eq;
+    use df_prob::numerics::{approx_eq, exactly_zero};
     use df_prob::rng::Pcg32;
 
     /// A table already in canonical order is kept, and reads exactly as
@@ -861,6 +852,10 @@ mod tests {
         let eps = jc.edf_smoothed(1.0).unwrap();
         let expect = ((2.0 / 3.0) / 0.2_f64).ln();
         assert!(approx_eq(eps.epsilon, expect, 1e-12, 0.0));
+        // α must be finite and non-negative.
+        assert!(jc.group_outcomes(-1.0).is_err());
+        assert!(jc.group_outcomes(f64::NAN).is_err());
+        assert!(jc.edf_smoothed(f64::INFINITY).is_err());
     }
 
     #[test]
@@ -891,9 +886,18 @@ mod tests {
         .unwrap();
         let eps = jc.edf().unwrap();
         assert_eq!(eps.epsilon, 0.0);
-        // Smoothing must not resurrect the empty group either.
+        let raw = jc.group_outcomes(0.0).unwrap();
+        assert_eq!(
+            (raw.weights()[2], raw.prob(2, 0), raw.prob(2, 1)),
+            (0.0, 0.0, 0.0)
+        );
+        // Smoothing must not resurrect the empty group either: its row is
+        // uniform, with weight 0.
         let eps = jc.edf_smoothed(1.0).unwrap();
         assert_eq!(eps.epsilon, 0.0);
+        let smoothed = jc.group_outcomes(1.0).unwrap();
+        assert_eq!(smoothed.weights()[2], 0.0);
+        assert_eq!((smoothed.prob(2, 0), smoothed.prob(2, 1)), (0.5, 0.5));
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl GroupNames {
         }
     }
 
-    fn explicit(outcomes: Vec<String>, groups: Vec<String>) -> Self {
+    pub(crate) fn explicit(outcomes: Vec<String>, groups: Vec<String>) -> Self {
         Self {
             schema: Arc::new(Schema {
                 outcomes,
@@ -410,8 +410,9 @@ impl GroupOutcomes {
     }
 
     /// The per-group outcome *counts* implied by this table, recovered as
-    /// `prob × weight`. Exact when the table came from raw tallies (where
-    /// `weight` is the group total and `prob` the MLE); meaningless for
+    /// `prob × weight`. When the table came from raw tallies (where
+    /// `weight` is the group total and `prob` the MLE) these are the
+    /// tallies up to rounding in the last bit; they are meaningless for
     /// already-smoothed tables.
     pub fn implied_counts(&self, group: usize) -> Vec<f64> {
         (0..self.num_outcomes())
@@ -435,11 +436,10 @@ impl GroupOutcomes {
         }
         let n_outcomes = self.num_outcomes();
         let k = n_outcomes as f64;
-        // Inlined `dirichlet_posterior_predictive` over the implied counts
-        // (same arithmetic: compensated-sum total, `(c + α)/(N + Kα)` per
-        // cell), computed in place in each output row: this sits on the
-        // monitor's per-push hot path, where a Vec allocation per group
-        // is the dominant cost.
+        // The posterior predictive over the implied counts (a
+        // compensated-sum total, `(c + α)/(N + Kα)` per cell), computed in
+        // place in each output row: this sits on the monitor's per-push hot
+        // path, where a Vec allocation per group is the dominant cost.
         let mut probs = self.probs.clone();
         for (row, &w) in probs.chunks_exact_mut(n_outcomes).zip(&self.weights) {
             for c in row.iter_mut() {

@@ -253,6 +253,66 @@ mod tests {
         .is_err());
     }
 
+    /// The records of `cells[label][group][prediction]`.
+    fn records_of(cells: &[[[usize; 2]; 2]]) -> Vec<(usize, usize, usize)> {
+        let mut out = Vec::new();
+        for (y, groups) in cells.iter().enumerate() {
+            for (g, predictions) in groups.iter().enumerate() {
+                for (p, &n) in predictions.iter().enumerate() {
+                    out.extend(std::iter::repeat_n((y, p, g), n));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn epsilon_matches_a_deo_audit_bit_for_bit() {
+        use crate::builder::{Audit, Smoothed, SubsetPolicy};
+        use crate::metric::DifferentialEqualizedOdds;
+        use df_prob::contingency::{Axis, ContingencyTable};
+
+        // Stratum t0: a = (10 no, 13 yes), b = (1 no, 0 yes); stratum t1:
+        // a = b = (5 no, 5 yes).
+        let records = records_of(&[[[10, 13], [1, 0]], [[5, 5], [5, 5]]]);
+        let eo = EqualizedOddsCounts::from_records(
+            names(&["t0", "t1"]),
+            names(&["no", "yes"]),
+            names(&["a", "b"]),
+            records.clone(),
+        )
+        .unwrap();
+        // The same records as joint counts of (prediction, truth, group).
+        let axes = vec![
+            Axis::from_strs("prediction", &["no", "yes"]).unwrap(),
+            Axis::from_strs("truth", &["t0", "t1"]).unwrap(),
+            Axis::from_strs("group", &["a", "b"]).unwrap(),
+        ];
+        let mut table = ContingencyTable::zeros(axes).unwrap();
+        for &(y, p, g) in &records {
+            table.increment(&[p, y, g]);
+        }
+        let counts = JointCounts::from_table(table, "prediction").unwrap();
+        let bits = |r: &EpsilonResult| {
+            let w = r.witness.as_ref().unwrap();
+            (
+                r.epsilon.to_bits(),
+                w.prob_hi.to_bits(),
+                w.prob_lo.to_bits(),
+            )
+        };
+        for alpha in [0.0, 1.0] {
+            let direct = eo.epsilon(alpha).unwrap();
+            let audit = Audit::of(&counts)
+                .metric(DifferentialEqualizedOdds::new("truth"))
+                .estimator(Smoothed { alpha })
+                .subsets(SubsetPolicy::None)
+                .run()
+                .unwrap();
+            assert_eq!(bits(&direct), bits(&audit.epsilon), "alpha {alpha}");
+        }
+    }
+
     #[test]
     fn smoothing_rescues_empty_strata_cells() {
         // Group b never receives pred1 under label neg → Eq. 6 infinite.

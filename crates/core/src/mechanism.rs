@@ -8,10 +8,11 @@
 //! randomized mechanisms report their full outcome distribution per instance
 //! (Rao–Blackwellized tally), deterministic classifiers a point mass.
 
-use crate::epsilon::GroupOutcomes;
+use crate::edf::outcomes;
+use crate::epsilon::{GroupNames, GroupOutcomes};
 use crate::error::{DfError, Result};
-use df_prob::numerics::exactly_zero;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// A (possibly randomized) mechanism over instances of type `X` with a fixed
 /// finite outcome set.
@@ -73,7 +74,9 @@ pub struct MechanismEstimate {
 ///
 /// `group_labels` names the intersections; `group_of` yields each instance's
 /// intersection index. Smoothing `alpha ≥ 0` applies the Eq. 7 posterior
-/// predictive to the (expected) outcome tallies.
+/// predictive to the (expected) outcome tallies: the raw table,
+/// [`GroupOutcomes::smoothed`], as [`crate::JointCounts::group_outcomes`]
+/// gives it.
 pub fn estimate_group_outcomes<X, M, I>(
     mechanism: &M,
     group_labels: Vec<String>,
@@ -84,8 +87,8 @@ where
     M: Mechanism<X>,
     I: IntoIterator<Item = (usize, X)>,
 {
-    let outcomes = mechanism.outcomes();
-    let n_outcomes = outcomes.len();
+    let outcome_labels = mechanism.outcomes();
+    let n_outcomes = outcome_labels.len();
     let n_groups = group_labels.len();
     if n_outcomes < 2 {
         return Err(DfError::NotEnoughCategories {
@@ -115,25 +118,9 @@ where
         n += 1;
     }
 
-    let mut probs = vec![0.0; n_groups * n_outcomes];
-    let mut weights = vec![0.0; n_groups];
-    for g in 0..n_groups {
-        let row = &tallies[g * n_outcomes..(g + 1) * n_outcomes];
-        let total: f64 = row.iter().sum();
-        weights[g] = total;
-        let est = if exactly_zero(alpha) {
-            df_prob::estimate::categorical_mle(row)
-        } else {
-            df_prob::estimate::dirichlet_posterior_predictive(row, alpha)?
-        };
-        if let Some(p) = est {
-            if total > 0.0 {
-                probs[g * n_outcomes..(g + 1) * n_outcomes].copy_from_slice(&p);
-            }
-        }
-    }
+    let names = Arc::new(GroupNames::explicit(outcome_labels, group_labels));
     Ok(MechanismEstimate {
-        group_outcomes: GroupOutcomes::new(outcomes, group_labels, probs, weights)?,
+        group_outcomes: outcomes(&names, tallies)?.smoothed(alpha)?,
         n,
     })
 }
@@ -204,6 +191,20 @@ mod tests {
         .unwrap();
         assert_eq!(est.group_outcomes.weights()[2], 0.0);
         assert_eq!(est.group_outcomes.populated_groups(), vec![0, 1]);
+        // Smoothed, the unseen group's row is uniform and still unweighted.
+        let est = estimate_group_outcomes(
+            &mech,
+            vec!["a".into(), "b".into(), "never".into()],
+            vec![(0, 1), (1, 2)],
+            1.0,
+        )
+        .unwrap();
+        let go = &est.group_outcomes;
+        assert_eq!(
+            (go.weights()[2], go.prob(2, 0), go.prob(2, 1)),
+            (0.0, 0.5, 0.5)
+        );
+        assert_eq!(go.populated_groups(), vec![0, 1]);
     }
 
     #[test]

@@ -1287,7 +1287,7 @@ pub(crate) mod tests {
         let data = vec![3.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 2.0, 1.0];
         let table = ContingencyTable::from_data(axes, data).unwrap();
         let fast = GroupLayout::new(&table, 1)
-            .group_outcomes(table.data(), 0.0)
+            .group_outcomes(table.data())
             .unwrap();
         let slow = JointCounts::from_table(table, "y")
             .unwrap()

@@ -2,7 +2,7 @@
 
 use crate::error::{DataError, Result};
 use df_prob::contingency::{Axis, ContingencyTable};
-use df_prob::dist::{Continuous, Normal};
+use df_prob::dist::Normal;
 use df_prob::rng::Pcg32;
 
 /// Random joint counts over `outcome × p attributes`, every cell positive.

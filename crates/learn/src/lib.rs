@@ -10,8 +10,6 @@
 //! - [`fair`]: differential-fairness-regularized logistic regression,
 //!   implementing the paper's stated future-work direction (a learner that
 //!   trades ε against accuracy with a tunable penalty).
-//! - [`naive_bayes`]: hybrid categorical/Gaussian naive Bayes.
-//! - [`tree`]: depth-limited CART decision trees (gini).
 //! - [`metrics`]: error rate, confusion matrices, log-loss, AUC.
 //! - [`model_selection`]: fairness-aware cross-validation and selection
 //!   under an ε budget (the hyper-parameter-tuning use case of §1).
@@ -28,11 +26,9 @@ pub mod linalg;
 pub mod logistic;
 pub mod metrics;
 pub mod model_selection;
-pub mod naive_bayes;
 pub mod optim;
 pub mod pipeline;
 pub mod threshold;
-pub mod tree;
 
 pub use error::{LearnError, Result};
 pub use logistic::LogisticRegression;

@@ -1,37 +1,19 @@
 //! Probability distributions used across the workspace.
 //!
-//! Each distribution validates its parameters at construction and exposes
-//! densities through the [`Continuous`] / [`Discrete`] traits and sampling
+//! Each distribution validates its parameters at construction and samples
 //! through [`Sampler`]. All samplers take an explicit [`Pcg32`] so every
 //! stochastic component of the workspace stays reproducible.
 //!
-//! - [`Normal`]: Gaussian with polar (Marsaglia) sampling.
-//! - [`Gamma`]: shape/scale with Marsaglia–Tsang sampling.
-//! - [`Beta`]: via two Gamma draws.
-//! - [`Binomial`]: exact pmf, inversion sampling.
+//! - [`Normal`]: Gaussian with density, CDF, quantile and polar
+//!   (Marsaglia) sampling.
+//! - [`Gamma`]: shape/scale with Marsaglia–Tsang sampling (the Dirichlet's
+//!   draws).
 //! - [`Categorical`]: normalized weights with Walker alias-method sampling.
 //! - [`Dirichlet`]: normalized independent Gamma draws.
 
 use crate::error::{ProbError, Result};
-use crate::numerics::{exactly_one, exactly_zero};
 use crate::rng::Pcg32;
-use crate::special::{
-    beta_inc, gamma_p, ln_beta, ln_gamma, std_normal_cdf, std_normal_pdf, std_normal_quantile,
-};
-
-/// Continuous distributions: density and cumulative distribution function.
-pub trait Continuous {
-    /// Probability density at `x`.
-    fn pdf(&self, x: f64) -> f64;
-    /// Cumulative probability `P(X ≤ x)`.
-    fn cdf(&self, x: f64) -> f64;
-}
-
-/// Discrete distributions over non-negative integers.
-pub trait Discrete {
-    /// Probability mass at `k`.
-    fn pmf(&self, k: usize) -> f64;
-}
+use crate::special::{std_normal_cdf, std_normal_pdf, std_normal_quantile};
 
 /// Distributions that can be sampled.
 pub trait Sampler {
@@ -101,14 +83,14 @@ impl Normal {
     pub fn quantile(&self, p: f64) -> Result<f64> {
         Ok(self.mean + self.sd * std_normal_quantile(p)?)
     }
-}
 
-impl Continuous for Normal {
-    fn pdf(&self, x: f64) -> f64 {
+    /// Probability density at `x`.
+    pub fn pdf(&self, x: f64) -> f64 {
         std_normal_pdf((x - self.mean) / self.sd) / self.sd
     }
 
-    fn cdf(&self, x: f64) -> f64 {
+    /// Cumulative probability `P(X ≤ x)`.
+    pub fn cdf(&self, x: f64) -> f64 {
         std_normal_cdf((x - self.mean) / self.sd)
     }
 }
@@ -164,35 +146,6 @@ impl Gamma {
     }
 }
 
-impl Continuous for Gamma {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if exactly_zero(x) {
-            // Density diverges for shape < 1 and is 1/θ at shape = 1; report
-            // the right-limit convention used elsewhere in the crate.
-            return if self.shape < 1.0 {
-                f64::INFINITY
-            } else if exactly_one(self.shape) {
-                1.0 / self.scale
-            } else {
-                0.0
-            };
-        }
-        let z = x / self.scale;
-        ((self.shape - 1.0) * z.ln() - z - ln_gamma(self.shape)).exp() / self.scale
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            gamma_p(self.shape, x / self.scale).unwrap_or(1.0)
-        }
-    }
-}
-
 impl Sampler for Gamma {
     type Output = f64;
 
@@ -223,131 +176,6 @@ impl Sampler for Gamma {
                 return d * v * self.scale;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Beta.
-// ---------------------------------------------------------------------------
-
-/// Beta distribution on `[0, 1]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Beta {
-    a: f64,
-    b: f64,
-}
-
-impl Beta {
-    /// Creates a Beta; both shape parameters must be positive and finite.
-    pub fn new(a: f64, b: f64) -> Result<Self> {
-        require(a.is_finite() && a > 0.0, "a", "must be positive")?;
-        require(b.is_finite() && b > 0.0, "b", "must be positive")?;
-        Ok(Self { a, b })
-    }
-
-    /// The mean `a / (a + b)`.
-    pub fn mean(&self) -> f64 {
-        self.a / (self.a + self.b)
-    }
-}
-
-impl Continuous for Beta {
-    fn pdf(&self, x: f64) -> f64 {
-        if !(0.0..=1.0).contains(&x) {
-            return 0.0;
-        }
-        if (exactly_zero(x) && self.a < 1.0) || (exactly_one(x) && self.b < 1.0) {
-            return f64::INFINITY;
-        }
-        if (exactly_zero(x) && self.a > 1.0) || (exactly_one(x) && self.b > 1.0) {
-            return 0.0;
-        }
-        ((self.a - 1.0) * x.ln() + (self.b - 1.0) * (1.0 - x).ln() - ln_beta(self.a, self.b)).exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else if x >= 1.0 {
-            1.0
-        } else {
-            beta_inc(self.a, self.b, x).unwrap_or(1.0)
-        }
-    }
-}
-
-impl Sampler for Beta {
-    type Output = f64;
-
-    fn sample(&self, rng: &mut Pcg32) -> f64 {
-        let x = Gamma {
-            shape: self.a,
-            scale: 1.0,
-        }
-        .sample(rng);
-        let y = Gamma {
-            shape: self.b,
-            scale: 1.0,
-        }
-        .sample(rng);
-        x / (x + y)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binomial.
-// ---------------------------------------------------------------------------
-
-/// Binomial distribution `Bin(n, p)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Binomial {
-    n: u64,
-    p: f64,
-}
-
-impl Binomial {
-    /// Creates a Binomial; `p` must lie in `[0, 1]`.
-    pub fn new(n: u64, p: f64) -> Result<Self> {
-        require(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "p",
-            "must be in [0, 1]",
-        )?;
-        Ok(Self { n, p })
-    }
-
-    /// The mean `np`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-}
-
-impl Discrete for Binomial {
-    fn pmf(&self, k: usize) -> f64 {
-        let n = self.n as f64;
-        let k64 = k as u64;
-        if k64 > self.n {
-            return 0.0;
-        }
-        if exactly_zero(self.p) {
-            return if k == 0 { 1.0 } else { 0.0 };
-        }
-        if exactly_one(self.p) {
-            return if k64 == self.n { 1.0 } else { 0.0 };
-        }
-        let kf = k as f64;
-        let ln_choose = ln_gamma(n + 1.0) - ln_gamma(kf + 1.0) - ln_gamma(n - kf + 1.0);
-        (ln_choose + kf * self.p.ln() + (n - kf) * (1.0 - self.p).ln()).exp()
-    }
-}
-
-impl Sampler for Binomial {
-    type Output = u64;
-
-    /// Bernoulli-sum sampling — exact and fast enough for the moderate `n`
-    /// used in this workspace.
-    fn sample(&self, rng: &mut Pcg32) -> u64 {
-        (0..self.n).filter(|_| rng.next_f64() < self.p).count() as u64
     }
 }
 
@@ -424,10 +252,9 @@ impl Categorical {
     pub fn probs(&self) -> &[f64] {
         &self.probs
     }
-}
 
-impl Discrete for Categorical {
-    fn pmf(&self, k: usize) -> f64 {
+    /// Probability mass at `k` (zero past the last category).
+    pub fn pmf(&self, k: usize) -> f64 {
         self.probs.get(k).copied().unwrap_or(0.0)
     }
 }
@@ -522,8 +349,6 @@ mod tests {
         assert!(Normal::new(0.0, 0.0).is_err());
         assert!(Normal::new(f64::NAN, 1.0).is_err());
         assert!(Gamma::new(0.0, 1.0).is_err());
-        assert!(Beta::new(1.0, -1.0).is_err());
-        assert!(Binomial::new(10, 1.5).is_err());
         assert!(Categorical::new(&[]).is_err());
         assert!(Categorical::new(&[0.0, 0.0]).is_err());
         assert!(Dirichlet::new(vec![1.0]).is_err());
@@ -576,14 +401,5 @@ mod tests {
         assert!(xs.iter().all(|&x| x >= 0.0));
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(approx_eq(mean, 0.4, 0.1, 0.0), "{mean}");
-    }
-
-    #[test]
-    fn binomial_mean_tracks_np() {
-        let d = Binomial::new(40, 0.25).unwrap();
-        let mut rng = Pcg32::new(5);
-        let xs = d.sample_n(&mut rng, 20_000);
-        let mean = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-        assert!(approx_eq(mean, 10.0, 0.02, 0.0), "{mean}");
     }
 }

@@ -1,62 +1,15 @@
-//! Estimators for categorical outcome probabilities.
+//! The exact Dirichlet posterior behind the Θ class of posterior draws.
 //!
-//! The paper's empirical differential fairness (Eq. 6) plugs in the MLE
-//! `N_{y,s} / N_s`; its smoothed variant (Eq. 7) uses the posterior
-//! predictive of a symmetric Dirichlet prior,
-//! `(N_{y,s} + α) / (N_s + |Y|α)`. Both are provided here, over raw count
-//! slices, so `df-core` can apply them per protected group, together with
-//! [`DirichletPosterior`], the exact posterior sampler behind the Θ class
-//! of posterior draws (the paper's §3, footnote 2).
+//! The paper's smoothed estimator (Eq. 7) is the posterior predictive of a
+//! symmetric Dirichlet prior, `(N_{y,s} + α) / (N_s + |Y|α)`; `df-core`
+//! computes it per protected group in `GroupOutcomes::smoothed`. This
+//! module samples the posterior itself, `Dir(N₁+α, …, N_K+α)`, whose mean
+//! is that predictive: [`DirichletPosterior`] builds the distribution
+//! class Θ from data (the paper's §3, footnote 2).
 
 use crate::dist::{Dirichlet, Sampler};
 use crate::error::{ProbError, Result};
-use crate::numerics::{exactly_zero, stable_sum};
 use crate::rng::Pcg32;
-
-/// Maximum-likelihood estimate of a categorical distribution from counts.
-///
-/// Returns `None` when the counts are all zero (the group is unobserved, so
-/// the conditional distribution is undefined — Definition 3.1 excludes such
-/// groups via its `P(s|θ) > 0` side condition).
-pub fn categorical_mle(counts: &[f64]) -> Option<Vec<f64>> {
-    let total = stable_sum(counts);
-    if total <= 0.0 {
-        return None;
-    }
-    Some(counts.iter().map(|&c| c / total).collect())
-}
-
-/// Posterior-predictive estimate under a symmetric Dirichlet(α) prior:
-/// `(N_k + α) / (N + K α)` — Eq. 7 of the paper.
-///
-/// With `alpha = 0` this degenerates to the MLE (and inherits its `None`
-/// behaviour on empty counts); with `alpha > 0` it is defined even for
-/// unobserved groups, where it returns the uniform distribution.
-pub fn dirichlet_posterior_predictive(counts: &[f64], alpha: f64) -> Result<Option<Vec<f64>>> {
-    if !(alpha.is_finite() && alpha >= 0.0) {
-        return Err(ProbError::InvalidParameter {
-            name: "alpha",
-            reason: format!("must be finite and non-negative, got {alpha}"),
-        });
-    }
-    if counts.is_empty() {
-        return Err(ProbError::InvalidParameter {
-            name: "counts",
-            reason: "must be non-empty".into(),
-        });
-    }
-    if exactly_zero(alpha) {
-        return Ok(categorical_mle(counts));
-    }
-    let k = counts.len() as f64;
-    let total = stable_sum(counts);
-    Ok(Some(
-        counts
-            .iter()
-            .map(|&c| (c + alpha) / (total + k * alpha))
-            .collect(),
-    ))
-}
 
 /// Dirichlet posterior parameters for counts under a symmetric prior:
 /// `Dir(N_1 + α, …, N_K + α)`. Used to draw Θ posterior samples.
@@ -103,64 +56,9 @@ mod tests {
     use crate::numerics::approx_eq;
 
     #[test]
-    fn mle_normalizes_counts() {
-        let p = categorical_mle(&[3.0, 1.0]).unwrap();
-        assert!(approx_eq(p[0], 0.75, 1e-14, 0.0));
-        assert!(approx_eq(p[1], 0.25, 1e-14, 0.0));
-    }
-
-    #[test]
-    fn mle_undefined_for_empty_group() {
-        assert!(categorical_mle(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn posterior_predictive_matches_eq7() {
-        // Eq. 7 with N_{y,s}=81, N_s=87, |Y|=2, alpha=1:
-        // (81+1)/(87+2) and (6+1)/(87+2).
-        let p = dirichlet_posterior_predictive(&[81.0, 6.0], 1.0)
-            .unwrap()
-            .unwrap();
-        assert!(approx_eq(p[0], 82.0 / 89.0, 1e-14, 0.0));
-        assert!(approx_eq(p[1], 7.0 / 89.0, 1e-14, 0.0));
-    }
-
-    #[test]
-    fn posterior_predictive_zero_alpha_is_mle() {
-        let a = dirichlet_posterior_predictive(&[5.0, 15.0], 0.0)
-            .unwrap()
-            .unwrap();
-        let b = categorical_mle(&[5.0, 15.0]).unwrap();
-        assert_eq!(a, b);
-        assert!(dirichlet_posterior_predictive(&[0.0, 0.0], 0.0)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn posterior_predictive_uniform_on_empty_group() {
-        let p = dirichlet_posterior_predictive(&[0.0, 0.0, 0.0], 2.0)
-            .unwrap()
-            .unwrap();
-        for pi in p {
-            assert!(approx_eq(pi, 1.0 / 3.0, 1e-14, 0.0));
-        }
-    }
-
-    #[test]
-    fn posterior_predictive_sums_to_one() {
-        let p = dirichlet_posterior_predictive(&[7.0, 2.0, 11.0], 0.5)
-            .unwrap()
-            .unwrap();
-        assert!(approx_eq(p.iter().sum::<f64>(), 1.0, 1e-14, 0.0));
-    }
-
-    #[test]
     fn rejects_invalid_alpha() {
-        assert!(dirichlet_posterior_predictive(&[1.0], -1.0).is_err());
-        assert!(dirichlet_posterior_predictive(&[1.0], f64::NAN).is_err());
-        assert!(dirichlet_posterior_predictive(&[], 1.0).is_err());
         assert!(dirichlet_posterior_alpha(&[1.0], 0.0).is_err());
+        assert!(dirichlet_posterior_alpha(&[1.0], f64::NAN).is_err());
     }
 
     #[test]

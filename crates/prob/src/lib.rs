@@ -3,21 +3,20 @@
 //! From-scratch numerical building blocks used throughout the
 //! differential-fairness workspace:
 //!
-//! - [`numerics`]: numerically stable primitives (log-sum-exp, Kahan
-//!   summation, safe log-ratios).
-//! - [`special`]: special functions (error function, inverse normal CDF,
-//!   log-gamma, digamma, incomplete gamma/beta).
+//! - [`numerics`]: numerically stable primitives (Kahan summation, safe
+//!   log-ratios, the softplus and sigmoid).
+//! - [`special`]: special functions (log-gamma, incomplete gamma, error
+//!   function, the normal CDF and its inverse).
 //! - [`rng`]: deterministic, seedable random-number generators (PCG32,
 //!   SplitMix64) implementing [`rand::RngCore`].
-//! - [`dist`]: probability distributions (Normal, Bernoulli, Categorical with
-//!   alias-method sampling, Gamma, Dirichlet, Beta, Binomial).
+//! - [`dist`]: probability distributions (Normal, Categorical with
+//!   alias-method sampling, Gamma, Dirichlet).
 //! - [`contingency`]: N-dimensional contingency tables with marginalization
 //!   and conditioning — the data structure behind empirical differential
 //!   fairness.
-//! - [`estimate`]: categorical MLE and Dirichlet-multinomial posterior
-//!   estimators (the smoothing model of Eq. 7 in the paper), and the exact
-//!   Dirichlet posterior sampler that builds the distribution class Θ from
-//!   data.
+//! - [`estimate`]: the exact Dirichlet posterior sampler that builds the
+//!   distribution class Θ from data (its mean is Eq. 7's smoothed
+//!   estimate, which `df-core` computes per group).
 //! - [`partial`]: mergeable partial counts — the commutative monoid behind
 //!   sharded/streaming tallying of joint counts.
 //! - [`summary`]: streaming moments and quantiles.

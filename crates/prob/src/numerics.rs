@@ -1,11 +1,11 @@
 //! Numerically stable scalar primitives.
 //!
-//! Differential fairness is computed from ratios of small probabilities, so
-//! everything downstream leans on the log-domain helpers here.
-
-/// Natural log of the smallest positive normal `f64`, used as a floor for
-/// log-probabilities so that ratios of underflowed probabilities stay finite.
-pub const LOG_MIN_POSITIVE: f64 = -708.396_418_532_264_1;
+//! Differential fairness is computed from ratios of small probabilities:
+//! [`log_ratio`] fixes Definition 3.1's conventions at zero, and
+//! [`stable_sum`] totals each group's counts. The learners' losses use the
+//! stable softplus [`log1p_exp`] and [`sigmoid`]. Exact float comparisons
+//! go through the named helpers ([`exactly_zero`] and friends), closeness
+//! checks through [`approx_eq`].
 
 /// Computes `ln(1 + e^x)` without overflow for large `x` or cancellation for
 /// very negative `x` (the "softplus" function).
@@ -20,31 +20,6 @@ pub fn log1p_exp(x: f64) -> f64 {
         // ln(1 + e^x) ≈ e^x for very negative x.
         x.exp()
     }
-}
-
-/// Computes `ln(e^a + e^b)` stably.
-#[inline]
-pub fn log_add_exp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + log1p_exp(lo - hi)
-}
-
-/// Computes `ln Σ e^{x_i}` stably. Returns `-∞` for an empty slice.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        // Either empty, all -inf (sum is 0 → log 0), or contains +inf/NaN;
-        // the fold result is already the right answer for the first two.
-        return max;
-    }
-    let sum: f64 = xs.iter().map(|&x| (x - max).exp()).sum();
-    max + sum.ln()
 }
 
 /// The logistic sigmoid `1 / (1 + e^{-x})`, stable at both tails.
@@ -177,16 +152,6 @@ pub fn approx_eq(a: f64, b: f64, rtol: f64, atol: f64) -> bool {
     (a - b).abs() <= atol + rtol * a.abs().max(b.abs())
 }
 
-/// Clamps a probability into the closed unit interval, mapping NaN to 0.
-#[inline]
-pub fn clamp_prob(p: f64) -> f64 {
-    if p.is_nan() {
-        0.0
-    } else {
-        p.clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,41 +175,6 @@ mod tests {
         assert_eq!(log1p_exp(1000.0), 1000.0);
         assert!(log1p_exp(-1000.0) >= 0.0);
         assert!(log1p_exp(-1000.0) < 1e-300);
-    }
-
-    #[test]
-    fn log_add_exp_handles_neg_infinity() {
-        assert_eq!(log_add_exp(f64::NEG_INFINITY, 3.0), 3.0);
-        assert_eq!(log_add_exp(3.0, f64::NEG_INFINITY), 3.0);
-        assert_eq!(
-            log_add_exp(f64::NEG_INFINITY, f64::NEG_INFINITY),
-            f64::NEG_INFINITY
-        );
-    }
-
-    #[test]
-    fn log_sum_exp_agrees_with_direct() {
-        let xs = [0.1_f64, -2.0, 3.5, 1.0];
-        let direct: f64 = xs.iter().map(|x| x.exp()).sum::<f64>().ln();
-        assert!(approx_eq(log_sum_exp(&xs), direct, 1e-12, 0.0));
-    }
-
-    #[test]
-    fn log_sum_exp_empty_and_all_neg_inf() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        assert_eq!(
-            log_sum_exp(&[f64::NEG_INFINITY, f64::NEG_INFINITY]),
-            f64::NEG_INFINITY
-        );
-    }
-
-    #[test]
-    fn log_sum_exp_shift_invariance() {
-        let xs = [-700.0, -701.0, -702.5];
-        let shifted: Vec<f64> = xs.iter().map(|x| x + 700.0).collect();
-        let a = log_sum_exp(&xs);
-        let b = log_sum_exp(&shifted) - 700.0;
-        assert!(approx_eq(a, b, 1e-12, 1e-12));
     }
 
     #[test]
@@ -283,13 +213,5 @@ mod tests {
             approx_eq(kahan, exact, 1e-12, 0.0),
             "kahan={kahan}, exact={exact}"
         );
-    }
-
-    #[test]
-    fn clamp_prob_bounds() {
-        assert_eq!(clamp_prob(-0.5), 0.0);
-        assert_eq!(clamp_prob(1.5), 1.0);
-        assert_eq!(clamp_prob(f64::NAN), 0.0);
-        assert_eq!(clamp_prob(0.25), 0.25);
     }
 }

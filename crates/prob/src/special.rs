@@ -1,5 +1,6 @@
-//! Special functions: log-gamma, digamma, incomplete gamma, error function,
-//! and the inverse normal CDF.
+//! Special functions: log-gamma, incomplete gamma, error function, and the
+//! normal CDF and its inverse. The chain `ln_gamma` → `gamma_p`/`gamma_q` →
+//! `erf`/`erfc` → [`std_normal_cdf`] is what [`crate::dist::Normal`] runs.
 //!
 //! Implementations are self-contained (no libm beyond `std`) and accurate to
 //! ~1e-13 relative error in the ranges exercised by the workspace, verified
@@ -40,30 +41,6 @@ pub fn ln_gamma(x: f64) -> f64 {
         }
         0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
     }
-}
-
-/// Digamma function ψ(x) = d/dx ln Γ(x) for `x > 0`.
-///
-/// Uses the recurrence to push the argument above 6, then the asymptotic
-/// series.
-pub fn digamma(mut x: f64) -> f64 {
-    debug_assert!(x > 0.0, "digamma domain is x > 0, got {x}");
-    let mut result = 0.0;
-    while x < 10.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    // Asymptotic expansion with Bernoulli-number coefficients.
-    result + x.ln()
-        - 0.5 * inv
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))))
-}
-
-/// Natural log of the beta function B(a, b).
-pub fn ln_beta(a: f64, b: f64) -> f64 {
-    ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 }
 
 const GAMMA_EPS: f64 = 1e-15;
@@ -277,84 +254,6 @@ pub fn std_normal_quantile(p: f64) -> Result<f64> {
     Ok(x - u / (1.0 + x * u / 2.0))
 }
 
-/// Regularized incomplete beta function I_x(a, b), via the continued fraction
-/// of Numerical Recipes (Lentz's method).
-pub fn beta_inc(a: f64, b: f64, x: f64) -> Result<f64> {
-    if a <= 0.0 || b <= 0.0 {
-        return Err(ProbError::InvalidParameter {
-            name: "a/b",
-            reason: format!("must be positive, got a={a}, b={b}"),
-        });
-    }
-    if !(0.0..=1.0).contains(&x) {
-        return Err(ProbError::InvalidParameter {
-            name: "x",
-            reason: format!("must lie in [0, 1], got {x}"),
-        });
-    }
-    if exactly_zero(x) {
-        return Ok(0.0);
-    }
-    if exactly_one(x) {
-        return Ok(1.0);
-    }
-    let ln_front = a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b);
-    // Use the symmetry relation where the continued fraction converges fast.
-    if x < (a + 1.0) / (a + b + 2.0) {
-        Ok((ln_front.exp() * beta_contfrac(a, b, x)? / a).clamp(0.0, 1.0))
-    } else {
-        Ok((1.0 - (ln_front.exp() * beta_contfrac(b, a, 1.0 - x)? / b)).clamp(0.0, 1.0))
-    }
-}
-
-fn beta_contfrac(a: f64, b: f64, x: f64) -> Result<f64> {
-    const FPMIN: f64 = 1e-300;
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..=GAMMA_MAX_ITER {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < GAMMA_EPS {
-            return Ok(h);
-        }
-    }
-    Err(ProbError::NoConvergence {
-        algorithm: "beta_contfrac",
-        iterations: GAMMA_MAX_ITER,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,32 +288,6 @@ mod tests {
             let x = i as f64 * 0.37;
             assert!(
                 approx_eq(ln_gamma(x + 1.0), x.ln() + ln_gamma(x), 1e-11, 1e-11),
-                "x={x}"
-            );
-        }
-    }
-
-    #[test]
-    fn digamma_known_values() {
-        // ψ(1) = -γ (Euler–Mascheroni)
-        let euler_gamma = 0.577_215_664_901_532_9;
-        assert!(approx_eq(digamma(1.0), -euler_gamma, 1e-10, 1e-12));
-        // ψ(1/2) = -γ - 2 ln 2
-        assert!(approx_eq(
-            digamma(0.5),
-            -euler_gamma - 2.0 * 2.0_f64.ln(),
-            1e-10,
-            1e-12
-        ));
-    }
-
-    #[test]
-    fn digamma_recurrence() {
-        // ψ(x+1) = ψ(x) + 1/x
-        for i in 1..100 {
-            let x = i as f64 * 0.23;
-            assert!(
-                approx_eq(digamma(x + 1.0), digamma(x) + 1.0 / x, 1e-10, 1e-11),
                 "x={x}"
             );
         }
@@ -523,47 +396,5 @@ mod tests {
         assert!(gamma_p(0.0, 1.0).is_err());
         assert!(gamma_p(-1.0, 1.0).is_err());
         assert!(gamma_p(1.0, -0.5).is_err());
-    }
-
-    #[test]
-    fn beta_inc_uniform_special_case() {
-        // I_x(1, 1) = x
-        for i in 0..=10 {
-            let x = i as f64 / 10.0;
-            assert!(approx_eq(beta_inc(1.0, 1.0, x).unwrap(), x, 1e-12, 1e-14));
-        }
-    }
-
-    #[test]
-    fn beta_inc_symmetry() {
-        // I_x(a, b) = 1 − I_{1−x}(b, a)
-        for &(a, b) in &[(2.0, 3.0), (0.5, 0.5), (5.0, 1.5)] {
-            for i in 1..10 {
-                let x = i as f64 / 10.0;
-                let lhs = beta_inc(a, b, x).unwrap();
-                let rhs = 1.0 - beta_inc(b, a, 1.0 - x).unwrap();
-                assert!(approx_eq(lhs, rhs, 1e-11, 1e-12), "a={a} b={b} x={x}");
-            }
-        }
-    }
-
-    #[test]
-    fn beta_inc_binomial_identity() {
-        // Binomial CDF identity: P(X ≤ k) = I_{1-p}(n-k, k+1), X~Bin(n,p).
-        // n = 5, p = 0.3, k = 2: sum directly.
-        let n = 5u32;
-        let p: f64 = 0.3;
-        let k = 2u32;
-        let direct: f64 = (0..=k)
-            .map(|i| {
-                let comb = (ln_gamma(n as f64 + 1.0)
-                    - ln_gamma(i as f64 + 1.0)
-                    - ln_gamma((n - i) as f64 + 1.0))
-                .exp();
-                comb * p.powi(i as i32) * (1.0 - p).powi((n - i) as i32)
-            })
-            .sum();
-        let via_beta = beta_inc((n - k) as f64, k as f64 + 1.0, 1.0 - p).unwrap();
-        assert!(approx_eq(direct, via_beta, 1e-11, 1e-12));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the distribution substrate: CDF monotonicity,
 //! density positivity, quantile inversion, and sampling/CDF agreement.
 
-use df_prob::dist::{Beta, Binomial, Categorical, Continuous, Discrete, Gamma, Normal, Sampler};
+use df_prob::dist::{Categorical, Gamma, Normal, Sampler};
 use df_prob::rng::Pcg32;
 use df_prob::special::std_normal_cdf;
 use proptest::prelude::*;
@@ -47,29 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn gamma_cdf_monotone(shape in 0.2f64..20.0, scale in 0.1f64..5.0, x in 0.0f64..50.0) {
-        let d = Gamma::new(shape, scale).unwrap();
-        prop_assert!(d.cdf(x) <= d.cdf(x + 1.0) + 1e-12);
-        prop_assert!((0.0..=1.0).contains(&d.cdf(x)));
-        prop_assert!(d.pdf(x) >= 0.0);
-    }
-
-    #[test]
-    fn beta_cdf_hits_endpoints(a in 0.2f64..10.0, b in 0.2f64..10.0) {
-        let d = Beta::new(a, b).unwrap();
-        prop_assert!(d.cdf(0.0) == 0.0);
-        prop_assert!(d.cdf(1.0) == 1.0);
-        prop_assert!(d.cdf(0.5) >= 0.0 && d.cdf(0.5) <= 1.0);
-    }
-
-    #[test]
-    fn binomial_pmf_sums_to_one(n in 1u64..60, p in 0.0f64..1.0) {
-        let d = Binomial::new(n, p).unwrap();
-        let total: f64 = (0..=n as usize).map(|k| d.pmf(k)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9, "total {total}");
-    }
-
-    #[test]
     fn categorical_pmf_matches_normalized_weights(
         weights in proptest::collection::vec(0.01f64..10.0, 2..20),
     ) {
@@ -86,13 +63,8 @@ proptest! {
     fn samples_respect_support(seed in any::<u64>()) {
         let mut rng = Pcg32::new(seed);
         let gamma = Gamma::new(1.5, 2.0).unwrap();
-        let beta = Beta::new(2.0, 3.0).unwrap();
-        let binom = Binomial::new(20, 0.3).unwrap();
         for _ in 0..50 {
             prop_assert!(gamma.sample(&mut rng) >= 0.0);
-            let b = beta.sample(&mut rng);
-            prop_assert!((0.0..=1.0).contains(&b));
-            prop_assert!(binom.sample(&mut rng) <= 20);
         }
     }
 

@@ -110,7 +110,6 @@ pub struct ServerBuilder {
     max_body_bytes: usize,
     keep_alive: Duration,
     snapshot_timeout: Duration,
-    latency_buckets: Option<Vec<f64>>,
     trace_spans: usize,
     access_log: Option<obs::AccessLogFn>,
 }
@@ -210,15 +209,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Upper bucket boundaries, in seconds, for the per-endpoint
-    /// request-latency histograms served by `/v1/metrics` (default: the
-    /// df-obs log-scale ladder from 1 µs up). Must be strictly
-    /// increasing, finite, and non-empty — `bind` fails otherwise.
-    pub fn latency_buckets(mut self, bounds: Vec<f64>) -> Self {
-        self.latency_buckets = Some(bounds);
-        self
-    }
-
     /// Capacity of the request-span trace ring behind `/v1/trace`
     /// (default 256; `0` disables tracing entirely — spans still feed
     /// the latency histograms, but nothing is retained).
@@ -260,7 +250,6 @@ impl ServerBuilder {
             changepoints: self.changepoints,
             shards: self.shards,
             snapshot_timeout: self.snapshot_timeout,
-            latency_bounds: self.latency_buckets,
             trace_capacity: self.trace_spans,
             access_log: self.access_log,
         })?;
@@ -336,7 +325,6 @@ impl Server {
             max_body_bytes: 1 << 20,
             keep_alive: Duration::from_secs(5),
             snapshot_timeout: Duration::from_secs(5),
-            latency_buckets: None,
             trace_spans: 256,
             access_log: None,
         }

@@ -200,7 +200,6 @@ impl ServerObs {
     /// serves the very cells the ingest workers bump.
     pub(crate) fn new(
         fleet: &Arc<FleetTelemetry>,
-        latency_bounds: Option<&[f64]>,
         trace_capacity: usize,
         access_log: Option<AccessLogFn>,
     ) -> Result<Self> {
@@ -209,8 +208,7 @@ impl ServerObs {
         let ring = (trace_capacity > 0).then(|| TraceRing::new(trace_capacity));
         let tracer = Tracer::new(Arc::clone(&clock), ring);
 
-        let default_bounds = Histogram::default_latency().bounds().to_vec();
-        let bounds = latency_bounds.unwrap_or(&default_bounds);
+        let latency_scale = Histogram::default_latency();
 
         for (name, help) in [
             (
@@ -289,7 +287,7 @@ impl ServerObs {
                     .histogram(
                         "df_request_seconds",
                         &[("endpoint", endpoint.as_str())],
-                        bounds,
+                        latency_scale.bounds(),
                     )
                     .map_err(obs_err)?,
             );
@@ -479,7 +477,7 @@ mod tests {
     #[test]
     fn records_land_in_the_registry() {
         let fleet = Arc::new(FleetTelemetry::new(2));
-        let obs = ServerObs::new(&fleet, None, 8, None).unwrap();
+        let obs = ServerObs::new(&fleet, 8, None).unwrap();
         let span = obs.span(Endpoint::Audit);
         let seconds = span.finish();
         assert!(seconds >= 0.0);
@@ -507,7 +505,6 @@ mod tests {
         let fleet = Arc::new(FleetTelemetry::new(1));
         let obs = ServerObs::new(
             &fleet,
-            None,
             0,
             Some(Arc::new(move |r: &AccessRecord<'_>| {
                 sink.lock()

@@ -79,7 +79,6 @@ pub(crate) struct StateConfig {
     pub changepoints: Vec<ChangepointSpec>,
     pub shards: usize,
     pub snapshot_timeout: Duration,
-    pub latency_bounds: Option<Vec<f64>>,
     pub trace_capacity: usize,
     pub access_log: Option<AccessLogFn>,
 }
@@ -133,12 +132,7 @@ impl ServerState {
         };
         let reference = builder().build()?.snapshot()?;
         let fleet = builder().fleet(cfg.shards)?;
-        let obs = ServerObs::new(
-            fleet.telemetry(),
-            cfg.latency_bounds.as_deref(),
-            cfg.trace_capacity,
-            cfg.access_log,
-        )?;
+        let obs = ServerObs::new(fleet.telemetry(), cfg.trace_capacity, cfg.access_log)?;
         Ok(Self {
             outcome: cfg.outcome,
             catalog: Catalog::new(&cfg.axes),

@@ -89,7 +89,7 @@
 //! | `core` (df_core) | the DF criterion: ε kernels, EDF (Eq. 6), smoothing (Eq. 7), subset guarantees, privacy interpretation, bias amplification, baselines, the `Audit` builder |
 //! | `prob` (df_prob) | distributions, special functions, RNGs, contingency tables, Dirichlet posterior sampling |
 //! | `data` (df_data) | data frames, CSV, encoders, the calibrated synthetic Adult benchmark, Table 1 data |
-//! | `learn` (df_learn) | logistic regression (plain and DF-regularized), naive Bayes, trees, metrics, threshold mechanisms |
+//! | `learn` (df_learn) | logistic regression (plain and DF-regularized), metrics, model selection, threshold mechanisms |
 //! | `server` (df_server) | the ε-DF audit query service: HTTP/1.1 ingest + audit/monitor endpoints over a long-lived fleet, with content negotiation |
 //! | `obs` (df_obs) | dependency-free telemetry: lock-free counters/gauges, mergeable log-scale histograms, a labeled registry with Prometheus/JSON exposition, and request spans — scraped live at `/v1/metrics` |
 //!
