@@ -930,3 +930,186 @@ fn megabyte_labels_are_refused_in_linear_time() {
     assert!(audit.text().contains("\"n_records\":2"), "{}", audit.text());
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Defaults, the route table, and the live bodies no byte golden pins.
+// ---------------------------------------------------------------------------
+
+/// The keys of a JSON object body, in order, each with its value's kind.
+fn shape(body: &serde_json::Value) -> Vec<(&str, &'static str)> {
+    body.as_obj("body")
+        .unwrap()
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.kind()))
+        .collect()
+}
+
+fn parsed(resp: &ClientResponse) -> serde_json::Value {
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    serde_json::parse(&resp.text()).unwrap()
+}
+
+/// The server-side defaults: a 3600 s window at window / 60 buckets,
+/// no decay, and the monitor's own estimator and metric defaults.
+#[test]
+fn a_default_server_advertises_its_defaults_in_the_schema() {
+    use serde_json::Value;
+    let server = Server::builder("y", axes())
+        .workers(1)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut c = Http1Client::connect(server.local_addr()).unwrap();
+    let schema = parsed(&c.get("/v1/schema").unwrap());
+    assert_eq!(schema.field("outcome"), &Value::Str("y".into()));
+    assert_eq!(schema.field("window_seconds"), &Value::Float(3600.0));
+    assert_eq!(schema.field("bucket_seconds"), &Value::Float(60.0));
+    assert_eq!(schema.field("decay"), &Value::Null);
+    assert_eq!(schema.field("estimator"), &Value::Str("eps-DF(a=1)".into()));
+    assert_eq!(schema.field("metric"), &Value::Str("eps-df".into()));
+    assert_eq!(schema.field("shards"), &Value::Int(4));
+    drop(c);
+    server.shutdown();
+
+    // The bucket default never drops below the monitor's 1 ms floor.
+    let server = Server::builder("y", axes())
+        .window_seconds(0.01)
+        .workers(1)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut c = Http1Client::connect(server.local_addr()).unwrap();
+    let schema = parsed(&c.get("/v1/schema").unwrap());
+    assert_eq!(schema.field("window_seconds"), &Value::Float(0.01));
+    assert_eq!(schema.field("bucket_seconds"), &Value::Float(0.001));
+    drop(c);
+    server.shutdown();
+}
+
+/// Every route answers a method it does not serve with 405 and the one
+/// method it does in `Allow`, counted under its own endpoint; a path no
+/// route names is a 404 counted under `endpoint="other"`.
+#[test]
+fn every_route_refuses_other_methods_and_unknown_paths_are_404s() {
+    let server = server();
+    let mut c = Http1Client::connect(server.local_addr()).unwrap();
+    let routes = [
+        ("/v1/healthz", "healthz", "GET", "POST"),
+        ("/v1/schema", "schema", "GET", "PUT"),
+        ("/v1/audit", "audit", "GET", "POST"),
+        ("/v1/monitor", "monitor", "GET", "DELETE"),
+        ("/v1/metrics", "metrics", "GET", "POST"),
+        ("/v1/trace", "trace", "GET", "PATCH"),
+        ("/v1/ingest/records", "ingest_records", "POST", "GET"),
+        ("/v1/ingest/snapshot", "ingest_snapshot", "POST", "PUT"),
+    ];
+    for (path, _, allow, wrong) in routes {
+        let resp = c.request(wrong, path, &[], b"").unwrap();
+        assert_eq!(resp.status, 405, "{wrong} {path}: {}", resp.text());
+        assert_eq!(resp.header("allow"), Some(allow), "{wrong} {path}");
+        assert_eq!(
+            resp.text(),
+            format!(
+                "{{\"error\":{{\"status\":405,\"kind\":\"method_not_allowed\",\
+                 \"message\":\"allowed: {allow}\"}}}}"
+            ),
+            "{wrong} {path}"
+        );
+    }
+    let resp = c.request("GET", "/v1/audit/", &[], b"").unwrap();
+    assert_eq!(resp.status, 404, "{}", resp.text());
+    assert!(resp.text().contains("no route for GET /v1/audit/"));
+
+    let scrape = c.get("/v1/metrics").unwrap().text();
+    for (_, endpoint, _, _) in routes {
+        let line = format!("df_requests_total{{endpoint=\"{endpoint}\",status=\"4xx\"}} 1");
+        assert!(scrape.contains(&line), "missing `{line}`:\n{scrape}");
+    }
+    assert!(
+        scrape.contains("df_requests_total{endpoint=\"other\",status=\"4xx\"} 1"),
+        "{scrape}"
+    );
+    drop(c);
+    server.shutdown();
+}
+
+/// `/v1/healthz` and `/v1/trace` report live values (uptime, span
+/// timings), so no byte golden can hold them: pin their keys, in order,
+/// and the kind of every value instead.
+#[test]
+fn health_and_trace_bodies_keep_their_keys_and_value_kinds() {
+    let server = server();
+    let mut c = Http1Client::connect(server.local_addr()).unwrap();
+    let posted = c
+        .request(
+            "POST",
+            "/v1/ingest/records",
+            &[],
+            &json_chunk(&[row(0), row(1)], 5.0),
+        )
+        .unwrap();
+    assert_eq!(posted.status, 200, "{}", posted.text());
+
+    let health = parsed(&c.get("/v1/healthz").unwrap());
+    assert_eq!(
+        shape(&health),
+        [
+            ("status", "string"),
+            ("version", "integer"),
+            ("shards", "integer"),
+            ("build", "string"),
+            ("uptime_seconds", "float"),
+            ("queue_depths", "array"),
+            ("max_lag_seconds", "float"),
+        ]
+    );
+    let depths = health.field("queue_depths").as_arr("depths").unwrap();
+    assert_eq!(depths.len(), 3);
+    assert!(depths.iter().all(|d| d.kind() == "integer"));
+
+    let trace = parsed(&c.get("/v1/trace").unwrap());
+    assert_eq!(
+        shape(&trace),
+        [
+            ("enabled", "bool"),
+            ("capacity", "integer"),
+            ("dropped", "integer"),
+            ("spans", "array"),
+        ]
+    );
+    let spans = trace.field("spans").as_arr("spans").unwrap();
+    assert_eq!(spans.len(), 2, "the POST and the health check");
+    for span in spans {
+        assert_eq!(
+            shape(span),
+            [
+                ("name", "string"),
+                ("start_seconds", "float"),
+                ("duration_seconds", "float"),
+                ("fields", "object"),
+            ]
+        );
+        assert_eq!(
+            shape(span.field("fields")),
+            [
+                ("method", "string"),
+                ("path", "string"),
+                ("status", "string"),
+            ]
+        );
+    }
+    drop(c);
+    server.shutdown();
+
+    // With the ring off, the body is the flag and an empty span list.
+    let server = Server::builder("y", axes())
+        .window_seconds(1e6)
+        .trace_spans(0)
+        .workers(1)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut c = Http1Client::connect(server.local_addr()).unwrap();
+    let trace = parsed(&c.get("/v1/trace").unwrap());
+    assert_eq!(shape(&trace), [("enabled", "bool"), ("spans", "array")]);
+    assert!(trace.field("spans").as_arr("spans").unwrap().is_empty());
+    drop(c);
+    server.shutdown();
+}
