@@ -42,7 +42,7 @@ use crate::baselines::{
     SubgroupViolation,
 };
 use crate::bootstrap::{bootstrap_epsilon_sharded, BootstrapEpsilon};
-use crate::edf::{GroupLayout, JointCounts, LatticeTables};
+use crate::edf::{worst_stratum, GroupLayout, JointCounts, LatticeTables};
 use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::equalized::EqualizedOddsCounts;
 use crate::error::{DfError, Result};
@@ -718,11 +718,15 @@ impl<'a> Audit<'a> {
         };
 
         let equalized_odds = match &equalized {
-            Some((eo, alpha)) => Some(EqualizedOddsReport {
-                alpha: *alpha,
-                per_label: eo.per_label_epsilon(*alpha)?,
-                overall: eo.epsilon(*alpha)?,
-            }),
+            Some((eo, alpha)) => {
+                let per_label = eo.per_label_epsilon(*alpha)?;
+                let overall = worst_stratum(per_label.iter().map(|(_, eps)| Ok(eps.clone())))?;
+                Some(EqualizedOddsReport {
+                    alpha: *alpha,
+                    per_label,
+                    overall,
+                })
+            }
             None => None,
         };
 

@@ -430,6 +430,16 @@ impl GroupLayout {
         };
         Ok((result, raw.epsilon))
     }
+
+    /// The raw (MLE) tables of the headline's strata of `data`, in label
+    /// order (an unconditioned headline is one stratum).
+    pub(crate) fn strata(&self, data: &[f64]) -> Result<Vec<GroupOutcomes>> {
+        let headline = self.headline.as_ref().unwrap_or(&self.full);
+        Ok(match headline.tables(data)? {
+            Tables::One(table) => vec![table],
+            Tables::Strata(strata) => strata,
+        })
+    }
 }
 
 /// The raw (MLE, Eq. 6) group×outcome table of `cells` (`(group, outcome)`
@@ -464,7 +474,7 @@ enum Tables {
 
 /// `metric` under `estimator` on one entry's tables: the metric's own call
 /// on one table; on strata, the metric it scores strata with, keeping the
-/// worst (the first maximum in label order; no strata is vacuously fair).
+/// [`worst_stratum`].
 fn score(
     metric: &dyn Metric,
     tables: &Tables,
@@ -477,12 +487,25 @@ fn score(
     let (_, within) = metric
         .conditioning()
         .expect("strata are read for a conditioned metric");
+    let results = strata
+        .iter()
+        .map(|stratum| within.evaluate(stratum, estimator));
+    worst_stratum(results)
+}
+
+/// The worst of per-stratum results, in label order: the first maximum,
+/// except that a result with a witness displaces an equal one without
+/// (a stratum with fewer than two populated groups); no strata is
+/// vacuously fair.
+pub(crate) fn worst_stratum(
+    results: impl IntoIterator<Item = Result<EpsilonResult>>,
+) -> Result<EpsilonResult> {
     let vacuous = EpsilonResult {
         epsilon: 0.0,
         witness: None,
     };
-    strata.iter().try_fold(vacuous, |worst, stratum| {
-        let result = within.evaluate(stratum, estimator)?;
+    results.into_iter().try_fold(vacuous, |worst, result| {
+        let result = result?;
         let worse = result.epsilon > worst.epsilon
             || worst.witness.is_none() && result.epsilon >= worst.epsilon;
         Ok(if worse { result } else { worst })

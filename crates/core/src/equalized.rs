@@ -19,18 +19,25 @@
 //! prediction *and* the true label, an adversary's posterior odds over the
 //! protected intersection move by at most `e^ε`.
 
-use crate::edf::JointCounts;
+use crate::builder::{EpsilonEstimator, Smoothed};
+use crate::edf::{worst_stratum, GroupLayout, JointCounts};
 use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::error::{DfError, Result};
+use crate::metric::DifferentialEqualizedOdds;
+use df_prob::contingency::{Axis, ContingencyTable};
+
+/// The name of the true-label axis of the joint tally.
+const TRUTH: &str = "truth";
 
 /// Joint tally of `(true label, prediction, intersections…)`.
 ///
 /// Constructed from per-record observations; computes the conditional DF of
-/// predictions given each true label.
+/// predictions given each true label, on the strata a
+/// [`DifferentialEqualizedOdds`] audit of the same counts scores.
 #[derive(Debug, Clone)]
 pub struct EqualizedOddsCounts {
-    /// One [`JointCounts`] of `(prediction, attrs…)` per true-label value.
-    per_label: Vec<(String, JointCounts)>,
+    /// Joint counts of `(prediction, truth, group)`.
+    counts: JointCounts,
 }
 
 impl EqualizedOddsCounts {
@@ -46,7 +53,6 @@ impl EqualizedOddsCounts {
         group_labels: Vec<String>,
         records: impl IntoIterator<Item = (usize, usize, usize)>,
     ) -> Result<Self> {
-        use df_prob::contingency::{Axis, ContingencyTable};
         if labels.len() < 2 || predictions.len() < 2 {
             return Err(DfError::NotEnoughCategories {
                 what: "labels/predictions",
@@ -54,62 +60,60 @@ impl EqualizedOddsCounts {
                 present: labels.len().min(predictions.len()),
             });
         }
-        let n_groups = group_labels.len();
-        let mut tables: Vec<ContingencyTable> = labels
-            .iter()
-            .map(|_| {
-                ContingencyTable::zeros(vec![
-                    Axis::new("prediction", predictions.clone())?,
-                    Axis::new("group", group_labels.clone())?,
-                ])
-            })
-            .collect::<std::result::Result<_, _>>()?;
+        let arity = (labels.len(), predictions.len(), group_labels.len());
+        let mut table = ContingencyTable::zeros(vec![
+            Axis::new("prediction", predictions)?,
+            Axis::new(TRUTH, labels)?,
+            Axis::new("group", group_labels)?,
+        ])?;
         for (y, p, g) in records {
-            if y >= labels.len() || p >= predictions.len() || g >= n_groups {
+            if y >= arity.0 || p >= arity.1 || g >= arity.2 {
                 return Err(DfError::Invalid(format!(
                     "record index out of range: (y={y}, p={p}, g={g})"
                 )));
             }
-            tables[y].increment(&[p, g]);
+            table.increment(&[p, y, g]);
         }
-        let per_label = labels
-            .into_iter()
-            .zip(tables)
-            .map(|(label, t)| Ok((label, JointCounts::from_table(t, "prediction")?)))
-            .collect::<Result<_>>()?;
-        Ok(Self { per_label })
+        Ok(Self {
+            counts: JointCounts::from_table(table, "prediction")?,
+        })
+    }
+
+    /// Each true label with its raw (MLE) prediction × group table, in
+    /// label order: the strata of a `deo(label=truth)` layout.
+    fn strata(&self) -> Result<impl Iterator<Item = (&str, GroupOutcomes)>> {
+        let table = self.counts.table();
+        let strata = GroupLayout::new(table, 0)
+            .for_metric(&DifferentialEqualizedOdds::new(TRUTH), std::iter::empty())?
+            .strata(table.data())?;
+        // Outcome-first counts: the prediction axis, then the truth axis.
+        let labels = table.axes()[1].labels().iter().map(String::as_str);
+        Ok(labels.zip(strata))
     }
 
     /// The per-true-label conditional ε values (with smoothing `alpha`).
     pub fn per_label_epsilon(&self, alpha: f64) -> Result<Vec<(String, EpsilonResult)>> {
-        self.per_label
-            .iter()
-            .map(|(label, counts)| Ok((label.clone(), counts.edf_smoothed(alpha)?)))
+        let estimator = Smoothed { alpha };
+        self.strata()?
+            .map(|(label, raw)| Ok((label.to_string(), estimator.estimate(&raw)?)))
             .collect()
     }
 
     /// The differential-equalized-odds ε: the worst conditional ε over true
-    /// labels.
+    /// labels, picked as a `deo` audit picks it.
     pub fn epsilon(&self, alpha: f64) -> Result<EpsilonResult> {
-        let mut worst: Option<EpsilonResult> = None;
-        for (_, eps) in self.per_label_epsilon(alpha)? {
-            match &worst {
-                Some(w) if w.epsilon >= eps.epsilon => {}
-                _ => worst = Some(eps),
-            }
-        }
-        worst.ok_or_else(|| DfError::Invalid("no true-label strata".into()))
+        let per_label = self.per_label_epsilon(alpha)?;
+        worst_stratum(per_label.into_iter().map(|(_, eps)| Ok(eps)))
     }
 
     /// The conditional group-outcome table for one true label (for witness
     /// inspection and custom analyses).
     pub fn conditional_table(&self, label: &str, alpha: f64) -> Result<GroupOutcomes> {
-        let (_, counts) = self
-            .per_label
-            .iter()
-            .find(|(l, _)| l == label)
+        let (_, raw) = self
+            .strata()?
+            .find(|(l, _)| *l == label)
             .ok_or_else(|| DfError::Invalid(format!("unknown true label `{label}`")))?;
-        counts.group_outcomes(alpha)
+        raw.smoothed(alpha)
     }
 }
 
@@ -292,7 +296,7 @@ mod tests {
         for &(y, p, g) in &records {
             table.increment(&[p, y, g]);
         }
-        let counts = JointCounts::from_table(table, "prediction").unwrap();
+        let counts = JointCounts::from_table(table.clone(), "prediction").unwrap();
         let bits = |r: &EpsilonResult| {
             let w = r.witness.as_ref().unwrap();
             (
@@ -310,6 +314,65 @@ mod tests {
                 .run()
                 .unwrap();
             assert_eq!(bits(&direct), bits(&audit.epsilon), "alpha {alpha}");
+            // Each true label's ε and table are its stratum's, sliced out
+            // of the joint counts, as the DEO audit scores it.
+            let per_label = eo.per_label_epsilon(alpha).unwrap();
+            for (label, eps) in &per_label {
+                let stratum = table.condition("truth", label).unwrap();
+                let stratum = JointCounts::from_table(stratum, "prediction").unwrap();
+                let audit = Audit::of(&stratum)
+                    .estimator(Smoothed { alpha })
+                    .subsets(SubsetPolicy::None)
+                    .run()
+                    .unwrap();
+                assert_eq!(bits(eps), bits(&audit.epsilon), "{label}, alpha {alpha}");
+                assert_eq!(
+                    table_bits(&eo.conditional_table(label, alpha).unwrap()),
+                    table_bits(&stratum.group_outcomes(alpha).unwrap()),
+                    "{label}, alpha {alpha}"
+                );
+            }
+        }
+    }
+
+    /// Every probability, then every weight, of `t` as bits.
+    fn table_bits(t: &GroupOutcomes) -> Vec<u64> {
+        let probs =
+            (0..t.num_groups()).flat_map(|g| (0..t.num_outcomes()).map(move |y| t.prob(g, y)));
+        probs
+            .chain(t.weights().iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn a_witnessed_tie_displaces_a_stratum_with_one_populated_group() {
+        use crate::builder::{Audit, Smoothed, SubsetPolicy};
+        use crate::metric::DifferentialEqualizedOdds;
+
+        // Stratum t0 has one populated group, so its ε of 0 has no
+        // witness; t1's equal rates give an ε of 0 with one. The audit's
+        // rule keeps t1's: a first-maximum loop would keep t0's.
+        let records = records_of(&[[[3, 2], [0, 0]], [[5, 5], [5, 5]]]);
+        let eo = EqualizedOddsCounts::from_records(
+            names(&["t0", "t1"]),
+            names(&["no", "yes"]),
+            names(&["a", "b"]),
+            records,
+        )
+        .unwrap();
+        for alpha in [0.0, 1.0] {
+            let per_label = eo.per_label_epsilon(alpha).unwrap();
+            assert!(per_label[0].1.witness.is_none(), "alpha {alpha}");
+            let direct = eo.epsilon(alpha).unwrap();
+            assert_eq!(direct, per_label[1].1, "alpha {alpha}");
+            let audit = Audit::of(&eo.counts)
+                .metric(DifferentialEqualizedOdds::new("truth"))
+                .estimator(Smoothed { alpha })
+                .subsets(SubsetPolicy::None)
+                .run()
+                .unwrap();
+            assert_eq!(direct, audit.epsilon, "alpha {alpha}");
         }
     }
 

@@ -81,6 +81,13 @@ impl FleetIngest {
         self.shards.len()
     }
 
+    /// The estimator every cut derives its statistics with: the one the
+    /// fleet's [`MonitorBuilder`] was configured with (or its default),
+    /// shared by every shard.
+    pub fn estimator(&self) -> &dyn EpsilonEstimator {
+        &*self.estimator
+    }
+
     /// Live fleet telemetry: per-shard traffic counters, queue depths,
     /// staleness gauges, cut latency, and the shared monitor bundle —
     /// readable at any time without touching the shard locks (see

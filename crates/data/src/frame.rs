@@ -375,13 +375,10 @@ impl DataFrame {
             .map(|(name, (_, vocab))| Axis::new(*name, vocab.to_vec()))
             .collect::<std::result::Result<_, _>>()?;
         let mut table = ContingencyTable::zeros(axes)?;
-        let mut idx = vec![0usize; columns.len()];
-        for row in 0..self.n_rows {
-            for (slot, (codes, _)) in idx.iter_mut().zip(&cols) {
-                *slot = codes[row] as usize;
-            }
-            table.increment(&idx);
-        }
+        // Every column's codes index its own vocabulary: the column
+        // constructors check it, and the fields are private.
+        let codes: Vec<&[u32]> = cols.iter().map(|(codes, _)| *codes).collect();
+        table.tally_codes_trusted(&codes)?;
         Ok(table)
     }
 

@@ -259,16 +259,6 @@ impl<W: Write> ReplayWriter<W> {
         &self.schema
     }
 
-    /// Rows written so far.
-    pub fn rows_written(&self) -> u64 {
-        self.rows
-    }
-
-    /// Bytes emitted so far (preamble + frames).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
     fn emit(&mut self, bytes: &[u8]) -> Result<()> {
         self.out.write_all(bytes)?;
         self.bytes += bytes.len() as u64;

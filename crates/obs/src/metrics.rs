@@ -70,13 +70,6 @@ impl Gauge {
         Self::default()
     }
 
-    /// A gauge pre-initialised to `v`.
-    pub fn with_value(v: f64) -> Self {
-        let g = Self::new();
-        g.set(v);
-        g
-    }
-
     pub fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }

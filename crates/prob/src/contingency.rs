@@ -249,7 +249,7 @@ impl ContingencyTable {
     /// [`ContingencyTable::tally_codes_trusted`]: df-data's
     /// `tally_from_log` (a replay log's code bytes), its `CodeChunk` (the
     /// server's ingest, and replay chunks fed to audits and monitors), its
-    /// frame and CSV chunks, and frame views all count here. It runs
+    /// frame and CSV chunks, frames and frame views all count here. It runs
     /// columnar on purpose — a block of records at a time, one
     /// multiply-add sweep per axis accumulating flat indices, then one
     /// scatter pass — which the compiler vectorizes, unlike the per-row

@@ -67,21 +67,9 @@ impl PartialCounts {
         self.table.add(idx, weight);
     }
 
-    /// Looks up label indices by name and tallies one record there.
-    pub fn record_by_labels(&mut self, labels: &[&str]) -> Result<()> {
-        self.table.increment_by_labels(labels)
-    }
-
     /// Bulk-tallies a column-major batch of coded records (one code slice
-    /// per axis) — the vectorized hot path; see
-    /// [`ContingencyTable::tally_codes`].
-    pub fn record_codes(&mut self, columns: &[&[u32]]) -> Result<()> {
-        self.table.tally_codes(columns)
-    }
-
-    /// [`PartialCounts::record_codes`] without the per-code range scan, for
-    /// sources whose codes are in-range by construction, as `u32`s or as
-    /// one-byte codes kept as bytes; see
+    /// per axis), for sources whose codes are in-range by construction,
+    /// as `u32`s or as one-byte codes kept as bytes; see
     /// [`ContingencyTable::tally_codes_trusted`] for the contract.
     pub fn record_codes_trusted<C: Code>(&mut self, columns: &[&[C]]) -> Result<()> {
         self.table.tally_codes_trusted(columns)
@@ -231,16 +219,5 @@ mod tests {
             Err(ProbError::InvalidParameter { .. })
         ));
         assert_eq!(window, reference);
-    }
-
-    #[test]
-    fn record_by_labels_round_trips() {
-        let mut p = PartialCounts::zeros(axes()).unwrap();
-        p.record_by_labels(&["yes", "b"]).unwrap();
-        p.record_by_labels(&["yes", "b"]).unwrap();
-        assert!(p.record_by_labels(&["yes", "zzz"]).is_err());
-        let t = p.into_table();
-        assert_eq!(t.get(&[1, 1]), 2.0);
-        assert_eq!(t.total(), 2.0);
     }
 }

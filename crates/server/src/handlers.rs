@@ -1,10 +1,14 @@
-//! The router and endpoint handlers.
+//! The route table and the endpoint handlers.
 //!
-//! The pipeline mirrors the OLAP-server shape: handler → core query over
-//! the merged counts → format-negotiated rendering, with the heavy
-//! lifting delegated to `df_core` (`Audit::of_counts`, `AuditReport` /
-//! `MonitorSnapshot` renderers) so the handlers stay a thin mapping from
-//! query strings to builder calls.
+//! [`Endpoint::of`] is the one place a path names a route, and
+//! [`route`] dispatches on the endpoint it returns: a method the endpoint
+//! does not serve is a `405` naming the one it does, and a handler's
+//! [`DfError`] becomes its typed response there, once. Read handlers are
+//! renderers behind one cache: handler → core query over the merged
+//! counts → format-negotiated rendering, with the heavy lifting delegated
+//! to `df_core` (`Audit::of_counts`, `AuditReport` / `MonitorSnapshot`
+//! renderers). Every JSON body is written straight into a
+//! [`JsonWriter`], as the error bodies are.
 
 use crate::error::{df_error_response, error_response};
 use crate::http::{parse_query, query_param, Request, Response};
@@ -12,10 +16,11 @@ use crate::negotiate::{response_format, NegotiateError};
 use crate::state::ServerState;
 use df_core::builder::{Audit, Baselines, Empirical, PosteriorSup, Smoothed, SubsetPolicy};
 use df_core::metric::metric_from_tag;
+use df_core::monitor::MonitorSnapshot;
 use df_core::report::ResponseFormat;
 use df_core::JointCounts;
 use df_core::{DfError, Result};
-use serde_json::Value;
+use serde::{JsonWriter, Serialize};
 use std::time::Duration;
 
 /// Most posterior draws one `/v1/audit` may ask for with `?samples=`
@@ -23,69 +28,147 @@ use std::time::Duration;
 /// request, so a larger value is a 400 before the audit runs.
 const MAX_SAMPLES: u64 = 10_000;
 
-/// Dispatches one request to its handler.
-pub fn route(state: &ServerState, req: &Request) -> Response {
-    let params = parse_query(&req.query);
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/v1/healthz") => healthz(state),
-        ("GET", "/v1/schema") => schema(state),
-        ("GET", "/v1/audit") => audit(state, req, &params),
-        ("GET", "/v1/monitor") => monitor(state, req, &params),
-        ("GET", "/v1/metrics") => metrics(state, &params),
-        ("GET", "/v1/trace") => trace(state, &params),
-        ("POST", "/v1/ingest/records") => ingest_records(state, req, &params),
-        ("POST", "/v1/ingest/snapshot") => ingest_snapshot(state, req, &params),
-        (
-            _,
-            "/v1/healthz" | "/v1/schema" | "/v1/audit" | "/v1/monitor" | "/v1/metrics"
-            | "/v1/trace",
-        ) => not_allowed("GET"),
-        (_, "/v1/ingest/records" | "/v1/ingest/snapshot") => not_allowed("POST"),
-        _ => error_response(
-            404,
-            "not_found",
-            &format!("no route for {} {}", req.method, req.path),
-        ),
+/// The routes, which are also the telemetry label values. `Other`
+/// absorbs 404s and requests that failed before routing (parse errors,
+/// oversized bodies), so *every* response — error paths included — lands
+/// in a status-class counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Endpoint {
+    Healthz,
+    Schema,
+    Audit,
+    Monitor,
+    Metrics,
+    Trace,
+    IngestRecords,
+    IngestSnapshot,
+    Other,
+}
+
+impl Endpoint {
+    pub(crate) const ALL: [Endpoint; 9] = [
+        Endpoint::Healthz,
+        Endpoint::Schema,
+        Endpoint::Audit,
+        Endpoint::Monitor,
+        Endpoint::Metrics,
+        Endpoint::Trace,
+        Endpoint::IngestRecords,
+        Endpoint::IngestSnapshot,
+        Endpoint::Other,
+    ];
+
+    /// The route a request path names (method-independent: a 405 on
+    /// `/v1/audit` is still audit-endpoint traffic).
+    pub(crate) fn of(path: &str) -> Endpoint {
+        match path {
+            "/v1/healthz" => Endpoint::Healthz,
+            "/v1/schema" => Endpoint::Schema,
+            "/v1/audit" => Endpoint::Audit,
+            "/v1/monitor" => Endpoint::Monitor,
+            "/v1/metrics" => Endpoint::Metrics,
+            "/v1/trace" => Endpoint::Trace,
+            "/v1/ingest/records" => Endpoint::IngestRecords,
+            "/v1/ingest/snapshot" => Endpoint::IngestSnapshot,
+            _ => Endpoint::Other,
+        }
+    }
+
+    /// The one method the route serves (`None`: no route).
+    fn method(self) -> Option<&'static str> {
+        match self {
+            Endpoint::IngestRecords | Endpoint::IngestSnapshot => Some("POST"),
+            Endpoint::Other => None,
+            _ => Some("GET"),
+        }
+    }
+
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Endpoint::Healthz => "healthz",
+            Endpoint::Schema => "schema",
+            Endpoint::Audit => "audit",
+            Endpoint::Monitor => "monitor",
+            Endpoint::Metrics => "metrics",
+            Endpoint::Trace => "trace",
+            Endpoint::IngestRecords => "ingest_records",
+            Endpoint::IngestSnapshot => "ingest_snapshot",
+            Endpoint::Other => "other",
+        }
     }
 }
 
-fn not_allowed(allow: &str) -> Response {
-    error_response(405, "method_not_allowed", &format!("allowed: {allow}"))
-        .with_header("Allow", allow)
+/// Answers one request to `endpoint`, the route its path names.
+pub(crate) fn route(state: &ServerState, endpoint: Endpoint, req: &Request) -> Response {
+    if let Some(allow) = endpoint.method().filter(|m| *m != req.method) {
+        return error_response(405, "method_not_allowed", &format!("allowed: {allow}"))
+            .with_header("Allow", allow);
+    }
+    let params = parse_query(&req.query);
+    let params = params.as_slice();
+    let answer = match endpoint {
+        Endpoint::Healthz => Ok(healthz(state)),
+        Endpoint::Schema => Ok(schema(state)),
+        Endpoint::Audit => cached_read(state, req, params, |snap, format| {
+            audit(snap, params, format)
+        }),
+        Endpoint::Monitor => cached_read(state, req, params, |snap, format| {
+            // `?metric=` re-derives every statistic of the merged snapshot
+            // under another fairness metric; the stored counts are
+            // metric-agnostic, so this is a pure recompute.
+            match query_param(params, "metric") {
+                Some(tag) => snap.with_metric(tag, state.estimator())?.render(format),
+                None => snap.render(format),
+            }
+        }),
+        Endpoint::Metrics => Ok(metrics(state, params)),
+        Endpoint::Trace => Ok(trace(state, params)),
+        Endpoint::IngestRecords => ingest_records(state, req, params),
+        Endpoint::IngestSnapshot => ingest_snapshot(state, req, params),
+        Endpoint::Other => Ok(error_response(
+            404,
+            "not_found",
+            &format!("no route for {} {}", req.method, req.path),
+        )),
+    };
+    answer.unwrap_or_else(|e| df_error_response(&e))
 }
 
-fn json_response(value: &Value) -> Response {
-    let body = serde_json::to_string(value)
-        .unwrap_or_default()
-        .into_bytes();
-    Response::new(200, "application/json", body)
+/// A JSON object whose entries a closure writes: how a body, or an
+/// object inside one, goes straight into the writer.
+struct Object<F: Fn(&mut JsonWriter)>(F);
+
+impl<F: Fn(&mut JsonWriter)> Serialize for Object<F> {
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.begin_object();
+        (self.0)(out);
+        out.end_object();
+    }
+}
+
+/// A `200` whose compact JSON object body `entries` writes.
+fn json_response(entries: impl Fn(&mut JsonWriter)) -> Response {
+    let mut out = JsonWriter::compact();
+    Object(entries).serialize(&mut out);
+    Response::new(200, "application/json", out.finish().into_bytes())
 }
 
 fn healthz(state: &ServerState) -> Response {
     let fleet = state.fleet_telemetry();
-    let depths = fleet
-        .shards()
-        .iter()
-        .map(|s| int(s.queue_depth()))
-        .collect();
-    json_response(&Value::Obj(vec![
-        ("status".to_string(), Value::Str("ok".to_string())),
-        ("version".to_string(), int(state.version())),
-        ("shards".to_string(), int(state.shards() as u64)),
-        (
-            "build".to_string(),
-            Value::Str(env!("CARGO_PKG_VERSION").to_string()),
-        ),
-        (
-            "uptime_seconds".to_string(),
-            Value::Float(state.obs().uptime_seconds()),
-        ),
-        ("queue_depths".to_string(), Value::Arr(depths)),
-        (
-            "max_lag_seconds".to_string(),
-            Value::Float(fleet.max_lag_seconds()),
-        ),
-    ]))
+    json_response(|out| {
+        out.field("status", "ok");
+        out.field("version", &state.version());
+        out.field("shards", &state.shards());
+        out.field("build", env!("CARGO_PKG_VERSION"));
+        out.field("uptime_seconds", &state.obs().uptime_seconds());
+        out.key("queue_depths");
+        out.begin_array();
+        for shard in fleet.shards() {
+            out.element(&shard.queue_depth());
+        }
+        out.end_array();
+        out.field("max_lag_seconds", &fleet.max_lag_seconds());
+    })
 }
 
 /// `GET /v1/metrics`: the registry scrape. Prometheus text by default,
@@ -115,15 +198,25 @@ fn metrics(state: &ServerState, params: &[(String, String)]) -> Response {
 /// request spans from the ring, newest last, at most `?n=` (default 20).
 fn trace(state: &ServerState, params: &[(String, String)]) -> Response {
     let Some(ring) = state.obs().trace_ring() else {
-        return json_response(&Value::Obj(vec![
-            ("enabled".to_string(), Value::Bool(false)),
-            ("spans".to_string(), Value::Arr(Vec::new())),
-        ]));
+        return json_response(|out| {
+            out.field("enabled", &false);
+            out.key("spans");
+            out.begin_array();
+            out.end_array();
+        });
     };
-    let n = match query_param(params, "n").map(parse_usize) {
+    let n = match query_param(params, "n") {
         None => 20,
-        Some(Ok(n)) => n,
-        Some(Err(resp)) => return *resp,
+        Some(raw) => match raw.parse() {
+            Ok(n) => n,
+            Err(_) => {
+                return error_response(
+                    400,
+                    "bad_parameter",
+                    &format!("`{raw}` is not a non-negative integer"),
+                )
+            }
+        },
     };
     let spans = match query_param(params, "order") {
         None | Some("recent") => {
@@ -142,91 +235,57 @@ fn trace(state: &ServerState, params: &[(String, String)]) -> Response {
             )
         }
     };
-    let spans = spans
-        .into_iter()
-        .map(|s| {
-            Value::Obj(vec![
-                ("name".to_string(), Value::Str(s.name)),
-                (
-                    "start_seconds".to_string(),
-                    Value::Float(s.start_nanos as f64 * 1e-9),
-                ),
-                (
-                    "duration_seconds".to_string(),
-                    Value::Float(s.duration_nanos as f64 * 1e-9),
-                ),
-                (
-                    "fields".to_string(),
-                    Value::Obj(
-                        s.fields
-                            .into_iter()
-                            .map(|(k, v)| (k, Value::Str(v)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    json_response(&Value::Obj(vec![
-        ("enabled".to_string(), Value::Bool(true)),
-        ("capacity".to_string(), int(ring.capacity() as u64)),
-        ("dropped".to_string(), int(ring.dropped())),
-        ("spans".to_string(), Value::Arr(spans)),
-    ]))
-}
-
-fn parse_usize(raw: &str) -> std::result::Result<usize, Box<Response>> {
-    raw.parse().map_err(|_| {
-        Box::new(error_response(
-            400,
-            "bad_parameter",
-            &format!("`{raw}` is not a non-negative integer"),
-        ))
+    json_response(|out| {
+        out.field("enabled", &true);
+        out.field("capacity", &ring.capacity());
+        out.field("dropped", &ring.dropped());
+        out.key("spans");
+        out.begin_array();
+        for span in &spans {
+            out.element(&Object(|out: &mut JsonWriter| {
+                out.field("name", &span.name);
+                out.field("start_seconds", &(span.start_nanos as f64 * 1e-9));
+                out.field("duration_seconds", &(span.duration_nanos as f64 * 1e-9));
+                out.key("fields");
+                out.begin_object();
+                for (key, value) in &span.fields {
+                    out.key(key);
+                    out.str(value);
+                }
+                out.end_object();
+            }));
+        }
+        out.end_array();
     })
 }
 
-fn int(v: u64) -> Value {
-    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
+/// `GET /v1/schema`: the configuration, as the reference snapshot records
+/// it, with the catalog's vocabularies.
 fn schema(state: &ServerState) -> Response {
-    let axes = state
-        .axes()
-        .iter()
-        .map(|a| {
-            Value::Obj(vec![
-                ("name".to_string(), Value::Str(a.name().to_string())),
-                (
-                    "labels".to_string(),
-                    Value::Arr(a.labels().iter().cloned().map(Value::Str).collect()),
-                ),
-            ])
-        })
-        .collect();
-    let (window, bucket, decay) = state.window_config();
-    json_response(&Value::Obj(vec![
-        (
-            "outcome".to_string(),
-            Value::Str(state.outcome().to_string()),
-        ),
-        ("axes".to_string(), Value::Arr(axes)),
-        ("estimator".to_string(), Value::Str(state.estimator_name())),
-        ("metric".to_string(), Value::Str(state.metric_tag())),
-        ("window_seconds".to_string(), Value::Float(window)),
-        ("bucket_seconds".to_string(), Value::Float(bucket)),
-        ("decay".to_string(), decay.map_or(Value::Null, Value::Float)),
-        ("shards".to_string(), int(state.shards() as u64)),
-        ("version".to_string(), int(state.version())),
-        (
-            "formats".to_string(),
-            Value::Arr(
-                ResponseFormat::ALL
-                    .iter()
-                    .map(|f| Value::Str(f.name().to_string()))
-                    .collect(),
-            ),
-        ),
-    ]))
+    let config = state.reference();
+    json_response(|out| {
+        out.field("outcome", &config.outcome_axis);
+        out.key("axes");
+        out.begin_array();
+        for (name, labels) in &config.window.axes {
+            out.element(&Object(|out: &mut JsonWriter| {
+                out.field("name", name);
+                out.field("labels", labels);
+            }));
+        }
+        out.end_array();
+        out.field("estimator", &config.estimator);
+        out.field("metric", &config.metric);
+        out.field("window_seconds", &config.window_seconds);
+        out.field("bucket_seconds", &config.bucket_seconds);
+        out.field("decay", &config.decay);
+        out.field("shards", &state.shards());
+        out.field("version", &state.version());
+        out.field(
+            "formats",
+            ResponseFormat::ALL.map(ResponseFormat::name).as_slice(),
+        );
+    })
 }
 
 /// Resolves the negotiated format or the error response to send instead.
@@ -266,43 +325,41 @@ fn parse_u64(params: &[(String, String)], name: &str, default: u64) -> Result<u6
     }
 }
 
-fn snapshot_timeout(state: &ServerState, params: &[(String, String)]) -> Result<Duration> {
+/// A read of the merged fleet snapshot in the negotiated format: the
+/// cached bytes while no ingest has landed since they were rendered,
+/// else `render`'s, stored for the next read. The cut waits at most
+/// `?timeout_ms=` (default: the server's snapshot timeout).
+fn cached_read(
+    state: &ServerState,
+    req: &Request,
+    params: &[(String, String)],
+    render: impl FnOnce(&MonitorSnapshot, ResponseFormat) -> Result<String>,
+) -> Result<Response> {
+    let format = match negotiated(req, params) {
+        Ok(f) => f,
+        Err(resp) => return Ok(resp),
+    };
     let default = state.snapshot_timeout().as_millis() as u64;
-    Ok(Duration::from_millis(parse_u64(
-        params,
-        "timeout_ms",
-        default,
-    )?))
+    let timeout = Duration::from_millis(parse_u64(params, "timeout_ms", default)?);
+    let (version, snap) = state.merged_cached(timeout)?;
+    let key = format!("{}?{}#{}", req.path, req.query, format.name());
+    if let Some(resp) = state.cached_response(version, &key) {
+        return Ok(resp);
+    }
+    let resp = Response::new(200, format.mime(), render(&snap, format)?.into_bytes());
+    state.store_response(version, &key, &resp);
+    Ok(resp)
 }
 
 /// `GET /v1/audit`: a full batch audit over the merged fleet counts,
 /// parameterized by query string. With no parameters, byte-identical to
 /// `Audit::of_counts(window counts).run()` — the default estimators and
 /// subset policy of the builder itself.
-fn audit(state: &ServerState, req: &Request, params: &[(String, String)]) -> Response {
-    let format = match negotiated(req, params) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
-    match audit_inner(state, req, params, format) {
-        Ok(resp) => resp,
-        Err(e) => df_error_response(&e),
-    }
-}
-
-fn audit_inner(
-    state: &ServerState,
-    req: &Request,
+fn audit(
+    snap: &MonitorSnapshot,
     params: &[(String, String)],
     format: ResponseFormat,
-) -> Result<Response> {
-    let timeout = snapshot_timeout(state, params)?;
-    let (version, snap) = state.merged_cached(timeout)?;
-    let key = format!("{}?{}#{}", req.path, req.query, format.name());
-    if let Some(resp) = state.cached_response(version, &key) {
-        return Ok(resp);
-    }
-
+) -> Result<String> {
     let table = match query_param(params, "window").unwrap_or("sliding") {
         "sliding" => snap.window.to_table()?,
         "decayed" => snap
@@ -318,7 +375,7 @@ fn audit_inner(
             )))
         }
     };
-    let mut counts = JointCounts::from_table(table, state.outcome())?;
+    let mut counts = JointCounts::from_table(table, &snap.outcome_axis)?;
     if let Some(attrs) = query_param(params, "attrs") {
         let names: Vec<&str> = attrs
             .split(',')
@@ -365,10 +422,7 @@ fn audit_inner(
     if let Some(label) = query_param(params, "positive") {
         audit = audit.baselines(Baselines::all().positive(label));
     }
-    let report = audit.run()?;
-    let resp = Response::new(200, format.mime(), report.render(format)?.into_bytes());
-    state.store_response(version, &key, &resp);
-    Ok(resp)
+    audit.run()?.render(format)
 }
 
 fn parse_subsets(policy: &str) -> Result<SubsetPolicy> {
@@ -384,48 +438,12 @@ fn parse_subsets(policy: &str) -> Result<SubsetPolicy> {
     }
 }
 
-/// `GET /v1/monitor`: the merged [`df_core::monitor::MonitorSnapshot`] —
-/// windowed ε, trend, alerts, change-point alarms — in the negotiated
-/// format.
-fn monitor(state: &ServerState, req: &Request, params: &[(String, String)]) -> Response {
-    let format = match negotiated(req, params) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
-    let inner = || -> Result<Response> {
-        let timeout = snapshot_timeout(state, params)?;
-        let (version, snap) = state.merged_cached(timeout)?;
-        let key = format!("{}?{}#{}", req.path, req.query, format.name());
-        if let Some(resp) = state.cached_response(version, &key) {
-            return Ok(resp);
-        }
-        // `?metric=` re-derives every statistic of the merged snapshot
-        // under another fairness metric; the stored counts are
-        // metric-agnostic, so this is a pure recompute.
-        let rendered = match query_param(params, "metric") {
-            Some(tag) => snap.with_metric(tag, state.estimator())?.render(format)?,
-            None => snap.render(format)?,
-        };
-        let resp = Response::new(200, format.mime(), rendered.into_bytes());
-        state.store_response(version, &key, &resp);
-        Ok(resp)
-    };
-    inner().unwrap_or_else(|e| df_error_response(&e))
-}
-
 /// `POST /v1/ingest/records`: a batch of labelled records, as a JSON
 /// array of label rows (or `{"rows": […], "at": t}`) or a `text/csv`
 /// body. Timestamp precedence: `?at=` query, then the JSON `at` field,
 /// then the server wall clock. `?shard=` pins a shard; otherwise rows
 /// round-robin.
-fn ingest_records(state: &ServerState, req: &Request, params: &[(String, String)]) -> Response {
-    match ingest_records_inner(state, req, params) {
-        Ok(resp) => resp,
-        Err(e) => df_error_response(&e),
-    }
-}
-
-fn ingest_records_inner(
+fn ingest_records(
     state: &ServerState,
     req: &Request,
     params: &[(String, String)],
@@ -466,27 +484,29 @@ fn ingest_records_inner(
             None => None,
         };
     let (accepted, shard) = state.ingest_chunk(chunk, at, shard)?;
-    Ok(json_response(&Value::Obj(vec![
-        ("accepted".to_string(), int(accepted as u64)),
-        ("shard".to_string(), int(shard as u64)),
-        ("at".to_string(), Value::Float(at)),
-        ("version".to_string(), int(state.version())),
-    ])))
+    Ok(json_response(|out| {
+        out.field("accepted", &accepted);
+        out.field("shard", &shard);
+        out.field("at", &at);
+        out.field("version", &state.version());
+    }))
 }
 
 /// `POST /v1/ingest/snapshot`: one binary `DFLT` frame from a remote
 /// replica (`?replica=` names it; last write wins). The frame is decoded
 /// and schema-checked at the door; a corrupt frame is a `400` with the
 /// typed `corrupt_counts` error.
-fn ingest_snapshot(state: &ServerState, req: &Request, params: &[(String, String)]) -> Response {
+fn ingest_snapshot(
+    state: &ServerState,
+    req: &Request,
+    params: &[(String, String)],
+) -> Result<Response> {
     let replica = query_param(params, "replica").unwrap_or("default");
-    match state.ingest_snapshot(&req.body, replica) {
-        Ok((records_seen, window_rows)) => json_response(&Value::Obj(vec![
-            ("replica".to_string(), Value::Str(replica.to_string())),
-            ("records_seen".to_string(), int(records_seen)),
-            ("window_rows".to_string(), int(window_rows)),
-            ("version".to_string(), int(state.version())),
-        ])),
-        Err(e) => df_error_response(&e),
-    }
+    let (records_seen, window_rows) = state.ingest_snapshot(&req.body, replica)?;
+    Ok(json_response(|out| {
+        out.field("replica", replica);
+        out.field("records_seen", &records_seen);
+        out.field("window_rows", &window_rows);
+        out.field("version", &state.version());
+    }))
 }

@@ -14,6 +14,11 @@
 //! monitor before it answers, and a read cuts the shards on the worker
 //! that serves it.
 //!
+//! [`ServerBuilder`] keeps the monitor settings in one
+//! [`df_core::monitor::MonitorBuilder`]. At `bind` it becomes the fleet and
+//! a reference snapshot, which is what `/v1/schema` reports and what a
+//! posted replica snapshot must match.
+//!
 //! ## Endpoints
 //!
 //! | Route | Method | Purpose |
@@ -77,14 +82,13 @@ pub use negotiate::NegotiateError;
 pub use obs::AccessRecord;
 pub use state::ServerState;
 
-use df_core::builder::{EpsilonEstimator, Smoothed, SubsetPolicy};
-use df_core::metric::{EpsilonDf, Metric};
-use df_core::monitor::{AlertRule, ChangepointSpec};
+use df_core::builder::{Audit, EpsilonEstimator, SubsetPolicy};
+use df_core::metric::Metric;
+use df_core::monitor::{AlertRule, ChangepointSpec, MonitorBuilder};
 use df_core::{DfError, Result};
 use df_prob::contingency::Axis;
+use handlers::Endpoint;
 use http::{read_request, write_response, NextRequest, POLL_INTERVAL};
-use obs::Endpoint;
-use state::StateConfig;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -94,17 +98,14 @@ use std::time::Duration;
 
 /// Configuration + construction for [`Server`]. Obtained from
 /// [`Server::builder`]; `bind` starts listening.
+///
+/// The monitor settings live in one [`MonitorBuilder`], which `bind`
+/// turns into the fleet and its reference snapshot. Only the window and
+/// its bucket wait here, because their defaults are the server's own.
 pub struct ServerBuilder {
-    outcome: String,
-    axes: Vec<Axis>,
-    estimator: Box<dyn EpsilonEstimator>,
-    metric: Box<dyn Metric>,
+    monitor: MonitorBuilder,
     window_seconds: f64,
     bucket_seconds: Option<f64>,
-    decay: Option<f64>,
-    subsets: SubsetPolicy,
-    alerts: Vec<AlertRule>,
-    changepoints: Vec<ChangepointSpec>,
     shards: usize,
     workers: usize,
     max_body_bytes: usize,
@@ -115,12 +116,16 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
+    fn with_monitor(mut self, set: impl FnOnce(MonitorBuilder) -> MonitorBuilder) -> Self {
+        self.monitor = set(self.monitor);
+        self
+    }
+
     /// The ε estimator used for monitor snapshots and fleet merging
     /// (default: `Smoothed { alpha: 1.0 }`, Eq. 7 of the paper). The
     /// audit endpoint picks its own estimators per query.
-    pub fn estimator(mut self, estimator: impl EpsilonEstimator + 'static) -> Self {
-        self.estimator = Box::new(estimator);
-        self
+    pub fn estimator(self, estimator: impl EpsilonEstimator + 'static) -> Self {
+        self.with_monitor(|m| m.estimator(estimator))
     }
 
     /// The fairness metric every monitor statistic, fleet snapshot, and
@@ -128,9 +133,8 @@ impl ServerBuilder {
     /// fairness). Queries can re-derive another metric per request via
     /// `?metric=`; remote replicas posting snapshots must match this
     /// metric's tag.
-    pub fn metric(mut self, metric: impl Metric + 'static) -> Self {
-        self.metric = Box::new(metric);
-        self
+    pub fn metric(self, metric: impl Metric + 'static) -> Self {
+        self.with_monitor(|m| m.metric(metric))
     }
 
     /// Wall-clock window span in seconds (default 3600).
@@ -150,30 +154,26 @@ impl ServerBuilder {
 
     /// Enables the exponentially-decayed horizon (`window=decayed`
     /// audits and the monitor trend signal).
-    pub fn decay(mut self, lambda: f64) -> Self {
-        self.decay = Some(lambda);
-        self
+    pub fn decay(self, lambda: f64) -> Self {
+        self.with_monitor(|m| m.decay(lambda))
     }
 
     /// Subset lattice policy for monitor snapshots (default
     /// [`SubsetPolicy::None`]: `/v1/monitor` reports the full
     /// intersection only; `/v1/audit` computes its own lattice per
     /// query). Remote replicas posting snapshots must match.
-    pub fn subsets(mut self, policy: SubsetPolicy) -> Self {
-        self.subsets = policy;
-        self
+    pub fn subsets(self, policy: SubsetPolicy) -> Self {
+        self.with_monitor(|m| m.subsets(policy))
     }
 
     /// Attaches an alert rule to every shard monitor.
-    pub fn alert(mut self, rule: AlertRule) -> Self {
-        self.alerts.push(rule);
-        self
+    pub fn alert(self, rule: AlertRule) -> Self {
+        self.with_monitor(|m| m.alert(rule))
     }
 
     /// Attaches a change-point detector to every shard monitor.
-    pub fn changepoint(mut self, spec: impl Into<ChangepointSpec>) -> Self {
-        self.changepoints.push(spec.into());
-        self
+    pub fn changepoint(self, spec: impl Into<ChangepointSpec>) -> Self {
+        self.with_monitor(|m| m.changepoint(spec))
     }
 
     /// Number of ingest shards (default 4).
@@ -237,22 +237,17 @@ impl ServerBuilder {
         let bucket = self
             .bucket_seconds
             .unwrap_or_else(|| (self.window_seconds / 60.0).max(0.001));
-        let state = ServerState::new(StateConfig {
-            outcome: self.outcome,
-            axes: self.axes,
-            estimator: self.estimator,
-            metric: self.metric,
-            window_seconds: self.window_seconds,
-            bucket_seconds: bucket,
-            decay: self.decay,
-            subsets: self.subsets,
-            alerts: self.alerts,
-            changepoints: self.changepoints,
-            shards: self.shards,
-            snapshot_timeout: self.snapshot_timeout,
-            trace_capacity: self.trace_spans,
-            access_log: self.access_log,
-        })?;
+        let monitor = self
+            .monitor
+            .window_seconds(self.window_seconds)
+            .bucket_seconds(bucket);
+        let state = ServerState::new(
+            monitor,
+            self.shards,
+            self.snapshot_timeout,
+            self.trace_spans,
+            self.access_log,
+        )?;
         let listener = TcpListener::bind(addr)
             .map_err(|e| DfError::Invalid(format!("cannot bind {addr}: {e}")))?;
         let local_addr = listener
@@ -310,16 +305,9 @@ impl Server {
     /// labels.
     pub fn builder(outcome: &str, axes: Vec<Axis>) -> ServerBuilder {
         ServerBuilder {
-            outcome: outcome.to_string(),
-            axes,
-            estimator: Box::new(Smoothed { alpha: 1.0 }),
-            metric: Box::new(EpsilonDf),
+            monitor: Audit::monitor(outcome, axes),
             window_seconds: 3600.0,
             bucket_seconds: None,
-            decay: None,
-            subsets: SubsetPolicy::None,
-            alerts: Vec::new(),
-            changepoints: Vec::new(),
             shards: 4,
             workers: 4,
             max_body_bytes: 1 << 20,
@@ -426,7 +414,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 let mut span = obs.span(endpoint);
                 span.field("method", req.method.clone());
                 span.field("path", req.path.clone());
-                let resp = handlers::route(&shared.state, &req);
+                let resp = handlers::route(&shared.state, endpoint, &req);
                 span.field("status", resp.status.to_string());
                 let seconds = span.finish();
                 obs.record(

@@ -18,80 +18,11 @@
 //! timestamps never come from it — they remain caller-supplied, exactly
 //! as `df-core` requires.
 
+use crate::handlers::Endpoint;
 use df_core::fleet::FleetTelemetry;
 use df_core::{DfError, Result};
 use df_obs::{Clock, Counter, Histogram, ObsError, RealClock, Registry, Span, TraceRing, Tracer};
 use std::sync::Arc;
-
-/// The routable endpoints, as telemetry label values. `Other` absorbs
-/// 404s and requests that failed before routing (parse errors, oversized
-/// bodies), so *every* response — error paths included — lands in a
-/// status-class counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Endpoint {
-    /// `GET /v1/healthz`
-    Healthz,
-    /// `GET /v1/schema`
-    Schema,
-    /// `GET /v1/audit`
-    Audit,
-    /// `GET /v1/monitor`
-    Monitor,
-    /// `GET /v1/metrics`
-    Metrics,
-    /// `GET /v1/trace`
-    Trace,
-    /// `POST /v1/ingest/records`
-    IngestRecords,
-    /// `POST /v1/ingest/snapshot`
-    IngestSnapshot,
-    /// Everything else: unknown routes and pre-route failures.
-    Other,
-}
-
-impl Endpoint {
-    const ALL: [Endpoint; 9] = [
-        Endpoint::Healthz,
-        Endpoint::Schema,
-        Endpoint::Audit,
-        Endpoint::Monitor,
-        Endpoint::Metrics,
-        Endpoint::Trace,
-        Endpoint::IngestRecords,
-        Endpoint::IngestSnapshot,
-        Endpoint::Other,
-    ];
-
-    /// Classifies a request path (method-independent: a 405 on
-    /// `/v1/audit` is still audit-endpoint traffic).
-    pub(crate) fn of(path: &str) -> Endpoint {
-        match path {
-            "/v1/healthz" => Endpoint::Healthz,
-            "/v1/schema" => Endpoint::Schema,
-            "/v1/audit" => Endpoint::Audit,
-            "/v1/monitor" => Endpoint::Monitor,
-            "/v1/metrics" => Endpoint::Metrics,
-            "/v1/trace" => Endpoint::Trace,
-            "/v1/ingest/records" => Endpoint::IngestRecords,
-            "/v1/ingest/snapshot" => Endpoint::IngestSnapshot,
-            _ => Endpoint::Other,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            Endpoint::Healthz => "healthz",
-            Endpoint::Schema => "schema",
-            Endpoint::Audit => "audit",
-            Endpoint::Monitor => "monitor",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Trace => "trace",
-            Endpoint::IngestRecords => "ingest_records",
-            Endpoint::IngestSnapshot => "ingest_snapshot",
-            Endpoint::Other => "other",
-        }
-    }
-}
 
 /// HTTP status classes, as telemetry label values.
 const STATUS_CLASSES: [&str; 5] = ["1xx", "2xx", "3xx", "4xx", "5xx"];

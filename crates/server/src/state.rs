@@ -1,5 +1,6 @@
 //! The long-lived server state: one [`FleetIngest`] owning the live
-//! counts, the label → code catalog record bodies are decoded against, a
+//! counts, the reference snapshot that records the configuration, the
+//! label → code catalog record bodies are decoded against, a
 //! wire-snapshot store for remote replicas, and the version-keyed caches
 //! behind the warm read path.
 //!
@@ -36,15 +37,11 @@
 use crate::decode::Catalog;
 use crate::http::Response;
 use crate::obs::{AccessLogFn, ServerObs};
-use df_core::builder::{Audit, EpsilonEstimator, SubsetPolicy};
+use df_core::builder::EpsilonEstimator;
 use df_core::fleet::{FleetIngest, FleetTelemetry, SnapshotDecoder};
-use df_core::metric::Metric;
-use df_core::monitor::{
-    validate_timestamp, AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot,
-};
+use df_core::monitor::{validate_timestamp, MonitorBuilder, MonitorSnapshot};
 use df_core::{DfError, Result};
 use df_data::replay::CodeChunk;
-use df_prob::contingency::Axis;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -65,38 +62,16 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// Upper bound on distinct cached rendered responses between ingests.
 const RESPONSE_CACHE_CAP: usize = 256;
 
-/// Everything [`crate::ServerBuilder`] resolved; owned by the state.
-pub(crate) struct StateConfig {
-    pub outcome: String,
-    pub axes: Vec<Axis>,
-    pub estimator: Box<dyn EpsilonEstimator>,
-    pub metric: Box<dyn Metric>,
-    pub window_seconds: f64,
-    pub bucket_seconds: f64,
-    pub decay: Option<f64>,
-    pub subsets: SubsetPolicy,
-    pub alerts: Vec<AlertRule>,
-    pub changepoints: Vec<ChangepointSpec>,
-    pub shards: usize,
-    pub snapshot_timeout: Duration,
-    pub trace_capacity: usize,
-    pub access_log: Option<AccessLogFn>,
-}
-
 /// The shared, long-lived server state; one instance per [`crate::Server`].
 pub struct ServerState {
-    outcome: String,
-    axes: Vec<Axis>,
     catalog: Catalog,
-    estimator: Box<dyn EpsilonEstimator>,
-    metric: Box<dyn Metric>,
-    window_seconds: f64,
-    bucket_seconds: f64,
-    decay: Option<f64>,
     snapshot_timeout: Duration,
     fleet: FleetIngest,
-    /// The zero snapshot of an identically configured monitor; the
-    /// compatibility yardstick for posted wire snapshots.
+    /// The zero snapshot of an identically configured monitor: the
+    /// compatibility yardstick for posted wire snapshots, and the one
+    /// record of the configuration (outcome, axes, estimator, metric,
+    /// window, bucket, decay) that the schema, the timestamp floor and
+    /// the catalog read.
     reference: MonitorSnapshot,
     decoder: Mutex<SnapshotDecoder>,
     /// Latest wire snapshot per remote replica (BTreeMap: deterministic
@@ -111,38 +86,21 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    pub(crate) fn new(cfg: StateConfig) -> Result<Self> {
-        let builder = || -> MonitorBuilder {
-            let mut b = Audit::monitor(&cfg.outcome, cfg.axes.clone())
-                .boxed_estimator(cfg.estimator.clone_box())
-                .boxed_metric(cfg.metric.clone())
-                .window_seconds(cfg.window_seconds)
-                .bucket_seconds(cfg.bucket_seconds)
-                .subsets(cfg.subsets);
-            if let Some(lambda) = cfg.decay {
-                b = b.decay(lambda);
-            }
-            for rule in &cfg.alerts {
-                b = b.alert(*rule);
-            }
-            for spec in &cfg.changepoints {
-                b = b.changepoint(*spec);
-            }
-            b
-        };
-        let reference = builder().build()?.snapshot()?;
-        let fleet = builder().fleet(cfg.shards)?;
-        let obs = ServerObs::new(fleet.telemetry(), cfg.trace_capacity, cfg.access_log)?;
+    /// The state of a server whose shard monitors `monitor` configures
+    /// (a wall-clock window is required), split over `shards` shards.
+    pub(crate) fn new(
+        monitor: MonitorBuilder,
+        shards: usize,
+        snapshot_timeout: Duration,
+        trace_capacity: usize,
+        access_log: Option<AccessLogFn>,
+    ) -> Result<Self> {
+        let reference = monitor.clone().build()?.snapshot()?;
+        let fleet = monitor.fleet(shards)?;
+        let obs = ServerObs::new(fleet.telemetry(), trace_capacity, access_log)?;
         Ok(Self {
-            outcome: cfg.outcome,
-            catalog: Catalog::new(&cfg.axes),
-            axes: cfg.axes,
-            estimator: cfg.estimator,
-            metric: cfg.metric,
-            window_seconds: cfg.window_seconds,
-            bucket_seconds: cfg.bucket_seconds,
-            decay: cfg.decay,
-            snapshot_timeout: cfg.snapshot_timeout,
+            catalog: Catalog::new(reference.window.to_table()?.axes()),
+            snapshot_timeout,
             fleet,
             reference,
             decoder: Mutex::new(SnapshotDecoder::new()),
@@ -166,39 +124,20 @@ impl ServerState {
         self.fleet.telemetry()
     }
 
-    /// The outcome axis name.
-    pub fn outcome(&self) -> &str {
-        &self.outcome
-    }
-
-    /// The schema axes (outcome included), in record order.
-    pub fn axes(&self) -> &[Axis] {
-        &self.axes
-    }
-
     /// Number of ingest shards.
     pub fn shards(&self) -> usize {
         self.fleet.shards()
     }
 
-    /// Display name of the configured ε estimator.
-    pub fn estimator_name(&self) -> String {
-        self.estimator.name()
+    /// The configuration's record: the zero snapshot of a monitor
+    /// configured like every shard.
+    pub(crate) fn reference(&self) -> &MonitorSnapshot {
+        &self.reference
     }
 
-    /// The configured ε estimator (for per-query snapshot re-derivation).
+    /// The fleet's ε estimator (for per-query snapshot re-derivation).
     pub(crate) fn estimator(&self) -> &dyn EpsilonEstimator {
-        &*self.estimator
-    }
-
-    /// Canonical tag of the configured fairness metric.
-    pub fn metric_tag(&self) -> String {
-        self.metric.tag()
-    }
-
-    /// `(window_seconds, bucket_seconds, decay)` as configured.
-    pub fn window_config(&self) -> (f64, f64, Option<f64>) {
-        (self.window_seconds, self.bucket_seconds, self.decay)
+        self.fleet.estimator()
     }
 
     /// Default bounded wait for consistent-cut rounds.
@@ -275,8 +214,10 @@ impl ServerState {
     fn check_timestamp(&self, at: f64) -> Result<()> {
         validate_timestamp(at)?;
         let mut max_seen = lock_recover(&self.max_seen);
-        if let Some(max) = *max_seen {
-            let floor = max - self.window_seconds + self.bucket_seconds;
+        // A fleet always has a wall-clock window, so both spans are set.
+        let (window, bucket) = (self.reference.window_seconds, self.reference.bucket_seconds);
+        if let (Some(max), Some(window), Some(bucket)) = (*max_seen, window, bucket) {
+            let floor = max - window + bucket;
             if at < floor {
                 return Err(DfError::Invalid(format!(
                     "timestamp {at} is too old: the window has advanced to {max} \
