@@ -7,7 +7,7 @@
 
 use crate::http::Response;
 use df_core::DfError;
-use serde::JsonWriter;
+use serde_json::JsonWriter;
 
 /// Builds the canonical JSON error body.
 pub fn error_body(status: u16, kind: &str, message: &str) -> Vec<u8> {

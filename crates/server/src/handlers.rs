@@ -20,7 +20,7 @@ use df_core::monitor::MonitorSnapshot;
 use df_core::report::ResponseFormat;
 use df_core::JointCounts;
 use df_core::{DfError, Result};
-use serde::{JsonWriter, Serialize};
+use serde_json::{JsonWriter, Serialize};
 use std::time::Duration;
 
 /// Most posterior draws one `/v1/audit` may ask for with `?samples=`
