@@ -91,26 +91,6 @@ pub fn bootstrap_epsilon(
     })
 }
 
-/// Multinomial bootstrap of ε̂ under a caller-supplied estimator: each
-/// replicate resamples the joint counts and re-runs `estimate`. This is the
-/// engine behind [`bootstrap_epsilon`] (estimate = Eq. 7 at a fixed α) and
-/// the [`crate::builder`] bootstrap stage (estimate = whatever
-/// `EpsilonEstimator` the audit is configured with).
-///
-/// Each replicate runs on its own [`Pcg32`] stream forked deterministically
-/// from `rng`, so the replicate list depends only on the seed — not on the
-/// execution schedule. [`bootstrap_epsilon_sharded`] exploits that to run
-/// replicates across worker threads with bit-identical results.
-pub fn bootstrap_epsilon_with(
-    counts: &JointCounts,
-    replicates: usize,
-    mass: f64,
-    rng: &mut Pcg32,
-    estimate: &(dyn Fn(&JointCounts) -> Result<f64> + Sync),
-) -> Result<BootstrapEpsilon> {
-    bootstrap_epsilon_sharded(counts, replicates, mass, rng, 1, estimate)
-}
-
 /// One multinomial resample of `n` records over the cell CDF, scored by
 /// `estimate`.
 fn one_replicate(
@@ -118,7 +98,7 @@ fn one_replicate(
     cdf: &[f64],
     n: usize,
     rng: &mut Pcg32,
-    estimate: &(dyn Fn(&JointCounts) -> Result<f64> + Sync),
+    estimate: &dyn Fn(&JointCounts) -> Result<f64>,
 ) -> Result<f64> {
     let mut resampled = vec![0.0f64; cdf.len()];
     for _ in 0..n {
@@ -141,20 +121,20 @@ fn one_replicate(
     estimate(&rep)
 }
 
-/// [`bootstrap_epsilon_with`], with the replicates fanned out to `threads`
-/// worker threads.
+/// Multinomial bootstrap of ε̂ under a caller-supplied estimator: each
+/// replicate resamples the joint counts and re-runs `estimate`. This is the
+/// engine behind [`bootstrap_epsilon`] (estimate = Eq. 7 at a fixed α) and
+/// the [`crate::builder`] bootstrap stage (estimate = whatever
+/// `EpsilonEstimator` the audit is configured with).
 ///
-/// Per-replicate RNG streams are pre-forked from `rng` in replicate order,
-/// so the result is **bit-identical** for every thread count (including 1,
-/// the serial path) — parallelism changes wall-clock time, never the
-/// certificate.
-pub fn bootstrap_epsilon_sharded(
+/// Each replicate runs on its own [`Pcg32`] stream, forked from `rng` in
+/// replicate order, so the replicate list is a pure function of the seed.
+pub fn bootstrap_epsilon_with(
     counts: &JointCounts,
     replicates: usize,
     mass: f64,
     rng: &mut Pcg32,
-    threads: usize,
-    estimate: &(dyn Fn(&JointCounts) -> Result<f64> + Sync),
+    estimate: &dyn Fn(&JointCounts) -> Result<f64>,
 ) -> Result<BootstrapEpsilon> {
     if replicates < 10 {
         return Err(DfError::Invalid(
@@ -165,11 +145,6 @@ pub fn bootstrap_epsilon_sharded(
         return Err(DfError::Invalid(format!(
             "interval mass must lie in (0, 1), got {mass}"
         )));
-    }
-    if threads == 0 {
-        return Err(DfError::Invalid(
-            "need at least one bootstrap thread".into(),
-        ));
     }
     let table = counts.table();
     let total = table.total();
@@ -188,42 +163,11 @@ pub fn bootstrap_epsilon_sharded(
 
     let point = estimate(counts)?;
 
-    // Fork one independent stream per replicate *in replicate order*: the
-    // draws are then a pure function of the seed, whatever the schedule.
-    let child_rngs: Vec<Pcg32> = (0..replicates).map(|_| rng.fork()).collect();
-    let results: Vec<Result<f64>> = if threads == 1 {
-        child_rngs
-            .into_iter()
-            .map(|mut child| one_replicate(table, &cdf, n, &mut child, estimate))
-            .collect()
-    } else {
-        let per_worker = replicates.div_ceil(threads);
-        let mut out: Vec<Vec<Result<f64>>> = std::thread::scope(|scope| {
-            let cdf = &cdf;
-            let handles: Vec<_> = child_rngs
-                .chunks(per_worker)
-                .map(|batch| {
-                    let batch = batch.to_vec();
-                    scope.spawn(move || {
-                        batch
-                            .into_iter()
-                            .map(|mut child| one_replicate(table, cdf, n, &mut child, estimate))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bootstrap worker panicked"))
-                .collect()
-        });
-        out.drain(..).flatten().collect()
-    };
-
     let mut eps_values = Vec::with_capacity(replicates);
     let mut infinite = 0usize;
-    for r in results {
-        let e = r?;
+    for _ in 0..replicates {
+        // One independent stream per replicate, forked in replicate order.
+        let e = one_replicate(table, &cdf, n, &mut rng.fork(), estimate)?;
         if e.is_finite() {
             eps_values.push(e);
         } else {
@@ -376,30 +320,6 @@ mod tests {
         assert!(bootstrap_epsilon(&counts(1.0), 0.0, 5, 0.9, &mut rng).is_err());
         assert!(bootstrap_epsilon(&counts(1.0), 0.0, 100, 1.5, &mut rng).is_err());
         assert!(bootstrap_epsilon(&counts(1.0), 0.0, 100, 0.0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn sharded_bootstrap_is_bit_identical_to_serial() {
-        let jc = counts(1.0);
-        let estimate = |jc: &JointCounts| Ok(jc.edf_smoothed(1.0)?.epsilon);
-        let serial = {
-            let mut rng = Pcg32::new(42);
-            bootstrap_epsilon_sharded(&jc, 64, 0.9, &mut rng, 1, &estimate).unwrap()
-        };
-        for threads in [2, 3, 4, 7] {
-            let mut rng = Pcg32::new(42);
-            let par =
-                bootstrap_epsilon_sharded(&jc, 64, 0.9, &mut rng, threads, &estimate).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_bootstrap_validates_threads() {
-        let jc = counts(1.0);
-        let mut rng = Pcg32::new(1);
-        let estimate = |jc: &JointCounts| Ok(jc.edf_smoothed(1.0)?.epsilon);
-        assert!(bootstrap_epsilon_sharded(&jc, 64, 0.9, &mut rng, 0, &estimate).is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::baselines::{
     demographic_parity_distance, disparate_impact_ratio, subgroup_fairness_violation,
     SubgroupViolation,
 };
-use crate::bootstrap::{bootstrap_epsilon_sharded, BootstrapEpsilon};
+use crate::bootstrap::{bootstrap_epsilon_with, BootstrapEpsilon};
 use crate::edf::{worst_stratum, GroupLayout, JointCounts, LatticeTables};
 use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::equalized::EqualizedOddsCounts;
@@ -69,9 +69,9 @@ use serde::{Deserialize, Serialize};
 /// The trait is object-safe so audits can hold a heterogeneous list of
 /// strategies; implementations recover per-group counts from the table via
 /// [`GroupOutcomes::implied_counts`] when they need them (smoothing,
-/// posterior sampling). `Send + Sync` is required so the bootstrap stage
-/// can evaluate the headline estimator from worker threads
-/// (see [`Audit::bootstrap_threads`]).
+/// posterior sampling). `Send + Sync` is required because a fleet's shard
+/// monitors, and the server workers that push into them and re-derive
+/// their snapshots, share it across threads.
 pub trait EpsilonEstimator: Send + Sync {
     /// Short display name used in report columns (e.g. `eps-DF(a=1)`).
     fn name(&self) -> String;
@@ -275,14 +275,6 @@ impl Baselines {
         }
     }
 
-    /// Just the demographic-parity (total-variation) distance.
-    pub fn demographic_parity() -> Self {
-        Self {
-            demographic_parity: true,
-            ..Self::default()
-        }
-    }
-
     /// Names the outcome treated as positive/advantaged.
     pub fn positive(mut self, label: impl Into<String>) -> Self {
         self.positive = Some(label.into());
@@ -324,29 +316,9 @@ pub struct Audit<'a> {
     metric: Option<Box<dyn Metric>>,
     subsets: Option<SubsetPolicy>,
     bootstrap: Option<(usize, u64)>,
-    bootstrap_threads: usize,
     baselines: Baselines,
     equalized: Option<(EqualizedOddsCounts, f64)>,
     reference_epsilon: Option<f64>,
-}
-
-/// Scans a counts table for NaN/infinite/negative cells, which would
-/// otherwise propagate NaN silently into ε. (`ContingencyTable::from_data`
-/// validates, but `add` is unchecked for tally speed, so externally
-/// assembled counts can be corrupt.)
-fn validate_counts(counts: &JointCounts) -> Result<()> {
-    match counts
-        .table()
-        .data()
-        .iter()
-        .position(|v| !v.is_finite() || *v < 0.0)
-    {
-        Some(cell) => Err(DfError::CorruptCounts {
-            cell,
-            value: counts.table().data()[cell],
-        }),
-        None => Ok(()),
-    }
 }
 
 impl<'a> Audit<'a> {
@@ -357,7 +329,6 @@ impl<'a> Audit<'a> {
             metric: None,
             subsets: None,
             bootstrap: None,
-            bootstrap_threads: 1,
             baselines: Baselines::none(),
             equalized: None,
             reference_epsilon: None,
@@ -370,10 +341,11 @@ impl<'a> Audit<'a> {
     }
 
     /// Audits owned joint counts (used by frame-level and streaming entry
-    /// points). Rejects tables containing NaN, infinite, or negative cells
-    /// with [`DfError::CorruptCounts`] — ε over such a table would be NaN.
+    /// points). A [`JointCounts`] is checked at construction
+    /// ([`JointCounts::from_table`] refuses NaN, infinite and negative
+    /// cells and an overflowing total), so nothing here can fail today;
+    /// the `Result` is kept for callers that chain it with `?`.
     pub fn of_counts(counts: JointCounts) -> Result<Audit<'static>> {
-        validate_counts(&counts)?;
         Ok(Audit::with_source(Source::OwnedCounts(counts)))
     }
 
@@ -534,16 +506,6 @@ impl<'a> Audit<'a> {
         self
     }
 
-    /// Runs the bootstrap replicates on `threads` worker threads
-    /// (default 1). Per-replicate RNG streams are forked deterministically
-    /// from the bootstrap seed, so every thread count produces the
-    /// bit-identical [`BootstrapEpsilon`] — parallelism only changes
-    /// wall-clock time.
-    pub fn bootstrap_threads(mut self, threads: usize) -> Self {
-        self.bootstrap_threads = threads;
-        self
-    }
-
     /// Configures the §7 comparison baselines.
     pub fn baselines(mut self, baselines: Baselines) -> Self {
         self.baselines = baselines;
@@ -573,21 +535,17 @@ impl<'a> Audit<'a> {
             metric,
             subsets: subset_policy,
             bootstrap: bootstrap_cfg,
-            bootstrap_threads,
             baselines,
             equalized,
             reference_epsilon,
         } = self;
+        // Counts were checked when they were built, and a `JointCounts`
+        // cannot change after that: nothing is re-checked here.
         let counts: Option<&JointCounts> = match &source {
             Source::Counts(c) => Some(c),
             Source::OwnedCounts(c) => Some(c),
             Source::Table(_) => None,
         };
-        // Owned sources were validated at construction; borrowed counts may
-        // have been mutated since, so re-check before computing ε.
-        if let Source::Counts(c) = &source {
-            validate_counts(c)?;
-        }
         let estimators: Vec<Box<dyn EpsilonEstimator>> = if configured_estimators.is_empty() {
             vec![Box::new(Empirical), Box::new(Smoothed { alpha: 1.0 })]
         } else {
@@ -620,14 +578,14 @@ impl<'a> Audit<'a> {
             .map(|c| GroupLayout::new(c.table(), 0).for_metric(&*metric, lattice))
             .transpose()?;
         let tables = match (&source, counts, &layout) {
-            (_, Some(c), Some(layout)) => layout.tables(c.table().data())?,
+            (_, Some(c), Some(layout)) => layout.tables(c.table().data()),
             (Source::Table(t), ..) => LatticeTables::flat(t.clone()),
             _ => unreachable!("a layout is built exactly for counts sources"),
         };
         // The full intersection's raw table (the report's weights, outcomes
         // and baselines): the headline's own, unless that is strata.
         let stratified = match (tables.full(), counts.zip(layout.as_ref())) {
-            (None, Some((c, layout))) => Some(layout.group_outcomes(c.table().data())?),
+            (None, Some((c, layout))) => Some(layout.group_outcomes(c.table().data())),
             _ => None,
         };
         let raw_full = stratified.as_ref().or(tables.full());
@@ -736,12 +694,11 @@ impl<'a> Audit<'a> {
             (Some((replicates, seed)), Some(c), Some(layout)) => {
                 // Each replicate has the source's axes: the layout reads it.
                 let mut rng = Pcg32::new(seed);
-                Some(bootstrap_epsilon_sharded(
+                Some(bootstrap_epsilon_with(
                     c,
                     replicates,
                     0.95,
                     &mut rng,
-                    bootstrap_threads,
                     &|jc| {
                         let epsilon = layout.evaluate(jc.table().data(), &*metric, &**headline_est);
                         Ok(epsilon?.epsilon)
@@ -1324,8 +1281,9 @@ mod tests {
     #[test]
     fn of_counts_rejects_corrupt_cells_with_typed_error() {
         // `ContingencyTable::add` is unchecked for tally speed, so NaN and
-        // negative weights can corrupt externally assembled counts; the
-        // builder must refuse them instead of certifying ε = NaN.
+        // negative weights can corrupt externally assembled counts; their
+        // door, `JointCounts::from_table`, must refuse them, so no audit
+        // (owned or borrowed) ever certifies ε = NaN.
         let corrupt = |weight: f64| {
             let axes = vec![
                 Axis::from_strs("y", &["0", "1"]).unwrap(),
@@ -1335,14 +1293,14 @@ mod tests {
             t.increment(&[0, 0]);
             t.increment(&[1, 1]);
             t.add(&[1, 0], weight);
-            JointCounts::from_table(t, "y").unwrap()
+            JointCounts::from_table(t, "y")
         };
-        let err = Audit::of_counts(corrupt(f64::NAN)).err().unwrap();
+        let err = corrupt(f64::NAN).err().unwrap();
         assert!(
             matches!(err, DfError::CorruptCounts { cell: 2, value } if value.is_nan()),
             "{err:?}"
         );
-        let err = Audit::of_counts(corrupt(-3.0)).err().unwrap();
+        let err = corrupt(-3.0).err().unwrap();
         assert!(
             matches!(
                 err,
@@ -1353,14 +1311,10 @@ mod tests {
             ),
             "{err:?}"
         );
-        let err = Audit::of_counts(corrupt(f64::INFINITY)).err().unwrap();
-        assert!(matches!(err, DfError::CorruptCounts { .. }), "{err:?}");
-        // The borrowed-counts path catches the same corruption at run().
-        let counts = corrupt(f64::NAN);
-        let err = Audit::of(&counts).run().unwrap_err();
+        let err = corrupt(f64::INFINITY).err().unwrap();
         assert!(matches!(err, DfError::CorruptCounts { .. }), "{err:?}");
         // Healthy counts still flow through.
-        assert!(Audit::of_counts(corrupt(1.0)).is_ok());
+        assert!(Audit::of_counts(corrupt(1.0).unwrap()).is_ok());
     }
 
     #[test]
@@ -1385,27 +1339,6 @@ mod tests {
                 .unwrap();
             let batch = Audit::of(&counts).bootstrap(25, 7).run().unwrap();
             assert_eq!(streamed, batch, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_bootstrap_is_deterministic_across_thread_counts() {
-        let counts = table1();
-        let serial = Audit::of(&counts)
-            .bootstrap(40, 11)
-            .run()
-            .unwrap()
-            .bootstrap
-            .unwrap();
-        for threads in [2, 4] {
-            let par = Audit::of(&counts)
-                .bootstrap(40, 11)
-                .bootstrap_threads(threads)
-                .run()
-                .unwrap()
-                .bootstrap
-                .unwrap();
-            assert_eq!(par, serial, "threads={threads}");
         }
     }
 

@@ -15,6 +15,26 @@
 //!   conditionals are exactly the `P(y|D) = Σ_E P(y|E,D) P(E|D)` of the
 //!   Theorem 3.2 proof.
 //!
+//! **Counts are valid by construction.** Every table the kernel reads was
+//! checked once, where its input entered, and the kernel checks none of
+//! them again. The doors:
+//!
+//! - [`JointCounts::from_table`] (and so `from_records`): every cell passes
+//!   the one cell rule, [`df_prob::contingency::valid_cell`] (the first
+//!   NaN, infinite or negative cell is a [`DfError::CorruptCounts`]), and
+//!   the total leaves every sum the kernel forms of the cells finite;
+//! - a monitor's chunk: the same, with integral cells; a window and a
+//!   decayed horizon are sums of sealed chunks;
+//! - a wire or folded snapshot's derivation: the same two checks on its
+//!   window and horizon (the DFLT decoder applies the cell rule as it
+//!   reads);
+//! - a mechanism's tally ([`crate::mechanism::estimate_group_outcomes`]):
+//!   each distribution by the cell rule as it arrives, then the total;
+//! - a caller's own table: [`GroupOutcomes::new`], the one constructor
+//!   that validates a table;
+//! - a Dirichlet prior: [`GroupOutcomes::smoothed`] and the posterior
+//!   draws refuse an α whose Eq. 7 denominator `N_s + |Y|α` overflows.
+//!
 //! `GroupLayout` is the kernel: integer maps from a table's cells to the
 //! `(group, outcome)` pairs of its full intersection and of each subset of
 //! an audited lattice, summed by `df_prob`'s one projection sum, so every
@@ -34,7 +54,7 @@ use crate::epsilon::{EpsilonResult, GroupNames, GroupOutcomes, Schema};
 use crate::error::{DfError, Result};
 use crate::metric::{stratum_axis, Metric};
 use crate::subsets::SubsetEpsilon;
-use df_prob::contingency::{add_projected, Axis, ContingencyTable};
+use df_prob::contingency::{add_projected, valid_cell, Axis, ContingencyTable};
 use df_prob::numerics::{log_ratio, stable_sum};
 use std::sync::Arc;
 
@@ -48,25 +68,30 @@ pub struct JointCounts {
 impl JointCounts {
     /// Wraps a contingency table, naming which axis holds the outcome. The
     /// table must have at least one protected-attribute axis and two
-    /// outcome categories.
+    /// outcome categories, and its cells must be counts: the first NaN,
+    /// infinite or negative cell (by its index with the outcome axis
+    /// first) is a [`DfError::CorruptCounts`], and a total that overflows
+    /// `f64` (or comes within rounding of it) is refused too. This is the
+    /// door of every joint count, so an audit re-checks nothing.
     pub fn from_table(table: ContingencyTable, outcome_axis: &str) -> Result<Self> {
-        if outcome_position(&table, outcome_axis)? == 0 {
+        let table = if outcome_position(&table, outcome_axis)? == 0 {
             // Already canonical: the marginalization below would keep every
             // axis where it is.
-            return Ok(Self {
-                table: table.marginalize_all(),
-            });
-        }
-        // Canonicalize: outcome first, attributes in their existing order.
-        let mut keep: Vec<&str> = vec![outcome_axis];
-        keep.extend(
-            table
-                .axes()
-                .iter()
-                .filter(|a| a.name() != outcome_axis)
-                .map(|a| a.name()),
-        );
-        let table = table.marginalize(&keep)?;
+            table.marginalize_all()
+        } else {
+            // Canonicalize: outcome first, attributes in their existing order.
+            let mut keep: Vec<&str> = vec![outcome_axis];
+            keep.extend(
+                table
+                    .axes()
+                    .iter()
+                    .filter(|a| a.name() != outcome_axis)
+                    .map(|a| a.name()),
+            );
+            table.marginalize(&keep)?
+        };
+        check_cells(table.data())?;
+        check_total(table.data())?;
         Ok(Self { table })
     }
 
@@ -136,7 +161,7 @@ impl JointCounts {
     /// are excluded from ε exactly as Definition 3.1 prescribes.
     pub fn group_outcomes(&self, alpha: f64) -> Result<GroupOutcomes> {
         GroupLayout::new(&self.table, 0)
-            .group_outcomes(self.table.data())?
+            .group_outcomes(self.table.data())
             .smoothed(alpha)
     }
 
@@ -172,6 +197,36 @@ pub(crate) fn outcome_position(table: &ContingencyTable, outcome_axis: &str) -> 
         });
     }
     Ok(pos)
+}
+
+/// The cell rule at a counts door: the first cell that is not a count
+/// ([`valid_cell`]) is a [`DfError::CorruptCounts`].
+pub(crate) fn check_cells(cells: &[f64]) -> Result<()> {
+    match cells.iter().position(|&v| !valid_cell(v)) {
+        Some(cell) => Err(DfError::CorruptCounts {
+            cell,
+            value: cells[cell],
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The compensated total of `cells`, checked by [`check_cells`] (or sums
+/// of such), refused unless it leaves room for the rounding of every sum
+/// the kernel forms of the cells (a subset's projection, a group's row, an
+/// audit's total weight: each cell is at most three additions deep), so
+/// none of them overflows.
+pub(crate) fn check_total(cells: &[f64]) -> Result<f64> {
+    let total = stable_sum(cells);
+    let room = 1.0 + 4.0 * (cells.len() as f64 + 1.0) * f64::EPSILON;
+    if total <= f64::MAX / room {
+        return Ok(total);
+    }
+    Err(DfError::Invalid(format!(
+        "counts total {total} overflows: the sums of these {} cells cannot all be \
+         represented",
+        cells.len()
+    )))
 }
 
 /// The checks of [`JointCounts::marginal_to`] that precede the
@@ -245,15 +300,17 @@ impl Projection {
         sums
     }
 
-    fn tables(&self, data: &[f64]) -> Result<Tables> {
+    fn tables(&self, data: &[f64]) -> Tables {
         let sums = self.sums(data);
         if self.strata.is_none() {
-            return Ok(Tables::One(outcomes(&self.names, sums)?));
+            return Tables::One(outcomes(&self.names, sums));
         }
-        sums.chunks_exact(self.names.n_groups() * self.names.n_outcomes())
-            .map(|cells| outcomes(&self.names, cells.to_vec()))
-            .collect::<Result<_>>()
-            .map(Tables::Strata)
+        let strata = sums.chunks_exact(self.names.n_groups() * self.names.n_outcomes());
+        Tables::Strata(
+            strata
+                .map(|cells| outcomes(&self.names, cells.to_vec()))
+                .collect(),
+        )
     }
 }
 
@@ -379,25 +436,25 @@ impl GroupLayout {
         }
     }
 
-    /// The raw (MLE) table of `data`, the cells of a table with the axes
-    /// this layout was built from (unconditioned).
-    pub(crate) fn group_outcomes(&self, data: &[f64]) -> Result<GroupOutcomes> {
+    /// The raw (MLE) table of `data`, the checked cells of a table with
+    /// the axes this layout was built from (unconditioned).
+    pub(crate) fn group_outcomes(&self, data: &[f64]) -> GroupOutcomes {
         outcomes(&self.full.names, self.full.sums(data))
     }
 
     /// The raw (MLE) tables of `data` the layout's metric scores.
-    pub(crate) fn tables(&self, data: &[f64]) -> Result<LatticeTables> {
+    pub(crate) fn tables(&self, data: &[f64]) -> LatticeTables {
         let subsets = self
             .lattice
             .iter()
             .map(|entry| match entry {
-                Entry::Headline => Ok(None),
-                Entry::Projected(p) => p.tables(data).map(Some),
-                Entry::Vacuous => Ok(Some(Tables::Strata(Vec::new()))),
+                Entry::Headline => None,
+                Entry::Projected(p) => Some(p.tables(data)),
+                Entry::Vacuous => Some(Tables::Strata(Vec::new())),
             })
-            .collect::<Result<_>>()?;
-        let full = self.headline.as_ref().unwrap_or(&self.full).tables(data)?;
-        Ok(LatticeTables { full, subsets })
+            .collect();
+        let full = self.headline.as_ref().unwrap_or(&self.full).tables(data);
+        LatticeTables { full, subsets }
     }
 
     /// `metric` under `estimator` on the headline of `data` alone: the
@@ -409,7 +466,7 @@ impl GroupLayout {
         estimator: &dyn EpsilonEstimator,
     ) -> Result<EpsilonResult> {
         let headline = self.headline.as_ref().unwrap_or(&self.full);
-        score(metric, &headline.tables(data)?, estimator)
+        score(metric, &headline.tables(data), estimator)
     }
 
     /// [`GroupLayout::evaluate`] and the worst-pair log-ratio of the
@@ -422,23 +479,23 @@ impl GroupLayout {
         metric: &dyn Metric,
         estimator: &dyn EpsilonEstimator,
     ) -> Result<(EpsilonResult, f64)> {
-        let tables = self.headline.as_ref().unwrap_or(&self.full).tables(data)?;
+        let tables = self.headline.as_ref().unwrap_or(&self.full).tables(data);
         let result = score(metric, &tables, estimator)?;
         let raw = match &tables {
             Tables::One(table) => table.worst(log_ratio),
-            Tables::Strata(_) => self.group_outcomes(data)?.worst(log_ratio),
+            Tables::Strata(_) => self.group_outcomes(data).worst(log_ratio),
         };
         Ok((result, raw.epsilon))
     }
 
     /// The raw (MLE) tables of the headline's strata of `data`, in label
     /// order (an unconditioned headline is one stratum).
-    pub(crate) fn strata(&self, data: &[f64]) -> Result<Vec<GroupOutcomes>> {
+    pub(crate) fn strata(&self, data: &[f64]) -> Vec<GroupOutcomes> {
         let headline = self.headline.as_ref().unwrap_or(&self.full);
-        Ok(match headline.tables(data)? {
+        match headline.tables(data) {
             Tables::One(table) => vec![table],
             Tables::Strata(strata) => strata,
-        })
+        }
     }
 }
 
@@ -446,15 +503,16 @@ impl GroupLayout {
 /// order) under `names`: per group, the compensated-sum total and a
 /// division per cell; an empty group keeps zero probabilities. Each row is
 /// turned into probabilities in place, so a table costs one allocation
-/// beyond its cells: the monitor runs this on every push.
-pub(crate) fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>) -> Result<GroupOutcomes> {
+/// beyond its cells: the monitor runs this on every push. The cells are
+/// sums of counts checked at their door, so every row sums to 1 (or is
+/// empty) and the table is not checked again.
+pub(crate) fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>) -> GroupOutcomes {
     let n_outcomes = names.n_outcomes();
     let mut weights = vec![0.0; cells.len() / n_outcomes];
     for (weight, row) in weights.iter_mut().zip(cells.chunks_exact_mut(n_outcomes)) {
         *weight = row.iter().sum();
         let total = stable_sum(row);
-        // A NaN total propagates.
-        if total > 0.0 || total.is_nan() {
+        if total > 0.0 {
             for p in row.iter_mut() {
                 *p /= total;
             }
@@ -462,7 +520,7 @@ pub(crate) fn outcomes(names: &Arc<GroupNames>, mut cells: Vec<f64>) -> Result<G
             row.fill(0.0);
         }
     }
-    GroupOutcomes::with_names(Arc::clone(names), cells, weights)
+    GroupOutcomes::trusted(Arc::clone(names), cells, weights)
 }
 
 /// The raw tables one entry is scored on: its one table, or one per label
@@ -1030,7 +1088,7 @@ mod tests {
             let layout = GroupLayout::new(counts.table(), 0)
                 .for_metric(&EpsilonDf, lattice.iter().map(Vec::as_slice))
                 .unwrap();
-            let tables = layout.tables(counts.table().data()).unwrap();
+            let tables = layout.tables(counts.table().data());
             let oracle_full = oracle::group_outcomes(&counts).unwrap();
             assert_eq!(
                 table_bits(tables.full().unwrap()),

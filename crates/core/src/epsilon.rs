@@ -15,10 +15,18 @@
 //! read through the same layout or derived from it (smoothed tables,
 //! posterior draws, clones). The scan tracks the witness by index and
 //! formats the names of the one pair it reports.
+//!
+//! A table is valid by construction: every populated row is a probability
+//! vector and every weight is finite and non-negative. [`GroupOutcomes::new`]
+//! is the one constructor that checks this, for a caller's own table. The
+//! kernel builds every other table from counts checked at their door, or
+//! derives it from a valid table (a smoothed table, a posterior draw) under
+//! a checked prior, and checks none of them again; the doors are listed
+//! once, in [`crate::edf`].
 
 use crate::error::{DfError, Result};
-use df_prob::contingency::{intersection_label, intersection_labels, Axis};
-use df_prob::numerics::{exactly_zero, log_ratio};
+use df_prob::contingency::{intersection_label, intersection_labels, valid_cell, Axis};
+use df_prob::numerics::{exactly_zero, log_ratio, stable_sum};
 use serde::{Deserialize, JsonWriter, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -182,7 +190,8 @@ pub(crate) struct Worst {
 }
 
 impl GroupOutcomes {
-    /// Builds the table, validating shapes and that each populated group's
+    /// Builds the table, validating shapes, that probabilities and weights
+    /// are finite and non-negative, and that each populated group's
     /// outcome distribution is a probability vector (within 1e-6).
     pub fn new(
         outcome_labels: Vec<String>,
@@ -190,19 +199,7 @@ impl GroupOutcomes {
         probs: Vec<f64>,
         weights: Vec<f64>,
     ) -> Result<Self> {
-        Self::with_names(
-            Arc::new(GroupNames::explicit(outcome_labels, group_labels)),
-            probs,
-            weights,
-        )
-    }
-
-    /// [`GroupOutcomes::new`] over shared names.
-    pub(crate) fn with_names(
-        names: Arc<GroupNames>,
-        probs: Vec<f64>,
-        weights: Vec<f64>,
-    ) -> Result<Self> {
+        let names = GroupNames::explicit(outcome_labels, group_labels);
         let (n_groups, n_outcomes) = (names.n_groups(), names.n_outcomes());
         if n_outcomes < 2 {
             return Err(DfError::NotEnoughCategories {
@@ -232,12 +229,12 @@ impl GroupOutcomes {
                 n_groups
             )));
         }
-        if probs.iter().any(|p| !p.is_finite() || *p < 0.0) {
+        if !probs.iter().all(|&p| valid_cell(p)) {
             return Err(DfError::Invalid(
                 "probabilities must be finite and non-negative".into(),
             ));
         }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
+        if !weights.iter().all(|&w| valid_cell(w)) {
             return Err(DfError::Invalid(
                 "group weights must be finite and non-negative".into(),
             ));
@@ -253,11 +250,20 @@ impl GroupOutcomes {
                 }
             }
         }
-        Ok(Self {
+        Ok(Self::trusted(Arc::new(names), probs, weights))
+    }
+
+    /// A table the kernel built, or derived from a valid one: shapes match
+    /// `names`, and every populated row is a probability vector, by
+    /// construction.
+    pub(crate) fn trusted(names: Arc<GroupNames>, probs: Vec<f64>, weights: Vec<f64>) -> Self {
+        debug_assert_eq!(probs.len(), names.n_groups() * names.n_outcomes());
+        debug_assert_eq!(weights.len(), names.n_groups());
+        Self {
             names,
             probs,
             weights,
-        })
+        }
     }
 
     /// Builds a table where every group is populated with equal weight —
@@ -425,8 +431,13 @@ impl GroupOutcomes {
     /// implied counts. `alpha = 0` returns a clone (Eq. 6). Zero-weight
     /// groups keep zero weight, so unobserved intersections stay excluded
     /// from ε exactly as [`Self::epsilon`] prescribes.
+    ///
+    /// `alpha` must be finite and non-negative, and no populated group's
+    /// denominator `N + |Y|α` may overflow (so an α whose `|Y|α`
+    /// overflows is refused whenever a group is populated): each is a
+    /// [`DfError::Invalid`].
     pub fn smoothed(&self, alpha: f64) -> Result<GroupOutcomes> {
-        if alpha < 0.0 || !alpha.is_finite() {
+        if !valid_cell(alpha) {
             return Err(DfError::Invalid(format!(
                 "smoothing alpha must be finite and non-negative, got {alpha}"
             )));
@@ -445,19 +456,22 @@ impl GroupOutcomes {
             for c in row.iter_mut() {
                 *c *= w;
             }
-            let denom = df_prob::numerics::stable_sum(row) + k * alpha;
+            let denom = stable_sum(row) + k * alpha;
+            if w > 0.0 && !denom.is_finite() {
+                return Err(overflowing_alpha(alpha));
+            }
             for c in row.iter_mut() {
                 *c = (*c + alpha) / denom;
             }
         }
-        self.with_probs(probs)
+        Ok(self.with_probs(probs))
     }
 
-    /// A table with this one's names and weights and new probabilities
-    /// (smoothed, or drawn from a posterior), validated as
-    /// [`GroupOutcomes::new`] validates.
-    pub(crate) fn with_probs(&self, probs: Vec<f64>) -> Result<GroupOutcomes> {
-        GroupOutcomes::with_names(Arc::clone(&self.names), probs, self.weights.clone())
+    /// A table with this one's names and weights and new probabilities:
+    /// smoothed, or drawn from a posterior, each a probability vector per
+    /// populated group by construction.
+    pub(crate) fn with_probs(&self, probs: Vec<f64>) -> GroupOutcomes {
+        GroupOutcomes::trusted(Arc::clone(&self.names), probs, self.weights.clone())
     }
 
     /// Expected utility `E[u(y) | s]` per group for a caller-supplied utility
@@ -478,6 +492,14 @@ impl GroupOutcomes {
             })
             .collect())
     }
+}
+
+/// The refusal of a prior whose Eq. 7 denominator `N + |Y|α` overflows
+/// for some populated group.
+pub(crate) fn overflowing_alpha(alpha: f64) -> DfError {
+    DfError::Invalid(format!(
+        "smoothing alpha {alpha} overflows the Eq. 7 denominator N + |Y|*alpha"
+    ))
 }
 
 /// Prints the table as its fields read: outcome and group labels,

@@ -85,7 +85,7 @@ impl EqualizedOddsCounts {
         let table = self.counts.table();
         let strata = GroupLayout::new(table, 0)
             .for_metric(&DifferentialEqualizedOdds::new(TRUTH), std::iter::empty())?
-            .strata(table.data())?;
+            .strata(table.data());
         // Outcome-first counts: the prediction axis, then the truth axis.
         let labels = table.axes()[1].labels().iter().map(String::as_str);
         Ok(labels.zip(strata))

@@ -44,6 +44,7 @@
 //! panics and no corrupt count ever reaches the ε kernel. A malformed
 //! field is reported with its name and byte offset.
 
+use crate::edf::check_cells;
 use crate::epsilon::{EpsilonResult, EpsilonWitness};
 use crate::error::{DfError, Result};
 use crate::monitor::{
@@ -51,7 +52,7 @@ use crate::monitor::{
     CountsSnapshot, MonitorSnapshot,
 };
 use crate::subsets::SubsetEpsilon;
-use df_prob::contingency::Axis;
+use df_prob::contingency::{valid_cell, Axis};
 use df_prob::numerics::exactly_zero;
 use df_prob::wire::{put_f64, put_str, put_varint, Reader};
 use std::collections::{HashMap, HashSet};
@@ -421,13 +422,7 @@ fn signal_code(signal: ChangeSignal) -> u8 {
 // ---------------------------------------------------------------------------
 
 fn put_cells(out: &mut Vec<u8>, cells: &[f64]) -> Result<()> {
-    if let Some((cell, &value)) = cells
-        .iter()
-        .enumerate()
-        .find(|(_, v)| !v.is_finite() || **v < 0.0)
-    {
-        return Err(DfError::CorruptCounts { cell, value });
-    }
+    check_cells(cells)?;
     let integral = cells
         .iter()
         .all(|&v| exactly_zero(v.fract()) && v <= MAX_EXACT as f64);
@@ -465,7 +460,7 @@ fn get_cells(r: &mut Reader<'_>, n_cells: usize) -> Result<Vec<f64>> {
         CELLS_F64 => {
             for cell in 0..n_cells {
                 let v = r.f64("cell")?;
-                if !v.is_finite() || v < 0.0 {
+                if !valid_cell(v) {
                     return Err(DfError::CorruptCounts { cell, value: v });
                 }
                 cells.push(v);

@@ -8,9 +8,10 @@
 //! randomized mechanisms report their full outcome distribution per instance
 //! (Rao–Blackwellized tally), deterministic classifiers a point mass.
 
-use crate::edf::outcomes;
+use crate::edf::{check_total, outcomes};
 use crate::epsilon::{GroupNames, GroupOutcomes};
 use crate::error::{DfError, Result};
+use df_prob::contingency::valid_cell;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -77,6 +78,11 @@ pub struct MechanismEstimate {
 /// predictive to the (expected) outcome tallies: the raw table,
 /// [`GroupOutcomes::smoothed`], as [`crate::JointCounts::group_outcomes`]
 /// gives it.
+///
+/// This is the door of mechanism tallies: each distribution is checked as
+/// it arrives (one entry per outcome, each finite and non-negative), and
+/// the tallies' total must not overflow; the table built from them is not
+/// checked again.
 pub fn estimate_group_outcomes<X, M, I>(
     mechanism: &M,
     group_labels: Vec<String>,
@@ -112,15 +118,31 @@ where
                 dist.len()
             )));
         }
+        if let Some(y) = dist.iter().position(|&p| !valid_cell(p)) {
+            return Err(DfError::Invalid(format!(
+                "mechanism returned outcome probability {} for `{}`; each must be \
+                 finite and non-negative",
+                dist[y], outcome_labels[y]
+            )));
+        }
         for (y, &p) in dist.iter().enumerate() {
             tallies[g * n_outcomes + y] += p;
         }
         n += 1;
     }
+    if n_groups == 0 {
+        return Err(DfError::NotEnoughCategories {
+            what: "groups",
+            needed: 1,
+            present: 0,
+        });
+    }
+    // Finite tallies can still sum past `f64`.
+    check_total(&tallies)?;
 
     let names = Arc::new(GroupNames::explicit(outcome_labels, group_labels));
     Ok(MechanismEstimate {
-        group_outcomes: outcomes(&names, tallies)?.smoothed(alpha)?,
+        group_outcomes: outcomes(&names, tallies).smoothed(alpha)?,
         n,
     })
 }
@@ -205,6 +227,29 @@ mod tests {
             (0.0, 0.5, 0.5)
         );
         assert_eq!(go.populated_groups(), vec![0, 1]);
+    }
+
+    /// A negative entry is refused where the distribution arrives, even
+    /// when its row sums to zero: such a row used to tally into a group
+    /// of weight 0, leaving the group out of ε without an error.
+    #[test]
+    fn a_negative_entry_in_a_zero_sum_distribution_is_refused() {
+        struct Signed;
+        impl Mechanism<()> for Signed {
+            fn outcomes(&self) -> Vec<String> {
+                vec!["no".into(), "yes".into()]
+            }
+            fn outcome_distribution(&self, _: &()) -> Vec<f64> {
+                vec![-1.0, 1.0]
+            }
+        }
+        let err = estimate_group_outcomes(&Signed, vec!["a".into(), "b".into()], [(0, ())], 0.0)
+            .map(|e| e.group_outcomes)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DfError::Invalid(m) if m.contains("-1")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -60,8 +60,9 @@ use serde::{Deserialize, Serialize};
 /// A disparity functional over a group×outcome probability table.
 ///
 /// Object-safe, like [`EpsilonEstimator`], so monitors and servers can
-/// hold the configured metric behind a box; `Send + Sync` because fleet
-/// shards and bootstrap workers evaluate it concurrently. The estimator
+/// hold the configured metric behind a box; `Send + Sync` because a
+/// fleet's shard monitors, and the server workers that push into them,
+/// share it across threads. The estimator
 /// argument keeps the two axes of configuration orthogonal: one metric
 /// can be certified under any estimation strategy.
 pub trait Metric: Send + Sync {

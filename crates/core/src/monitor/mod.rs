@@ -113,13 +113,13 @@ pub use snapshot::{CountsSnapshot, MonitorSnapshot};
 pub use telemetry::MonitorTelemetry;
 
 use crate::builder::{EpsilonEstimator, Smoothed, SubsetPolicy};
-use crate::edf::{GroupLayout, JointCounts};
+use crate::edf::{check_total, GroupLayout, JointCounts};
 use crate::epsilon::{EpsilonResult, EpsilonWitness};
 use crate::error::{DfError, Result};
 use crate::metric::{EpsilonDf, Metric};
 use crate::subsets::SubsetEpsilon;
 use changepoint::DetectorState;
-use df_prob::contingency::{Axis, ContingencyTable};
+use df_prob::contingency::{valid_cell, Axis, ContingencyTable};
 use df_prob::numerics::exactly_zero;
 use df_prob::partial::{PartialCounts, Tally};
 use ring::{Span, Window};
@@ -297,12 +297,6 @@ impl MonitorBuilder {
     /// the audit builder's headline default).
     pub fn estimator(mut self, estimator: impl EpsilonEstimator + 'static) -> Self {
         self.estimator = Some(Box::new(estimator));
-        self
-    }
-
-    /// Sets an already-boxed estimator.
-    pub fn boxed_estimator(mut self, estimator: Box<dyn EpsilonEstimator>) -> Self {
-        self.estimator = Some(estimator);
         self
     }
 
@@ -611,14 +605,17 @@ impl FairnessMonitor {
     /// `add`, and a negative, fractional, or non-finite cell would
     /// silently break the integer-tally premise the exact merge/subtract
     /// window rests on (a negative count turns ε into NaN, which no alert
-    /// rule ever fires on). Returns the chunk's record count.
+    /// rule ever fires on), and a chunk whose total overflows would count
+    /// no records at all. This is the monitor's door: the window and the
+    /// horizon are sums of sealed chunks, read by the kernel unchecked.
+    /// Returns the chunk's record count.
     fn seal_chunk<C: Tally + ?Sized>(&mut self, chunk: &C) -> Result<usize> {
         self.scratch.clear();
         chunk.tally_into(&mut self.scratch)?;
         let cells = self.scratch.table().data();
         if let Some(cell) = cells
             .iter()
-            .position(|v| !v.is_finite() || *v < 0.0 || !exactly_zero(v.fract()))
+            .position(|&v| !valid_cell(v) || !exactly_zero(v.fract()))
         {
             return Err(DfError::Invalid(format!(
                 "monitor buckets need finite, non-negative, integer cell tallies; \
@@ -626,7 +623,7 @@ impl FairnessMonitor {
                 cells[cell]
             )));
         }
-        Ok(self.scratch.total() as usize)
+        Ok(check_total(cells)? as usize)
     }
 
     /// Scales the decayed horizon and absorbs the freshly sealed bucket.
@@ -1040,6 +1037,32 @@ pub(crate) mod tests {
         assert_eq!(step.window_rows, 4);
     }
 
+    /// Integer cells whose total overflows `f64` are refused at the chunk
+    /// door. Their total used to read as 0 records, so the push succeeded
+    /// and the window silently kept none of the chunk.
+    #[test]
+    fn a_chunk_whose_total_overflows_is_refused() {
+        struct Heavy;
+        impl Tally for Heavy {
+            fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
+                shard.add(&[0, 0], 1e308);
+                shard.add(&[1, 0], 1e308);
+                shard.record(&[1, 1]);
+                Ok(())
+            }
+        }
+        let mut m = Audit::monitor("y", axes())
+            .window_seconds(60.0)
+            .build()
+            .unwrap();
+        let err = m.push_at(&Heavy, 1.0).unwrap_err();
+        assert!(
+            matches!(&err, DfError::Invalid(msg) if msg.contains("overflows")),
+            "{err:?}"
+        );
+        assert_eq!((m.window_rows(), m.records_seen()), (0, 0));
+    }
+
     #[test]
     fn alerts_fire_with_hysteresis_and_witness() {
         let mut m = Audit::monitor("y", axes())
@@ -1286,9 +1309,7 @@ pub(crate) mod tests {
         ];
         let data = vec![3.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 2.0, 1.0];
         let table = ContingencyTable::from_data(axes, data).unwrap();
-        let fast = GroupLayout::new(&table, 1)
-            .group_outcomes(table.data())
-            .unwrap();
+        let fast = GroupLayout::new(&table, 1).group_outcomes(table.data());
         let slow = JointCounts::from_table(table, "y")
             .unwrap()
             .group_outcomes(0.0)

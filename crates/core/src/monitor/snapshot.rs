@@ -21,7 +21,7 @@
 use super::changepoint::ChangepointStatus;
 use super::{Alert, ChangepointAlarm};
 use crate::builder::EpsilonEstimator;
-use crate::edf::{outcome_position, GroupLayout};
+use crate::edf::{check_cells, check_total, outcome_position, GroupLayout};
 use crate::epsilon::EpsilonResult;
 use crate::error::{DfError, Result};
 use crate::metric::{metric_from_tag, Metric};
@@ -60,10 +60,10 @@ impl CountsSnapshot {
     /// Snapshots arrive over the wire (JSON dashboards, the binary fleet
     /// codec), so the cells are untrusted: a NaN, infinite, or negative
     /// cell is rejected with the same typed [`DfError::CorruptCounts`]
-    /// that guards [`crate::builder::Audit::of_counts`] — ε over such a
+    /// that guards [`crate::JointCounts::from_table`] — ε over such a
     /// table would silently propagate NaN instead of certifying anything.
     pub fn to_table(&self) -> Result<ContingencyTable> {
-        self.check_cells()?;
+        check_cells(&self.data)?;
         let axes = self
             .axes
             .iter()
@@ -72,10 +72,12 @@ impl CountsSnapshot {
         Ok(ContingencyTable::from_data(axes, self.data.clone())?)
     }
 
-    /// The layout these counts are read through, checked as
-    /// [`CountsSnapshot::to_table`] checks them: `known` after the cell
-    /// check, or else one built from `to_table()` with `outcome_axis` as
-    /// the outcome, for `metric` over the lattice of `subsets`.
+    /// The layout these counts are read through, after the door check
+    /// of every counts table the kernel reads (the cell check of
+    /// [`CountsSnapshot::to_table`] and a total that cannot overflow; a
+    /// fold's sum meets it here too): `known`, or else one built from
+    /// `to_table()` with `outcome_axis` as the outcome, for `metric` over
+    /// the lattice of `subsets`.
     fn layout<'k>(
         &self,
         known: Option<&'k GroupLayout>,
@@ -84,25 +86,15 @@ impl CountsSnapshot {
         subsets: &[SubsetEpsilon],
     ) -> Result<Cow<'k, GroupLayout>> {
         if let Some(layout) = known {
-            self.check_cells()?;
+            check_cells(&self.data)?;
+            check_total(&self.data)?;
             return Ok(Cow::Borrowed(layout));
         }
         let table = self.to_table()?;
+        check_total(&self.data)?;
         GroupLayout::new(&table, outcome_position(&table, outcome_axis)?)
             .for_metric(metric, subsets.iter().map(|s| s.attributes.as_slice()))
             .map(Cow::Owned)
-    }
-
-    /// The cell check of [`CountsSnapshot::to_table`]: the first NaN,
-    /// infinite or negative cell is a [`DfError::CorruptCounts`].
-    fn check_cells(&self) -> Result<()> {
-        match self.data.iter().position(|v| !v.is_finite() || *v < 0.0) {
-            Some(cell) => Err(DfError::CorruptCounts {
-                cell,
-                value: self.data[cell],
-            }),
-            None => Ok(()),
-        }
     }
 
     /// Cell-wise adds another snapshot into this one, in place. The two
@@ -368,10 +360,12 @@ impl MonitorSnapshot {
     /// object, a fold the tag's registry entry), so a merge of
     /// min/max-ratio shards recomputes a min/max ratio, never ε.
     ///
-    /// The counts are read through `known`, the layout of their schema and
-    /// lattice built for `metric` (a monitor's own, or a fleet's shared
-    /// one), after the cell check of [`CountsSnapshot::to_table`]; without
-    /// one, through a layout built for `metric` from `to_table()` itself.
+    /// This is the door of wire and folded counts: the window and the
+    /// horizon each pass the counts check (cells, and a total that cannot
+    /// overflow) before the kernel reads them through `known`, the layout
+    /// of their schema and lattice built for `metric` (a monitor's own, or
+    /// a fleet's shared one), or without one through a layout built for
+    /// `metric` from `to_table()` itself.
     pub(crate) fn derive(
         &mut self,
         known: Option<&GroupLayout>,
@@ -385,7 +379,7 @@ impl MonitorSnapshot {
         let layout = self
             .window
             .layout(known, &self.outcome_axis, metric, &self.subsets)?;
-        let tables = layout.tables(&self.window.data)?;
+        let tables = layout.tables(&self.window.data);
         self.epsilon = tables.evaluate(metric, estimator, &mut self.subsets)?;
         let horizon = |d: &CountsSnapshot| {
             let layout = d.layout(known, &self.outcome_axis, metric, &[])?;

@@ -14,10 +14,10 @@
 //!   model.
 
 use crate::edf::JointCounts;
-use crate::epsilon::{EpsilonResult, GroupOutcomes, Worst};
+use crate::epsilon::{overflowing_alpha, EpsilonResult, GroupOutcomes, Worst};
 use crate::error::{DfError, Result};
 use df_prob::estimate::DirichletPosterior;
-use df_prob::numerics::log_ratio;
+use df_prob::numerics::{log_ratio, stable_sum};
 use df_prob::rng::Pcg32;
 use df_prob::summary::credible_interval;
 
@@ -120,17 +120,23 @@ pub fn posterior_theta_from_table(
     // Recover per-group counts: prob * weight.
     let group_counts: Vec<Vec<f64>> = (0..n_groups).map(|g| base.implied_counts(g)).collect();
 
+    // The prior's door: a populated group whose Eq. 7 denominator
+    // `N + |Y|α` overflows would draw rows of zeros.
+    let k = n_outcomes as f64;
     let posteriors: Vec<Option<DirichletPosterior>> = group_counts
         .iter()
         .enumerate()
         .map(|(g, c)| {
-            if base.weights()[g] > 0.0 {
-                DirichletPosterior::from_counts(c, alpha).map(Some)
-            } else {
-                Ok(None)
+            if base.weights()[g] <= 0.0 {
+                return Ok(None);
             }
+            let posterior = DirichletPosterior::from_counts(c, alpha)?;
+            if !(stable_sum(c) + k * alpha).is_finite() {
+                return Err(overflowing_alpha(alpha));
+            }
+            Ok(Some(posterior))
         })
-        .collect::<std::result::Result<_, _>>()?;
+        .collect::<Result<_>>()?;
 
     let mut samples = Vec::with_capacity(n_samples);
     for _ in 0..n_samples {
@@ -146,7 +152,7 @@ pub fn posterior_theta_from_table(
                 }
             }
         }
-        samples.push(base.with_probs(probs)?);
+        samples.push(base.with_probs(probs));
     }
     Ok(ThetaClass::Samples(samples))
 }

@@ -106,7 +106,10 @@ fn a_smoothing_prior_that_overflows_is_refused() {
     assert!(posterior.is_err(), "{posterior:?}");
     for alpha in [f64::MAX, f64::INFINITY, f64::NAN, -1.0] {
         let table = counts.group_outcomes(alpha);
-        assert!(matches!(table, Err(DfError::Invalid(_))), "{alpha}: {table:?}");
+        assert!(
+            matches!(table, Err(DfError::Invalid(_))),
+            "{alpha}: {table:?}"
+        );
         assert!(counts.edf_smoothed(alpha).is_err(), "{alpha}");
     }
     // A large prior whose denominator stays finite still smooths.
@@ -141,13 +144,12 @@ fn mechanism_distributions_that_are_not_probabilities_are_refused() {
         vec![1e308, 1e308],
     ] {
         let result = estimate(dist.clone(), &["a", "b"], two());
-        assert!(matches!(result, Err(DfError::Invalid(_))), "{dist:?}: {result:?}");
-        let audit = Audit::of_mechanism(
-            &Fixed(dist.clone()),
-            vec!["a".into(), "b".into()],
-            two(),
-        )
-        .and_then(|audit| audit.estimator(Empirical).run());
+        assert!(
+            matches!(result, Err(DfError::Invalid(_))),
+            "{dist:?}: {result:?}"
+        );
+        let audit = Audit::of_mechanism(&Fixed(dist.clone()), vec!["a".into(), "b".into()], two())
+            .and_then(|audit| audit.estimator(Empirical).run());
         assert!(audit.is_err(), "{dist:?}: {audit:?}");
     }
     // No group labels: nothing to condition on.

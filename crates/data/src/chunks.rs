@@ -48,35 +48,55 @@ impl FrameChunk<'_> {
 
 impl Tally for FrameChunk<'_> {
     fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-        if shard.ndim() != self.columns.len() {
-            return Err(ProbError::ShapeMismatch {
-                context: "FrameChunk::tally_into",
-                expected: self.columns.len(),
-                actual: shard.ndim(),
-            });
-        }
-        // The shard axes must *be* this chunk's schema — same names, same
-        // labels in the same (interning) order — or codes would scatter
-        // into wrong cells while passing a mere arity check.
-        for (axis, (&name, &vocab)) in shard.axes().iter().zip(self.names.iter().zip(&self.vocabs))
-        {
-            if axis.name() != name || axis.labels() != vocab {
-                return Err(ProbError::InvalidParameter {
-                    name: "shard",
-                    reason: format!(
-                        "axis `{}` does not match column `{name}`'s vocabulary; build \
-                         the audit axes with FrameChunks::axes",
-                        axis.name(),
-                    ),
-                });
-            }
-        }
+        let columns = self.names.iter().zip(&self.vocabs);
+        check_shard_axes(
+            shard,
+            columns.map(|(&name, &vocab)| (name, vocab)),
+            "FrameChunk::tally_into",
+            "column",
+            "FrameChunks::axes",
+        )?;
         // Columnar bulk tally — vectorized flat-index accumulation. The
         // range scan is skipped: interned column codes index their own
         // vocabulary by construction, and the schema check above pinned
         // each shard axis to exactly that vocabulary.
         shard.record_codes_trusted(&self.columns)
     }
+}
+
+/// The schema check of a coded chunk's tally (`context` names it): one
+/// shard axis per code column, and each axis *is* its column — same name,
+/// same labels in the same (interning) order — or in-range codes would
+/// scatter into wrong cells while passing a mere arity check. A mismatch
+/// names the chunk's `column` kind and the `axes_call` that builds
+/// matching axes.
+pub(crate) fn check_shard_axes<'c>(
+    shard: &PartialCounts,
+    columns: impl ExactSizeIterator<Item = (&'c str, &'c [String])>,
+    context: &'static str,
+    column: &str,
+    axes_call: &str,
+) -> df_prob::Result<()> {
+    if shard.ndim() != columns.len() {
+        return Err(ProbError::ShapeMismatch {
+            context,
+            expected: columns.len(),
+            actual: shard.ndim(),
+        });
+    }
+    for (axis, (name, vocab)) in shard.axes().iter().zip(columns) {
+        if axis.name() != name || axis.labels() != vocab {
+            return Err(ProbError::InvalidParameter {
+                name: "shard",
+                reason: format!(
+                    "axis `{}` does not match {column} `{name}`'s vocabulary; build the \
+                     audit axes with {axes_call}",
+                    axis.name(),
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Iterator of [`FrameChunk`]s over the selected categorical columns of a

@@ -56,13 +56,13 @@
 //! - [`tally_from_log`]: log bytes → contingency table with no frame and
 //!   no per-chunk schema re-check — the ≥5×-over-CSV replay fast path.
 
+use crate::chunks::check_shard_axes;
 use crate::csv::CsvOptions;
 use crate::error::{DataError, Result};
 use crate::frame::{Column, ColumnData, DataFrame, Interner};
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::partial::{PartialCounts, Tally};
 use df_prob::wire::{put_f64, put_str, put_varint, Reader};
-use df_prob::ProbError;
 use std::collections::HashSet;
 use std::io::{BufRead, ErrorKind, Write};
 use std::sync::Arc;
@@ -795,28 +795,14 @@ impl CodeChunk {
 
 impl Tally for CodeChunk {
     fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
-        if shard.ndim() != self.columns.len() {
-            return Err(ProbError::ShapeMismatch {
-                context: "CodeChunk::tally_into",
-                expected: self.columns.len(),
-                actual: shard.ndim(),
-            });
-        }
-        // Same contract as FrameChunk: the shard's axes must be exactly
-        // this log's schema, or in-range codes would still land in wrong
-        // cells.
-        for (axis, (name, vocab)) in shard.axes().iter().zip(self.schema.columns()) {
-            if axis.name() != name || axis.labels() != vocab.as_slice() {
-                return Err(ProbError::InvalidParameter {
-                    name: "shard",
-                    reason: format!(
-                        "axis `{}` does not match log column `{name}`'s vocabulary; \
-                         build the audit axes with ReplayChunks::axes",
-                        axis.name(),
-                    ),
-                });
-            }
-        }
+        let columns = self.schema.columns().iter();
+        check_shard_axes(
+            shard,
+            columns.map(|(name, vocab)| (name.as_str(), vocab.as_slice())),
+            "CodeChunk::tally_into",
+            "log column",
+            "ReplayChunks::axes",
+        )?;
         // Codes were range-checked against these vocabularies at decode,
         // so the scan-free bulk tally is sound.
         shard.record_codes_trusted(&self.column_slices())

@@ -132,7 +132,7 @@ impl ContingencyTable {
                 actual: data.len(),
             });
         }
-        if data.iter().any(|&v| !v.is_finite() || v < 0.0) {
+        if !data.iter().all(|&v| valid_cell(v)) {
             return Err(ProbError::InvalidParameter {
                 name: "data",
                 reason: "cell values must be finite and non-negative".into(),
@@ -219,7 +219,7 @@ impl ContingencyTable {
 
     /// Sets a cell.
     pub fn set(&mut self, idx: &[usize], value: f64) -> Result<()> {
-        if !(value.is_finite() && value >= 0.0) {
+        if !valid_cell(value) {
             return Err(ProbError::InvalidParameter {
                 name: "value",
                 reason: format!("cell values must be finite and non-negative, got {value}"),
@@ -245,8 +245,7 @@ impl ContingencyTable {
     /// code slice per axis, all of equal length, each code indexing that
     /// axis's labels. Every record gets weight 1.
     ///
-    /// This is the streaming hot path, through
-    /// [`ContingencyTable::tally_codes_trusted`]: df-data's
+    /// This is the one tally kernel, the streaming hot path: df-data's
     /// `tally_from_log` (a replay log's code bytes), its `CodeChunk` (the
     /// server's ingest, and replay chunks fed to audits and monitors), its
     /// frame and CSV chunks, frames and frame views all count here. It runs
@@ -255,39 +254,11 @@ impl ContingencyTable {
     /// scatter pass — which the compiler vectorizes, unlike the per-row
     /// `increment` loop that re-derives the stride arithmetic (and its
     /// bounds checks) for every record.
-    pub fn tally_codes(&mut self, columns: &[&[u32]]) -> Result<()> {
-        if columns.len() != self.axes.len() {
-            return Err(ProbError::ShapeMismatch {
-                context: "tally_codes: one code column per axis",
-                expected: self.axes.len(),
-                actual: columns.len(),
-            });
-        }
-        // Code-range validation as a dedicated max-reduction per column —
-        // a branchless sweep the compiler turns into SIMD max, unlike a
-        // running max folded into the accumulation arithmetic (which blocks
-        // vectorization of the hot loops).
-        for (col, axis) in columns.iter().zip(&self.axes) {
-            let max_code = col.iter().copied().max().unwrap_or(0);
-            if max_code as usize >= axis.len() {
-                return Err(ProbError::InvalidParameter {
-                    name: "columns",
-                    reason: format!(
-                        "code {max_code} out of range for axis `{}` ({} labels)",
-                        axis.name(),
-                        axis.len()
-                    ),
-                });
-            }
-        }
-        self.tally_codes_trusted(columns)
-    }
-
-    /// [`ContingencyTable::tally_codes`] without the per-code range scan —
-    /// for callers whose codes are in-range *by construction* (e.g. a
-    /// column interned against the very vocabulary the axis was built
-    /// from), where re-reading every code just to validate it would double
-    /// the memory traffic of the hot path.
+    ///
+    /// Codes are in range *by construction* (a column interned against the
+    /// very vocabulary the axis was built from, or range-checked where it
+    /// entered, as `CodeChunk::new` and the replay reader check it), so
+    /// the kernel does not re-read every code to validate it.
     ///
     /// Codes come as `u32`s or, for a column of one-byte codes kept as the
     /// bytes they were stored as, as `u8`s ([`Code`]), so a byte column
@@ -300,7 +271,7 @@ impl ContingencyTable {
     pub fn tally_codes_trusted<C: Code>(&mut self, columns: &[&[C]]) -> Result<()> {
         if columns.len() != self.axes.len() {
             return Err(ProbError::ShapeMismatch {
-                context: "tally_codes: one code column per axis",
+                context: "tally_codes_trusted: one code column per axis",
                 expected: self.axes.len(),
                 actual: columns.len(),
             });
@@ -309,7 +280,7 @@ impl ContingencyTable {
         for col in columns {
             if col.len() != n {
                 return Err(ProbError::ShapeMismatch {
-                    context: "tally_codes: column lengths",
+                    context: "tally_codes_trusted: column lengths",
                     expected: n,
                     actual: col.len(),
                 });
@@ -708,6 +679,17 @@ where
     out
 }
 
+/// The cell rule of every counts table: a cell holds a finite,
+/// non-negative value (`-0.0` included). Every door through which cells
+/// enter a table — [`ContingencyTable::from_data`] and
+/// [`ContingencyTable::set`] here; df-core's joint counts, wire snapshots,
+/// fleet frames, monitor chunks and mechanism tallies — applies this one
+/// rule, each with its own error.
+#[inline]
+pub fn valid_cell(v: f64) -> bool {
+    v.is_finite() && v >= 0.0
+}
+
 /// Adds `src` into `dst` cell by cell — the count sum behind every table
 /// and snapshot merge. The slices must have equal length.
 pub fn add_cells(dst: &mut [f64], src: &[f64]) -> Result<()> {
@@ -899,19 +881,14 @@ mod tests {
             vec![1, 1, 0, 0, 1, 0, 1],
         ];
         let mut bulk = ContingencyTable::zeros(axes.clone()).unwrap();
-        bulk.tally_codes(&[&cols[0], &cols[1], &cols[2]]).unwrap();
+        bulk.tally_codes_trusted(&[&cols[0], &cols[1], &cols[2]])
+            .unwrap();
         let mut slow = ContingencyTable::zeros(axes).unwrap();
         for ((&y, &a), &b) in cols[0].iter().zip(&cols[1]).zip(&cols[2]) {
             slow.increment(&[y as usize, a as usize, b as usize]);
         }
         assert_eq!(bulk, slow);
         assert_eq!(bulk.total(), 7.0);
-        // The trusted path produces the same table on in-contract input.
-        let mut trusted = ContingencyTable::zeros(bulk.axes().to_vec()).unwrap();
-        trusted
-            .tally_codes_trusted(&[&cols[0], &cols[1], &cols[2]])
-            .unwrap();
-        assert_eq!(trusted, slow);
     }
 
     #[test]
@@ -974,22 +951,17 @@ mod tests {
         ];
         let mut t = ContingencyTable::zeros(axes).unwrap();
         // Wrong column count.
-        assert!(t.tally_codes(&[&[0, 1][..]]).is_err());
         assert!(t.tally_codes_trusted(&[&[0u32, 1][..]]).is_err());
         // Mismatched lengths.
-        assert!(t.tally_codes(&[&[0, 1][..], &[0][..]]).is_err());
         assert!(t.tally_codes_trusted(&[&[0u32, 1][..], &[0][..]]).is_err());
-        // Out-of-range code caught by the validated path before any cell
-        // is touched.
-        assert!(t.tally_codes(&[&[0, 2][..], &[0, 1][..]]).is_err());
         assert_eq!(t.total(), 0.0);
         // A single-axis table.
         let mut one =
             ContingencyTable::zeros(vec![Axis::from_strs("y", &["0", "1", "2"]).unwrap()]).unwrap();
-        one.tally_codes(&[&[2, 2, 0][..]]).unwrap();
+        one.tally_codes_trusted(&[&[2u32, 2, 0][..]]).unwrap();
         assert_eq!(one.get(&[2]), 2.0);
         // Empty batch is a no-op.
-        one.tally_codes(&[&[][..]]).unwrap();
+        one.tally_codes_trusted(&[&[][..] as &[u32]]).unwrap();
         assert_eq!(one.total(), 3.0);
     }
 

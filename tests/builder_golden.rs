@@ -257,31 +257,6 @@ fn golden_table3_classifier_audit_through_builder() {
     assert_eq!(report.headline, "eps-DF(a=1)");
 }
 
-/// Deterministic-seed guarantee for the parallel bootstrap: the same seed
-/// must produce the identical replicate list and CI whether replicates run
-/// serially or across 4 worker threads.
-#[test]
-fn golden_parallel_bootstrap_ci_matches_serial() {
-    let counts = table1_counts();
-    let run = |threads: usize| {
-        Audit::of(&counts)
-            .estimator(Smoothed { alpha: 1.0 })
-            .subsets(SubsetPolicy::None)
-            .bootstrap(200, 2024)
-            .bootstrap_threads(threads)
-            .run()
-            .unwrap()
-            .bootstrap
-            .unwrap()
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(parallel, serial);
-    assert_eq!(parallel.interval, serial.interval);
-    assert_eq!(parallel.replicates, serial.replicates);
-    assert!(serial.interval.0 <= serial.point && serial.point <= serial.interval.1);
-}
-
 /// The three estimator strategies order sensibly on sparse data: smoothing
 /// tempers the point estimate, the posterior supremum dominates it.
 #[test]

@@ -145,7 +145,6 @@ fn deo_report() -> AuditReport {
         .metric(DifferentialEqualizedOdds::new("label"))
         .subsets(SubsetPolicy::All)
         .bootstrap(20, 11)
-        .bootstrap_threads(2)
         .run()
         .unwrap()
 }
